@@ -4,12 +4,15 @@ Usage:
     python3 perfbench/run.py --workload {crystal,membership,battery}
                              --seed N --seconds S --trace {0,1}
 
-With ``--trace 0`` the run times whole passes of the workload for S seconds
-and reports the end-to-end metrics: set-up time, pass wall time, crystal
-nodes per second and peak resident memory.  With ``--trace 1`` it times
-untraced passes for half the window and traced passes for the other half,
-and reports the per-layer metrics of ``tracing.PER_LAYER`` plus the tracing
-overhead.  Every pass goes through the output gate of ``workloads``.
+With ``--trace 0`` the run times whole passes of the workload for S seconds,
+with a fixed reference computation (``reference.py``) timed before the first
+pass and after every pass, and reports the end-to-end metrics: set-up time,
+pass wall time in reference units, crystal nodes per reference unit and
+peak resident memory.  Raw pass times in seconds and nodes per second are
+printed on comment lines.  With ``--trace 1`` it times untraced passes for
+half the window and traced passes for the other half, and reports the
+per-layer metrics of ``tracing.PER_LAYER`` plus the tracing overhead.  Every
+pass goes through the output gate of ``workloads``.
 
 Comment lines (``#``) describe the run; the last line of standard output is
 one JSON object with the keys ``correct``, ``attempted``, ``failed`` and
@@ -34,6 +37,7 @@ from pathlib import Path
 from typing import Dict, List
 
 import guard
+import reference
 import tracing
 from workloads import WORKLOADS, failures
 
@@ -44,8 +48,8 @@ MIN_TRACED_PASSES = 2
 
 END_TO_END = {
     "setup_s": "s",
-    "wall_s": "s",
-    "nodes_per_s": "1/s",
+    "wall_ref": "ref",
+    "nodes_per_ref": "1/ref",
     "peak_rss_mb": "MB",
 }
 TRACE_METRICS = {
@@ -124,20 +128,44 @@ def tail_percentile(samples: List[float]):
     return None
 
 
+def calibrated_passes(glspaths, workload, seed, seconds, gate):
+    """Gated passes for ``seconds``, with one reference run before the first
+    pass and after each pass.  Returns the pass wall times and the reference
+    times; pass k lies between references k and k + 1."""
+    walls, refs = [], [reference.timed()]
+    deadline = time.perf_counter() + seconds
+    while len(walls) < MIN_PASSES or time.perf_counter() < deadline:
+        walls.append(run_pass(glspaths, workload, seed, gate))
+        refs.append(reference.timed())
+    return walls, refs
+
+
+def describe(name: str, unit: str, samples: List[float]) -> str:
+    tail = tail_percentile(samples)
+    tail_text = (f"p{tail[0]} {tail[1]:.6f} {unit}" if tail
+                 else "no tail percentile (needs 20 passes)")
+    return (f"# {name} median of {len(samples)} passes: "
+            f"{statistics.median(samples):.6f} {unit}; {tail_text}; "
+            f"passes {[round(x, 4) for x in samples]}")
+
+
 def end_to_end(glspaths, workload, seed, seconds, gate) -> Dict[str, float]:
     setup = measure_setup(workload.name)
-    walls = timed_passes(glspaths, workload, seed, seconds, gate, MIN_PASSES)
+    walls, refs = calibrated_passes(glspaths, workload, seed, seconds, gate)
+    ratios = [wall / ((before + after) / 2)
+              for wall, before, after in zip(walls, refs, refs[1:])]
     wall = statistics.median(walls)
+    wall_ref = statistics.median(ratios)
     print(f"# setup_s median of {len(setup)} probes: {setup}")
-    tail = tail_percentile(walls)
-    tail_text = (f"p{tail[0]} {tail[1]:.6f} s" if tail
-                 else "no tail percentile (needs 20 passes)")
-    print(f"# wall_s median of {len(walls)} passes: {wall:.6f} s; {tail_text}; "
-          f"passes {[round(w, 4) for w in walls]}")
+    print(describe("wall_s", "s", walls))
+    print(f"# nodes_per_s {workload.nodes / wall:.3f} 1/s ({workload.nodes} nodes per pass)")
+    print(f"# reference median of {len(refs)} runs: {statistics.median(refs):.6f} s; "
+          f"runs {[round(r, 4) for r in refs]}")
+    print(describe("wall_ref", "ref", ratios))
     return {
         "setup_s": statistics.median(setup),
-        "wall_s": wall,
-        "nodes_per_s": workload.nodes / wall,
+        "wall_ref": wall_ref,
+        "nodes_per_ref": workload.nodes / wall_ref,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
 

@@ -6,6 +6,7 @@ It runs each workload once untraced and twice traced, so it takes about
 half a minute.
 """
 
+import gc
 import json
 import shutil
 import subprocess
@@ -18,6 +19,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 import guard  # noqa: E402
+import reference  # noqa: E402
 import run  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
@@ -149,6 +151,16 @@ def test_gate_counts_mismatches():
     gate = run.Gate()
     gate.check([("a", 1, 1), ("b", 2, 3)])
     assert (gate.attempted, gate.failed) == (2, 1)
+
+
+def test_reference_leaves_collector_as_found():
+    assert reference.timed() > 0 and gc.isenabled()
+    gc.disable()
+    try:
+        reference.timed()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_benchmark_json_matches_code():

@@ -28,7 +28,7 @@ SUITE_CHECKS = 103
 @dataclass(frozen=True)
 class Workload:
     name: str
-    # crystal nodes completed by one pass (the numerator of nodes_per_s)
+    # crystal nodes completed by one pass (the numerator of nodes_per_ref)
     nodes: int
     # (matrix file, extra bases) loaded through the CLI's loader at set-up
     contexts: Tuple[Tuple[str, dict], ...]
