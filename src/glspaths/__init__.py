@@ -10,12 +10,12 @@ from .torbit import (AChain, OrbitRoot, apply_word, dist, find_a_chain,
 from .paths import (HProfile, PiecewisePath, apply_e, apply_f, concatenate,
                     equal_up_to_reparametrization, h_profile, is_integral,
                     is_monotone, linear_path, trivial_path)
-from .gls import (CrystalGraph, GLSPath, JoinRejected, JoinResult,
+from .gls import (CrystalGraph, GLSPath, JoinRejected, JoinResult, NotAGLSPath,
                   enumerate_crystal, export_dot, gls_e, gls_f, properly_join,
                   verify_gls)
 from .crystals import (NEG_INF, BJWord, DepthMismatch, ElementaryElement,
                        GeneratorSequence, TensorElement, bj_apply, bj_word,
-                       elementary, generate_from, hw_crystal_isomorphic,
+                       generate_from, hw_crystal_isomorphic,
                        tensor_e, tensor_f, validate_axioms,
                        validate_category_B, validate_normality)
 from .character import (CharacterSeries, NonIntegralOffset, OrthogonalSet,

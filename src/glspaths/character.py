@@ -236,10 +236,9 @@ class CharacterComparison:
     formula: CharacterSeries
 
 
-def compare_characters(ctx: WeightContext, lam: Weight, depth: int,
-                       parallel: bool = False) -> CharacterComparison:
+def compare_characters(ctx: WeightContext, lam: Weight, depth: int) -> CharacterComparison:
     """Crystal character against the closed formula, term by term."""
-    crystal = char_of_graph(enumerate_crystal(ctx, lam, depth, parallel=parallel))
+    crystal = char_of_graph(enumerate_crystal(ctx, lam, depth))
     formula = wkb_series(ctx, lam, depth)
     a, b = crystal.term_dict(), formula.term_dict()
     diffs = []

@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 domain error (bad matrix, weight outside P+,
 malformed input, usage), 2 comparison failure (compare-char or tensor-iso
 mismatch, suite violation is 1), 3 I/O error.  All outputs are
-deterministic: identical inputs give byte-identical results, with or
-without --parallel.
+deterministic: identical inputs give byte-identical results.
 """
 
 from __future__ import annotations
@@ -41,11 +40,9 @@ class JobConfig:
     pairings: Optional[Tuple[int, ...]] = None
     right_pairings: Optional[Tuple[int, ...]] = None
     depth: int = 0
-    height_bound: int = 6
     output: Optional[str] = None
     dot_output: Optional[str] = None
     imaginary_diag_zero_allowed: bool = True
-    parallel: bool = False
     seed: int = 0
     preperiod: Tuple[int, ...] = ()
     period: Tuple[int, ...] = ()
@@ -53,8 +50,6 @@ class JobConfig:
     def __post_init__(self):
         if self.depth < 0:
             raise UsageError("depth must be nonnegative")
-        if self.height_bound < 0:
-            raise UsageError("height bound must be nonnegative")
 
 
 def _parse_pairings(text: str) -> Tuple[int, ...]:
@@ -76,13 +71,12 @@ def _parse_indices(text: str) -> Tuple[int, ...]:
         raise UsageError(f"invalid index list {text!r}") from None
 
 
-def _context(cfg: JobConfig, extra=None) -> WeightContext:
+def _context(cfg: JobConfig) -> WeightContext:
     extra_bases = {}
     if cfg.pairings is not None:
         extra_bases["lambda"] = cfg.pairings
     if cfg.right_pairings is not None:
         extra_bases["mu"] = cfg.right_pairings
-    extra_bases.update(extra or {})
     ctx = load_context(cfg.matrix_path, cfg.imaginary_diag_zero_allowed, extra_bases)
     if cfg.pairings is not None and len(cfg.pairings) != ctx.matrix.n:
         raise UsageError(f"pairing vector has {len(cfg.pairings)} entries, "
@@ -122,7 +116,7 @@ def _cmd_orbit(cfg: JobConfig) -> int:
 def _cmd_enumerate(cfg: JobConfig) -> int:
     ctx = _context(cfg)
     lam = ctx.base("lambda")
-    graph = enumerate_crystal(ctx, lam, cfg.depth, parallel=cfg.parallel)
+    graph = enumerate_crystal(ctx, lam, cfg.depth)
     frontier = sum(1 for node in graph.nodes if node.frontier)
     _emit(f"nodes {len(graph)} edges {len(graph.f_edges)} frontier {frontier}\n",
           cfg.output)
@@ -133,7 +127,7 @@ def _cmd_enumerate(cfg: JobConfig) -> int:
 
 def _cmd_export_dot(cfg: JobConfig) -> int:
     ctx = _context(cfg)
-    graph = enumerate_crystal(ctx, ctx.base("lambda"), cfg.depth, parallel=cfg.parallel)
+    graph = enumerate_crystal(ctx, ctx.base("lambda"), cfg.depth)
     _emit(export_dot(graph), cfg.output)
     return 0
 
@@ -141,7 +135,7 @@ def _cmd_export_dot(cfg: JobConfig) -> int:
 def _cmd_char(cfg: JobConfig) -> int:
     ctx = _context(cfg)
     lam = ctx.base("lambda")
-    graph = enumerate_crystal(ctx, lam, cfg.depth, parallel=cfg.parallel)
+    graph = enumerate_crystal(ctx, lam, cfg.depth)
     _emit(series_text(char_of_graph(graph), label=format_weight(lam)), cfg.output)
     return 0
 
@@ -149,7 +143,7 @@ def _cmd_char(cfg: JobConfig) -> int:
 def _cmd_compare_char(cfg: JobConfig) -> int:
     ctx = _context(cfg)
     lam = ctx.base("lambda")
-    report = compare_characters(ctx, lam, cfg.depth, parallel=cfg.parallel)
+    report = compare_characters(ctx, lam, cfg.depth)
     if report.equal:
         _emit(f"equal, {len(report.crystal)} terms\n", cfg.output)
         return 0
@@ -166,8 +160,8 @@ def _cmd_tensor_iso(cfg: JobConfig) -> int:
     if not (ctx.is_P_plus(lam) and ctx.is_P_plus(mu)):
         raise ValueError("both weights must lie in P+")
     left = generate_from(ctx, TensorElement(GLSPath.linear(lam), GLSPath.linear(mu)),
-                         cfg.depth, parallel=cfg.parallel)
-    right = enumerate_crystal(ctx, lam + mu, cfg.depth, parallel=cfg.parallel)
+                         cfg.depth)
+    right = enumerate_crystal(ctx, lam + mu, cfg.depth)
     if hw_crystal_isomorphic(left, right):
         _emit(f"isomorphic, {len(left)} nodes\n", cfg.output)
         return 0
@@ -180,7 +174,7 @@ def _cmd_binf(cfg: JobConfig) -> int:
     n = ctx.matrix.n
     period = cfg.period or tuple(range(1, n + 1))
     seq = GeneratorSequence(n, cfg.preperiod, period)
-    graph = generate_from(ctx, bj_word(seq, []), cfg.depth, parallel=cfg.parallel)
+    graph = generate_from(ctx, bj_word(seq, []), cfg.depth)
     zeros = sum(1 for node in graph.nodes if node.wt.is_zero())
     violations = validate_axioms(ctx, graph)
     lines = [f"nodes {len(graph)} edges {len(graph.f_edges)} "
@@ -192,7 +186,7 @@ def _cmd_binf(cfg: JobConfig) -> int:
 
 
 def _cmd_suite(cfg: JobConfig) -> int:
-    for name, violations in checks.run_suite(seed=cfg.seed, parallel=cfg.parallel):
+    for name, violations in checks.run_suite(seed=cfg.seed):
         if violations:
             sys.stdout.write(f"FAIL {name}\n")
             for v in violations:
@@ -229,14 +223,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--reject-zero-diag", action="store_true",
                        help="reject a_ii = 0 for imaginary indices")
         p.add_argument("-o", "--output", help="write the report to a file")
-        p.add_argument("--parallel", action="store_true",
-                       help="expand BFS frontiers with a thread pool")
         if needs_lambda:
             p.add_argument("-l", "--highest-weight", required=True,
                            help="pairing vector of the base 'lambda', e.g. \"2\"")
         if needs_depth:
             p.add_argument("-d", "--depth", type=int, required=True)
-        p.add_argument("--height-bound", type=int, default=6)
 
     common(sub.add_parser("validate", help="check the matrix axioms"))
     p = sub.add_parser("orbit", help="enumerate the T-orbit of lambda")
@@ -260,7 +251,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--period", default="", help="space-separated indices")
     p = sub.add_parser("suite", help="run the bundled invariant suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--parallel", action="store_true")
     return parser
 
 
@@ -272,11 +262,9 @@ def _config_from_args(args) -> JobConfig:
     if getattr(args, "second_weight", None) is not None:
         cfg.right_pairings = _parse_pairings(args.second_weight)
     cfg.depth = getattr(args, "depth", 0)
-    cfg.height_bound = getattr(args, "height_bound", 6)
     cfg.output = getattr(args, "output", None)
     cfg.dot_output = getattr(args, "dot_output", None)
     cfg.imaginary_diag_zero_allowed = not getattr(args, "reject_zero_diag", False)
-    cfg.parallel = getattr(args, "parallel", False)
     cfg.seed = getattr(args, "seed", 0)
     cfg.preperiod = _parse_indices(getattr(args, "preperiod", ""))
     cfg.period = _parse_indices(getattr(args, "period", ""))

@@ -130,13 +130,6 @@ class PathElement:
     path: PiecewisePath
 
 
-def path_element(ctx: WeightContext, pi: PiecewisePath) -> PathElement:
-    for i in sorted(ctx.matrix.imaginary_indices):
-        if ctx.pairing(i, pi.weight) < 0:
-            raise ValueError(f"ambient crystal requires pairing({i}, endpoint) >= 0")
-    return PathElement(pi)
-
-
 # -- dispatch -------------------------------------------------------------
 
 
@@ -282,41 +275,6 @@ def tensor_e(ctx: WeightContext, i: int, el: TensorElement) -> Optional[TensorEl
     return None if up is None else TensorElement(el.left, up)
 
 
-# -- elementary crystals -----------------------------------------------------
-
-
-class ElementaryCrystal:
-    """Lazy crystal {b_i(-n)}: wt = -n alpha_i, e/f shift n, other indices dead."""
-
-    def __init__(self, ctx: WeightContext, i: int):
-        self.ctx = ctx
-        self.i = i
-
-    def element(self, n: int = 0) -> ElementaryElement:
-        if n < 0:
-            raise ValueError("b_i(-n) requires n >= 0")
-        return ElementaryElement(self.i, n)
-
-    def wt(self, el: ElementaryElement) -> Weight:
-        return element_wt(self.ctx, el)
-
-    def epsilon(self, j: int, el: ElementaryElement):
-        return element_epsilon(self.ctx, j, el)
-
-    def phi(self, j: int, el: ElementaryElement):
-        return element_phi(self.ctx, j, el)
-
-    def f(self, j: int, el: ElementaryElement):
-        return element_f(self.ctx, j, el)
-
-    def e(self, j: int, el: ElementaryElement):
-        return element_e(self.ctx, j, el)
-
-
-def elementary(ctx: WeightContext, i: int) -> ElementaryCrystal:
-    return ElementaryCrystal(ctx, i)
-
-
 # -- B_J(infinity) -----------------------------------------------------------
 
 
@@ -382,16 +340,19 @@ def bj_apply(ctx: WeightContext, seq: GeneratorSequence, direction: str, i: int,
 # -- closures, validators, isomorphism ---------------------------------------
 
 
-def generate_from(ctx: WeightContext, element, depth: int,
-                  parallel: bool = False) -> CrystalGraph:
+def _weight_and_pairings(ctx: WeightContext, el):
+    wt = element_wt(ctx, el)
+    return wt, tuple(ctx.pairing(i, wt) for i in ctx.matrix.indices)
+
+
+def generate_from(ctx: WeightContext, element, depth: int) -> CrystalGraph:
     """f-closure of an arbitrary crystal element, truncated by weight depth."""
     return build_crystal_graph(
         ctx, element, depth,
         f_func=element_f,
-        wt_func=element_wt,
+        wt_func=_weight_and_pairings,
         eps_func=element_epsilon,
-        key_func=lambda el: element_key(el),
-        parallel=parallel,
+        key_func=element_key,
     )
 
 

@@ -9,24 +9,31 @@ reproduce on rendered paths (the oracle-equivalence property).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from math import gcd, lcm
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .paths import PiecewisePath, apply_e, first_time_at, last_time_at
-from .rootdata import (Weight, WeightContext, format_weight, offset_vector,
-                       weight)
+from .rootdata import (OrbitTable, Weight, WeightContext, format_weight,
+                       offset_vector, weight)
 from .torbit import AChain, find_a_chain
 
 
-@dataclass(frozen=True)
+class NotAGLSPath(ValueError):
+    """The data breaks an invariant that every GLS path satisfies."""
+
+
+@dataclass(frozen=True, slots=True)
 class GLSPath:
-    """Orbit-weight sequence with break points; shape is the orbit anchor."""
+    """Orbit-weight sequence with break points; shape is the orbit anchor.
+    ``_ints`` caches the integer form the operators work on (see below)."""
 
     shape: Weight
     weights: Tuple[Weight, ...]
     breaks: Tuple[Fraction, ...]
+    _ints: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.weights:
@@ -44,11 +51,26 @@ class GLSPath:
     def linear(lam: Weight) -> "GLSPath":
         return GLSPath(lam, (lam,), (Fraction(0), Fraction(1)))
 
+    def _terms(self):
+        """D, the break numerators over D and the weights' sort keys, the
+        keys taken from the orbit table (int coefficients) when cached."""
+        if self._ints is None:
+            return _common_denominator(self.breaks) + (tuple(w.sort_key() for w in self.weights),)
+        table, ids, den, nums = self._ints
+        return den, nums, tuple(table.keys[k] for k in ids)
+
     def weight(self) -> Weight:
-        total = weight()
-        for k, w in enumerate(self.weights):
-            total = total + (self.breaks[k + 1] - self.breaks[k]) * w
-        return total
+        """sum_k (a_k - a_{k-1}) nu_k, summed as numerators over D."""
+        den, nums, keys = self._terms()
+        bases: Dict[str, int] = {}
+        roots: Dict[int, int] = {}
+        for k, (base_items, root_items) in enumerate(keys):
+            step = nums[k + 1] - nums[k]
+            for total, items in ((bases, base_items), (roots, root_items)):
+                for name, c in items:
+                    total[name] = total.get(name, 0) + step * c
+        return weight({name: Fraction(c, den) for name, c in bases.items()},
+                      {j: Fraction(c, den) for j, c in roots.items()})
 
     def render(self) -> PiecewisePath:
         pts = [(Fraction(0), weight())]
@@ -68,7 +90,7 @@ class GLSPath:
         return GLSPath(shape, tuple(ws), tuple(bs))
 
     def sort_key(self):
-        return (tuple(w.sort_key() for w in self.weights), self.breaks)
+        return (self._terms()[2], self.breaks)
 
     def __repr__(self):
         ws = ", ".join(format_weight(w) for w in self.weights)
@@ -76,36 +98,75 @@ class GLSPath:
         return f"GLSPath(({ws}; {bs}))"
 
 
-def _normalize_weak(shape: Weight, ws: Sequence[Weight],
-                    bs: Sequence[Fraction]) -> GLSPath:
-    """Drop zero-length segments, merge equal neighbours; recovers strictness."""
-    out_w: List[Weight] = []
-    out_b: List[Fraction] = [bs[0]]
-    for k, w in enumerate(ws):
-        if bs[k] == bs[k + 1]:
-            continue
-        if out_w and out_w[-1] == w:
-            out_b[-1] = bs[k + 1]
-        else:
-            out_w.append(w)
-            out_b.append(bs[k + 1])
-    return GLSPath(shape, tuple(out_w), tuple(out_b))
+# -- the closed-form operators on integer data ------------------------------
+#
+# The operators see a path as (orbit table, weight ids, D, break numerators
+# over D), D the least common denominator of the breaks, so h_i at the breaks
+# is a numerator over D too and the work stays in ints.  Paths they return
+# carry this form; other paths get it on first use.  Only a new break can
+# make D grow.
 
 
-def _h_data(ctx: WeightContext, i: int, pi: GLSPath):
-    """Times and h_i values at the break points of the rendered path."""
-    ts = list(pi.breaks)
-    hs = [Fraction(0)]
-    for k, w in enumerate(pi.weights):
-        hs.append(hs[-1] + (ts[k + 1] - ts[k]) * ctx.pairing(i, w))
-    return ts, hs
+def _common_denominator(breaks) -> Tuple[int, Tuple[int, ...]]:
+    den = lcm(*(b.denominator for b in breaks))
+    return den, tuple(b.numerator * (den // b.denominator) for b in breaks)
 
 
-def _min_level(hs: Sequence[Fraction]) -> int:
-    m = min(hs)
-    if m.denominator != 1:
-        raise ValueError("path is not integral; not a GLS path")
-    return int(m)
+def _integer_form(table: OrbitTable, pi: GLSPath):
+    """(table, weight ids, D, break numerators over D) of pi."""
+    ints = pi._ints
+    if ints is None or ints[0] is not table:
+        ints = (table, tuple(table.intern(w) for w in pi.weights)) + _common_denominator(pi.breaks)
+        object.__setattr__(pi, "_ints", ints)
+    return ints
+
+
+def _h_values(column, ids, nums) -> List[int]:
+    """Numerators over D of h_i at the breaks, given the pairings column[id]."""
+    hs = [0]
+    for k, w in enumerate(ids):
+        hs.append(hs[-1] + (nums[k + 1] - nums[k]) * column[w])
+    return hs
+
+
+def _h_profile(ctx: WeightContext, i: int, pi: GLSPath):
+    """(table, ids, D, nums, hs, m): h_i(nums[k] / D) = hs[k] / D, and m is
+    the minimal level of h_i, which must be an integer."""
+    if not 1 <= i <= ctx.matrix.n:
+        raise ValueError(f"index {i} out of range")
+    table, ids, den, nums = _integer_form(ctx.orbit_table, pi)
+    hs = _h_values(table.pairings[i], ids, nums)
+    if min(hs) % den:
+        raise NotAGLSPath("path is not integral; not a GLS path")
+    return table, ids, den, nums, hs, min(hs) // den
+
+
+def _reflected(shape: Weight, table: OrbitTable, i: int, ids, den: int, nums,
+               u, v) -> GLSPath:
+    """The path with r_i applied to its weights on [u, v] (times in units of
+    1/D, which become breaks), with zero-length segments dropped, equal
+    neighbours merged and D reduced."""
+    q = lcm(u.denominator, v.denominator)
+    den, u, v = den * q, int(u * q), int(v * q)
+    out_ids, out_nums = [], [0]
+    for k, w in enumerate(ids):
+        a, b = nums[k] * q, nums[k + 1] * q
+        for lo, hi, inside in ((a, min(b, u), False), (max(a, u), min(b, v), True),
+                               (max(a, v), b, False)):
+            if lo >= hi:
+                continue
+            x = table.reflect(i, w) if inside else w
+            if out_ids and out_ids[-1] == x:
+                out_nums[-1] = hi
+            else:
+                out_ids.append(x)
+                out_nums.append(hi)
+    g = gcd(den, *out_nums)
+    den, out_nums = den // g, tuple(a // g for a in out_nums)
+    pi = GLSPath(shape, tuple(table.weights[k] for k in out_ids),
+                 tuple(Fraction(a, den) for a in out_nums))
+    object.__setattr__(pi, "_ints", (table, tuple(out_ids), den, out_nums))
+    return pi
 
 
 def gls_f(ctx: WeightContext, i: int, pi: GLSPath) -> Optional[GLSPath]:
@@ -115,22 +176,14 @@ def gls_f(ctx: WeightContext, i: int, pi: GLSPath) -> Optional[GLSPath]:
     indices t+1..p are reflected by r_i and the break f_minus is inserted;
     the imaginary case is the special case t = 0.
     """
-    ts, hs = _h_data(ctx, i, pi)
-    m = _min_level(hs)
-    f_plus = last_time_at(ts, hs, Fraction(m))
-    if f_plus == 1:
+    table, ids, den, nums, hs, m = _h_profile(ctx, i, pi)
+    f_plus = last_time_at(nums, hs, m * den)
+    if f_plus == den:
         return None
-    if f_plus not in ts:
-        raise ValueError("f_plus is not a break point; not a GLS path")
-    t_idx = ts.index(f_plus)
-    f_minus = first_time_at(ts, hs, Fraction(m + 1), f_plus)
-    assert f_minus is not None
-    p = next(k for k in range(t_idx + 1, len(ts)) if f_minus <= ts[k])
-    new_w = (list(pi.weights[:t_idx])
-             + [ctx.reflect(i, w) for w in pi.weights[t_idx:p]]
-             + list(pi.weights[p - 1:]))
-    new_b = list(ts[:p]) + [f_minus] + list(ts[p:])
-    return _normalize_weak(pi.shape, new_w, new_b)
+    f_minus = first_time_at(nums, hs, (m + 1) * den, f_plus)
+    if f_minus is None:
+        raise NotAGLSPath(f"h_{i} stays below m+1 after f_plus; not a GLS path")
+    return _reflected(pi.shape, table, i, ids, den, nums, f_plus, f_minus)
 
 
 def gls_e(ctx: WeightContext, i: int, pi: GLSPath,
@@ -144,22 +197,14 @@ def gls_e(ctx: WeightContext, i: int, pi: GLSPath,
     is the f_i-preimage inside the crystal).
     """
     if ctx.matrix.is_real(i):
-        ts, hs = _h_data(ctx, i, pi)
-        m = _min_level(hs)
-        e_plus = first_time_at(ts, hs, Fraction(m), Fraction(0))
+        table, ids, den, nums, hs, m = _h_profile(ctx, i, pi)
+        e_plus = first_time_at(nums, hs, m * den, 0)
         if e_plus == 0:
             return None
-        if e_plus not in ts:
-            raise ValueError("e_plus is not a break point; not a GLS path")
-        k_idx = ts.index(e_plus)
-        e_minus = last_time_at(ts, hs, Fraction(m + 1), e_plus)
-        assert e_minus is not None
-        q = next(k for k in range(1, k_idx + 1) if e_minus < ts[k])
-        new_w = (list(pi.weights[:q])
-                 + [ctx.reflect(i, w) for w in pi.weights[q - 1:k_idx]]
-                 + list(pi.weights[k_idx:]))
-        new_b = list(ts[:q]) + [e_minus] + list(ts[q:])
-        return _normalize_weak(pi.shape, new_w, new_b)
+        e_minus = last_time_at(nums, hs, (m + 1) * den, e_plus)
+        if e_minus is None:
+            raise NotAGLSPath(f"h_{i} stays below m+1 before e_plus; not a GLS path")
+        return _reflected(pi.shape, table, i, ids, den, nums, e_minus, e_plus)
     raised = apply_e(ctx, i, pi.render())
     if raised is None:
         return None
@@ -175,9 +220,15 @@ def gls_e(ctx: WeightContext, i: int, pi: GLSPath,
 def gls_epsilon(ctx: WeightContext, i: int, pi: GLSPath):
     """-m_i for a real index, 0 for an imaginary one."""
     if ctx.matrix.is_real(i):
-        _, hs = _h_data(ctx, i, pi)
-        return -_min_level(hs)
+        return -_h_profile(ctx, i, pi)[-1]
     return 0
+
+
+def _weight_and_pairings(ctx: WeightContext, pi: GLSPath):
+    """The weight of pi and its pairings h_i(1), summed over the orbit table."""
+    table, ids, den, nums = _integer_form(ctx.orbit_table, pi)
+    return pi.weight(), tuple(Fraction(_h_values(table.pairings[i], ids, nums)[-1], den)
+                              for i in ctx.matrix.indices)
 
 
 @dataclass(frozen=True)
@@ -237,12 +288,16 @@ class CrystalGraph:
         self.ctx = ctx
         self.depth = depth
         self.nodes = nodes
-        self.index = {node.key: k for k, node in enumerate(nodes)}
         self.f_edges = f_edges
         self.e_edges = {(dst, i): src for (src, i), dst in f_edges.items()}
 
     def __len__(self):
         return len(self.nodes)
+
+    @cached_property
+    def index(self) -> Dict[object, int]:
+        """Node position by key."""
+        return {node.key: k for k, node in enumerate(self.nodes)}
 
     @property
     def root(self) -> CrystalNode:
@@ -260,55 +315,53 @@ class CrystalGraph:
 
 def build_crystal_graph(ctx: WeightContext, root_element, depth: int,
                         f_func: Callable, wt_func: Callable,
-                        eps_func: Callable, key_func: Callable,
-                        parallel: bool = False) -> CrystalGraph:
+                        eps_func: Callable, key_func: Callable) -> CrystalGraph:
     """Breadth-first f-closure; each f-step raises the weight depth by one,
-    so BFS layers coincide with depth layers.  Parallel expansion of a
-    layer must not change the result: children are merged in (parent, i)
-    order regardless of completion order."""
+    so BFS layers coincide with depth layers.  Elements are numbered as
+    found; the result is ordered by (depth, key), so the order in which a
+    layer is expanded does not matter.
+
+    ``wt_func(ctx, el)`` returns the weight of el with its pairings
+    alpha_i^vee(wt), i = 1..n, and ``eps_func(ctx, i, el)`` returns
+    epsilon_i; phi_i is epsilon_i plus the i-th pairing."""
     n = ctx.matrix.n
-    found: Dict[object, Tuple[object, int]] = {key_func(root_element): (root_element, 0)}
-    edges: Dict[Tuple[object, int], object] = {}
-    layer = [(key_func(root_element), root_element)]
-    level = 0
-    while layer and level < depth:
-        layer.sort(key=lambda kv: kv[0])
-
-        def expand(el):
-            return [(i, f_func(ctx, i, el)) for i in range(1, n + 1)]
-
-        if parallel and len(layer) > 1:
-            with ThreadPoolExecutor() as pool:
-                results = list(pool.map(expand, [el for _, el in layer]))
-        else:
-            results = [expand(el) for _, el in layer]
+    elements, keys, depths = [root_element], [key_func(root_element)], [0]
+    found = {keys[0]: 0}
+    edges: Dict[Tuple[int, int], int] = {}
+    layer = [0]
+    for level in range(1, depth + 1):
         nxt = []
-        for (key, _), children in zip(layer, results):
-            for i, child in children:
+        for src in layer:
+            for i in range(1, n + 1):
+                child = f_func(ctx, i, elements[src])
                 if child is None:
                     continue
-                ckey = key_func(child)
-                edges[(key, i)] = ckey
-                if ckey not in found:
-                    found[ckey] = (child, level + 1)
-                    nxt.append((ckey, child))
+                key = key_func(child)
+                dst = found.setdefault(key, len(elements))
+                if dst == len(elements):
+                    elements.append(child)
+                    keys.append(key)
+                    depths.append(level)
+                    nxt.append(dst)
+                edges[(src, i)] = dst
+        if not nxt:
+            break
         layer = nxt
-        level += 1
-    order = sorted(found, key=lambda k: (found[k][1], k))
-    position = {k: idx for idx, k in enumerate(order)}
+    order = sorted(range(len(elements)), key=lambda k: (depths[k], keys[k]))
+    position = [0] * len(order)
     nodes = []
-    for k in order:
-        el, d = found[k]
-        wt = wt_func(ctx, el)
+    for idx, k in enumerate(order):
+        position[k] = idx
+        el, d = elements[k], depths[k]
+        wt, pairings = wt_func(ctx, el)
         eps = tuple(eps_func(ctx, i, el) for i in range(1, n + 1))
-        phi = tuple(e + ctx.pairing(i, wt) for i, e in enumerate(eps, start=1))
-        nodes.append(CrystalNode(el, k, wt, d, d == depth, eps, phi))
+        phi = tuple(e + h for e, h in zip(eps, pairings))
+        nodes.append(CrystalNode(el, keys[k], wt, d, d == depth, eps, phi))
     f_edges = {(position[src], i): position[dst] for (src, i), dst in edges.items()}
     return CrystalGraph(ctx, depth, nodes, f_edges)
 
 
-def enumerate_crystal(ctx: WeightContext, lam: Weight, depth: int,
-                      parallel: bool = False) -> CrystalGraph:
+def enumerate_crystal(ctx: WeightContext, lam: Weight, depth: int) -> CrystalGraph:
     """The crystal of GLS paths of shape lambda: the f-closure of the
     straight path, cut at the given weight depth."""
     if not ctx.is_P_plus(lam):
@@ -316,10 +369,9 @@ def enumerate_crystal(ctx: WeightContext, lam: Weight, depth: int,
     return build_crystal_graph(
         ctx, GLSPath.linear(lam), depth,
         f_func=gls_f,
-        wt_func=lambda c, el: el.weight(),
+        wt_func=_weight_and_pairings,
         eps_func=gls_epsilon,
-        key_func=lambda el: el.sort_key(),
-        parallel=parallel,
+        key_func=GLSPath.sort_key,
     )
 
 

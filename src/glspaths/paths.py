@@ -131,7 +131,8 @@ def path_to_text(pi: PiecewisePath) -> str:
 #
 # All helpers work on parallel lists ts/hs of breakpoint times and values;
 # between breakpoints the function is linear.  Solutions of h = target are
-# computed by exact linear solves, never by tolerance.
+# computed by exact linear solves, never by tolerance, on Fractions or on
+# ints (numerators over a common denominator) alike.
 
 
 def last_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
@@ -144,12 +145,12 @@ def last_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
         if t0 >= hi:
             continue
         if t1 > hi:
-            h1 = h0 + (h1 - h0) * ((hi - t0) / (t1 - t0))
+            h1 = h0 + Fraction((h1 - h0) * (hi - t0)) / (t1 - t0)
             t1 = hi
         if h1 == target:
             return t1
         if (h0 - target) * (h1 - target) < 0:
-            return t0 + (target - h0) * (t1 - t0) / (h1 - h0)
+            return t0 + Fraction((target - h0) * (t1 - t0)) / (h1 - h0)
         if h0 == target:
             return t0
     return None
@@ -164,12 +165,12 @@ def first_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
         if t1 < start:
             continue
         if t0 < start:
-            h0 = h0 + (h1 - h0) * ((start - t0) / (t1 - t0))
+            h0 = h0 + Fraction((h1 - h0) * (start - t0)) / (t1 - t0)
             t0 = start
         if h0 == target:
             return t0
         if (h0 - target) * (h1 - target) < 0:
-            return t0 + (target - h0) * (t1 - t0) / (h1 - h0)
+            return t0 + Fraction((target - h0) * (t1 - t0)) / (h1 - h0)
         if h1 == target:
             return t1
     return None
@@ -187,8 +188,8 @@ def min_value_on(ts: Sequence[Fraction], hs: Sequence[Fraction],
         slope_num, slope_den = h1 - h0, t1 - t0
         a = max(t0, lo)
         b = min(t1, hi)
-        vals.append(h0 + slope_num * (a - t0) / slope_den)
-        vals.append(h0 + slope_num * (b - t0) / slope_den)
+        vals.append(h0 + Fraction(slope_num * (a - t0)) / slope_den)
+        vals.append(h0 + Fraction(slope_num * (b - t0)) / slope_den)
     return min(vals)
 
 
@@ -347,6 +348,3 @@ def path_epsilon(ctx: WeightContext, i: int, pi: PiecewisePath):
         return -h_profile(ctx, i, pi).m
     return 0
 
-
-def path_phi(ctx: WeightContext, i: int, pi: PiecewisePath):
-    return path_epsilon(ctx, i, pi) + ctx.pairing(i, pi.weight)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -129,10 +130,6 @@ class Weight:
 
     base_items: Tuple[Tuple[str, Fraction], ...] = ()
     root_items: Tuple[Tuple[int, Fraction], ...] = ()
-
-    @property
-    def bases(self) -> Dict[str, Fraction]:
-        return dict(self.base_items)
 
     @property
     def roots(self) -> Dict[int, Fraction]:
@@ -260,6 +257,11 @@ class WeightContext:
     def base_names(self) -> Tuple[str, ...]:
         return tuple(sorted(self.base_pairings))
 
+    @cached_property
+    def orbit_table(self) -> "OrbitTable":
+        """Interned orbit weights of this context, created on first use."""
+        return OrbitTable(self)
+
     # -- exact pairing and reflections --------------------------------------
 
     def pairing(self, i: int, w: Weight) -> Fraction:
@@ -303,6 +305,51 @@ class WeightContext:
 
     def is_P_plus(self, w: Weight) -> bool:
         return self.is_in_P(w) and all(self.pairing(i, w) >= 0 for i in self.matrix.indices)
+
+
+def _exact(x: Fraction):
+    """x as an int when it is integral, so integral data stays in int arithmetic."""
+    return x.numerator if x.denominator == 1 else x
+
+
+class OrbitTable:
+    """Orbit weights of one context, interned to integer ids.  Per id: the
+    weight, its sort key and its pairings ``pairings[i][id]`` (both with
+    ints where integral), and the images r_i(id), filled on first use."""
+
+    def __init__(self, ctx: WeightContext):
+        self.ctx = ctx
+        self.ids: Dict[Weight, int] = {}
+        self.weights: List[Weight] = []
+        self.keys: List[Tuple[tuple, tuple]] = []
+        self.pairings: List[list] = [[] for _ in range(ctx.matrix.n + 1)]
+        self._images: List[Dict[int, int]] = [{} for _ in range(ctx.matrix.n + 1)]
+
+    def intern(self, w: Weight, pairings: Optional[Sequence[Rational]] = None) -> int:
+        """Id of w; pairings, when given, are its coroot pairings."""
+        k = self.ids.get(w)
+        if k is None:
+            if pairings is None:
+                pairings = [_exact(self.ctx.pairing(i, w)) for i in self.ctx.matrix.indices]
+            k = self.ids[w] = len(self.weights)
+            self.weights.append(w)
+            self.keys.append((tuple((b, _exact(c)) for b, c in w.base_items),
+                              tuple((j, _exact(c)) for j, c in w.root_items)))
+            for column, c in zip(self.pairings[1:], pairings):
+                column.append(c)
+        return k
+
+    def reflect(self, i: int, k: int) -> int:
+        """Id of r_i applied to the weight with id k."""
+        images = self._images[i]
+        image = images.get(k)
+        if image is None:
+            # alpha_j^vee(r_i w) = alpha_j^vee(w) - alpha_i^vee(w) a_ji
+            c = self.pairings[i][k]
+            entry = self.ctx.matrix.entry
+            pairings = [self.pairings[j][k] - c * entry(j, i) for j in self.ctx.matrix.indices]
+            image = images[k] = self.intern(self.ctx.reflect(i, self.weights[k]), pairings)
+        return image
 
 
 def context_with_base(entries: Sequence[Sequence[int]],

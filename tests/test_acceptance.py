@@ -29,6 +29,8 @@ CHARACTER_CASES = (
     + [([[-k]], [p], 5) for k in (0, 1, 2) for p in (1, 2)]
     + [([[2, -1], [-1, -2]], lam, 4) for lam in ([1, 1], [2, 0])]
     + [([[2, -1], [-2, -2]], lam, 3) for lam in ([1, 1], [2, 0])]
+    # break denominators above 2 on most of its 30 nodes
+    + [([[2, -1, -1], [-1, -2, 0], [-1, 0, -1]], [2, 1, 3], 3)]
 )
 
 # the same weights split into two dominant parts for criterion 4

@@ -95,13 +95,3 @@ def test_outputs_are_deterministic(matrices, capsys):
     first = capsys.readouterr().out
     assert cli.run(args) == 0
     assert capsys.readouterr().out == first
-    assert cli.run(args + ["--parallel"]) == 0
-    assert capsys.readouterr().out == first
-
-
-def test_dot_deterministic_across_parallel(matrices, tmp_path):
-    a, b = tmp_path / "a.dot", tmp_path / "b.dot"
-    base = ["export-dot", "-m", str(matrices["mixed"]), "-l", "1 1", "-d", "3"]
-    assert cli.run(base + ["-o", str(a)]) == 0
-    assert cli.run(base + ["-o", str(b), "--parallel"]) == 0
-    assert a.read_text() == b.read_text()

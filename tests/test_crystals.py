@@ -6,7 +6,7 @@ import pytest
 
 from glspaths import (NEG_INF, BJWord, DepthMismatch, ElementaryElement,
                       GLSPath, GeneratorSequence, TensorElement, alpha,
-                      bj_apply, bj_word, context_with_base, elementary,
+                      bj_apply, bj_word, context_with_base,
                       enumerate_crystal, generate_from, gls_e,
                       hw_crystal_isomorphic, tensor_e, tensor_f,
                       validate_axioms, validate_category_B,
@@ -16,7 +16,8 @@ from glspaths.checks import (TWO_IMAGINARY, check_ambient_axioms,
                              check_concatenation_tensor_compat,
                              check_embedding_theorem, check_tensor_closure,
                              fixture_context)
-from glspaths.crystals import element_epsilon, element_phi, element_wt
+from glspaths.crystals import (element_e, element_epsilon, element_f, element_phi,
+                               element_wt)
 
 
 def test_neg_inf_sentinel():
@@ -30,12 +31,11 @@ def test_neg_inf_sentinel():
 
 def test_elementary_tables():
     ctx2, _ = context_with_base([[2]], [2])
-    crystal = elementary(ctx2, 1)
-    b3 = crystal.element(3)
-    assert crystal.epsilon(1, b3) == 3 and crystal.phi(1, b3) == -3
-    assert crystal.wt(b3) == -3 * alpha(1)
-    assert crystal.e(1, crystal.element(0)) is None
-    assert crystal.f(1, b3) == crystal.element(4)
+    b3 = ElementaryElement(1, 3)
+    assert element_epsilon(ctx2, 1, b3) == 3 and element_phi(ctx2, 1, b3) == -3
+    assert element_wt(ctx2, b3) == -3 * alpha(1)
+    assert element_e(ctx2, 1, ElementaryElement(1, 0)) is None
+    assert element_f(ctx2, 1, b3) == ElementaryElement(1, 4)
     ctx1, _ = context_with_base([[-1]], [2])
     b2 = ElementaryElement(1, 2)
     assert element_phi(ctx1, 1, b2) == 2

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from glspaths import (GLSPath, JoinRejected, alpha, apply_e, apply_f,
+from glspaths import (GLSPath, JoinRejected, NotAGLSPath, alpha, apply_e, apply_f,
                       concatenate, context_with_base, enumerate_crystal,
                       export_dot, gls_e, gls_f, linear_path, properly_join,
                       verify_gls, weight)
@@ -53,6 +53,16 @@ def test_gls_f_real_merges_segments():
     pi1 = GLSPath(lam, (r, lam), (F(0), F(1, 2), F(1)))
     assert gls_f(ctx, 1, pi1) == GLSPath(lam, (r,), (F(0), F(1)))
     assert gls_f(ctx, 1, GLSPath(lam, (r,), (F(0), F(1)))) is None
+
+
+def test_operators_reject_a_non_integral_path():
+    # h_1 rises from 0 to 1/2: minimum 0, but the level 1 is never reached
+    ctx, lam = context_with_base([[2]], [F(1, 2)])
+    with pytest.raises(NotAGLSPath):
+        gls_f(ctx, 1, GLSPath.linear(lam))
+    # h_1 falls from 0 to -1/2: the minimum is not an integer
+    with pytest.raises(NotAGLSPath):
+        gls_f(ctx, 1, GLSPath.linear(-lam))
 
 
 def test_gls_f_vanishes_at_zero_pairing():
@@ -123,15 +133,6 @@ def test_enumerate_matches_oracle():
 def test_non_strictness_witness():
     ctx, lam = ctx1(p=2)
     assert check_non_strictness_witness(ctx, lam) == []
-
-
-def test_parallel_enumeration_matches_sequential():
-    ctx, lam = context_with_base([[2, -1], [-1, -2]], [1, 1])
-    seq = enumerate_crystal(ctx, lam, 3)
-    par = enumerate_crystal(ctx, lam, 3, parallel=True)
-    assert [n.key for n in seq.nodes] == [n.key for n in par.nodes]
-    assert seq.f_edges == par.f_edges
-    assert export_dot(seq) == export_dot(par)
 
 
 def test_export_dot_shape():

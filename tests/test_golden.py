@@ -1,0 +1,34 @@
+"""CLI outputs compared byte for byte with files recorded under tests/golden/.
+
+The recorded files hold DOT graphs whose breaks have denominators up to 10
+and a truncated character; any drift in node order, break points, weights
+or terms fails here.  To record them again after an intended change, run
+the command of each case with ``-o tests/golden/<file>``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from glspaths import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = [
+    (["export-dot", "-m", "two_imaginary.mat", "-l", "1 1 1", "-d", "6"],
+     "two_imaginary_111_d6.dot"),
+    (["export-dot", "-m", "two_imaginary.mat", "-l", "2 1 3", "-d", "5"],
+     "two_imaginary_213_d5.dot"),
+    (["export-dot", "-m", "mixed_rank2.mat", "-l", "1 1", "-d", "7"],
+     "mixed_rank2_11_d7.dot"),
+    (["char", "-m", "two_imaginary.mat", "-l", "1 1 1", "-d", "7"],
+     "two_imaginary_111_d7.char"),
+]
+
+
+@pytest.mark.parametrize("argv, expected", CASES, ids=[name for _, name in CASES])
+def test_cli_output_matches_golden_file(argv, expected, tmp_path):
+    argv = [str(GOLDEN / a) if a.endswith(".mat") else a for a in argv]
+    out = tmp_path / expected
+    assert cli.run(argv + ["-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / expected).read_bytes()
