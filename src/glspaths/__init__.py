@@ -1,9 +1,10 @@
 """Exact-arithmetic path model for crystals of generalized Kac-Moody algebras."""
 
 from .rootdata import (BorcherdsCartanMatrix, MatrixError, AxisViolation,
-                       AsymmetricZero, MatrixFormatError, Weight, WeightContext,
-                       alpha, context_with_base, format_weight, load_context,
-                       parse_context_text, validate_matrix, weight)
+                       AsymmetricZero, InvariantViolation, MatrixFormatError,
+                       Weight, WeightContext, alpha, context_with_base,
+                       format_weight, load_context, parse_context_text,
+                       validate_matrix, weight)
 from .torbit import (AChain, OrbitRoot, apply_word, dist, find_a_chain,
                      minimal_words, orbit, positive_wpi_roots,
                      reduced_word_search)

@@ -14,7 +14,8 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .gls import CrystalGraph, enumerate_crystal
-from .rootdata import Weight, WeightContext, alpha, format_weight, weight
+from .rootdata import (InvariantViolation, Weight, WeightContext, alpha,
+                       format_weight, weight)
 
 Exponent = Tuple[int, ...]
 
@@ -121,8 +122,7 @@ def char_of_graph(graph: CrystalGraph) -> CharacterSeries:
         vec = graph.offset_of(idx)
         if any(v.denominator != 1 for v in vec):
             raise NonIntegralOffset(f"node {idx} offset {vec}")
-        c = tuple(int(v) for v in vec)
-        out[c] = out.get(c, 0) + 1
+        out[vec] = out.get(vec, 0) + 1
     return CharacterSeries.from_dict(graph.root.wt, n, graph.depth, out)
 
 
@@ -184,14 +184,15 @@ def _signed_orbit_terms(ctx: WeightContext, start: Weight, budget: int,
                 if c.denominator != 1:
                     raise NonIntegralOffset(
                         f"pairing({j}, {format_weight(point)}) = {c}")
-                child_vec = tuple(v + (int(c) if k == j else 0)
+                child_vec = tuple(v + (c if k == j else 0)
                                   for k, v in enumerate(vec, start=1))
                 if sum(child_vec) + sum(shift) > budget:
                     continue
                 child = point - c * alpha(j)
                 key = child.sort_key()
                 if key in seen:
-                    assert seen[key] == (parity + 1) % 2, "parity is ill-defined"
+                    if seen[key] != (parity + 1) % 2:
+                        raise InvariantViolation("parity is ill-defined")
                     continue
                 seen[key] = (parity + 1) % 2
                 nxt.append((child, child_vec, (parity + 1) % 2))

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import gls as glsmod
 from .gls import CrystalGraph, GLSPath, build_crystal_graph
 from .paths import PiecewisePath, apply_e, apply_f, path_epsilon
-from .rootdata import Weight, WeightContext, alpha, weight
+from .rootdata import InvariantViolation, Weight, WeightContext, alpha, weight
 
 
 class NegInfinity:
@@ -157,7 +157,7 @@ def element_epsilon(ctx: WeightContext, i: int, el):
     if isinstance(el, TensorElement):
         e1 = element_epsilon(ctx, i, el.left)
         e2 = element_epsilon(ctx, i, el.right)
-        return max(e1, e2 - ctx.pairing(i, element_wt(ctx, el.left)), key=_order_key)
+        return max(e1, e2 - ctx.pairing(i, element_wt(ctx, el.left)))
     if isinstance(el, ElementaryElement):
         if i != el.index:
             return NEG_INF
@@ -169,10 +169,6 @@ def element_epsilon(ctx: WeightContext, i: int, el):
     if isinstance(el, PathElement):
         return path_epsilon(ctx, i, el.path)
     raise TypeError(f"not a crystal element: {el!r}")
-
-
-def _order_key(x):
-    return (0, 0) if x is NEG_INF else (1, x)
 
 
 def element_phi(ctx: WeightContext, i: int, el):
@@ -252,7 +248,7 @@ def tensor_e(ctx: WeightContext, i: int, el: TensorElement) -> Optional[TensorEl
     Real indices compare phi(left) against eps(right).  Imaginary indices
     additionally have a kill zone eps(right) < phi(left) <= eps(right) - a_ii
     in which the product is annihilated; inside category B this is
-    consistent with raising the left factor, which is asserted.
+    consistent with raising the left factor, which is checked.
     """
     phi1 = element_phi(ctx, i, el.left)
     eps2 = element_epsilon(ctx, i, el.right)
@@ -267,9 +263,9 @@ def tensor_e(ctx: WeightContext, i: int, el: TensorElement) -> Optional[TensorEl
         up = element_e(ctx, i, el.left)
         return None if up is None else TensorElement(up, el.right)
     if eps2 < phi1:  # and phi1 <= eps2 - a: the kill zone
-        if _in_category_B(ctx, i, el.left) and _in_category_B(ctx, i, el.right):
-            assert element_e(ctx, i, el.left) is None, \
-                "kill zone disagrees with the simplified category-B rule"
+        if (_in_category_B(ctx, i, el.left) and _in_category_B(ctx, i, el.right)
+                and element_e(ctx, i, el.left) is not None):
+            raise InvariantViolation("kill zone disagrees with the simplified category-B rule")
         return None
     up = element_e(ctx, i, el.right)
     return None if up is None else TensorElement(el.left, up)
@@ -302,8 +298,8 @@ def _bj_rvalues(ctx: WeightContext, el: BJWord, i: int):
         local = m if real else 0
         values.append((k, local + suffix[k]))
     best = max(v for _, v in values)
-    if not real:
-        assert best == 0, "imaginary Kashiwara maximum must vanish"
+    if not real and best != 0:
+        raise InvariantViolation("imaginary Kashiwara maximum must vanish")
     return values, best
 
 

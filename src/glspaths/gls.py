@@ -16,7 +16,7 @@ from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .paths import PiecewisePath, apply_e, first_time_at, last_time_at
-from .rootdata import (OrbitTable, Weight, WeightContext, format_weight,
+from .rootdata import (OrbitTable, Weight, WeightContext, exact, format_weight,
                        offset_vector, weight)
 from .torbit import AChain, find_a_chain
 
@@ -51,22 +51,15 @@ class GLSPath:
     def linear(lam: Weight) -> "GLSPath":
         return GLSPath(lam, (lam,), (Fraction(0), Fraction(1)))
 
-    def _terms(self):
-        """D, the break numerators over D and the weights' sort keys, the
-        keys taken from the orbit table (int coefficients) when cached."""
-        if self._ints is None:
-            return _common_denominator(self.breaks) + (tuple(w.sort_key() for w in self.weights),)
-        table, ids, den, nums = self._ints
-        return den, nums, tuple(table.keys[k] for k in ids)
-
     def weight(self) -> Weight:
         """sum_k (a_k - a_{k-1}) nu_k, summed as numerators over D."""
-        den, nums, keys = self._terms()
+        den, nums = (_common_denominator(self.breaks) if self._ints is None
+                     else self._ints[2:])
         bases: Dict[str, int] = {}
         roots: Dict[int, int] = {}
-        for k, (base_items, root_items) in enumerate(keys):
+        for k, w in enumerate(self.weights):
             step = nums[k + 1] - nums[k]
-            for total, items in ((bases, base_items), (roots, root_items)):
+            for total, items in ((bases, w.base_items), (roots, w.root_items)):
                 for name, c in items:
                     total[name] = total.get(name, 0) + step * c
         return weight({name: Fraction(c, den) for name, c in bases.items()},
@@ -90,7 +83,7 @@ class GLSPath:
         return GLSPath(shape, tuple(ws), tuple(bs))
 
     def sort_key(self):
-        return (self._terms()[2], self.breaks)
+        return (tuple(w.sort_key() for w in self.weights), self.breaks)
 
     def __repr__(self):
         ws = ", ".join(format_weight(w) for w in self.weights)
@@ -227,7 +220,7 @@ def gls_epsilon(ctx: WeightContext, i: int, pi: GLSPath):
 def _weight_and_pairings(ctx: WeightContext, pi: GLSPath):
     """The weight of pi and its pairings h_i(1), summed over the orbit table."""
     table, ids, den, nums = _integer_form(ctx.orbit_table, pi)
-    return pi.weight(), tuple(Fraction(_h_values(table.pairings[i], ids, nums)[-1], den)
+    return pi.weight(), tuple(exact(Fraction(_h_values(table.pairings[i], ids, nums)[-1], den))
                               for i in ctx.matrix.indices)
 
 

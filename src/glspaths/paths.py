@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .rootdata import Weight, WeightContext, alpha, format_weight, weight
+from .rootdata import (InvariantViolation, Weight, WeightContext, alpha,
+                       format_weight, weight)
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def _positively_parallel(d1: Weight, d2: Weight) -> bool:
     for k, c1 in items1.items():
         c2 = items2[k]
         if ratio is None:
-            ratio = c2 / c1
+            ratio = Fraction(c2, c1)
         elif c2 != ratio * c1:
             return False
     return ratio is not None and ratio > 0
@@ -228,9 +229,9 @@ def h_profile(ctx: WeightContext, i: int, pi: PiecewisePath) -> HProfile:
     ts = [t for t, _ in pi.points]
     hs = [ctx.pairing(i, v) for _, v in pi.points]
     m = math.ceil(min(hs))
-    assert m <= 0  # h(0) = 0
     f_plus = last_time_at(ts, hs, Fraction(m))
-    assert f_plus is not None
+    if m > 0 or f_plus is None:  # h(0) = 0, so the level m <= 0 is reached
+        raise InvariantViolation(f"h_{i} never reaches its minimal level {m}")
     f_minus = None if f_plus == 1 else first_time_at(ts, hs, Fraction(m + 1), f_plus)
     if ctx.matrix.is_real(i):
         e_plus = first_time_at(ts, hs, Fraction(m), Fraction(0))
@@ -243,7 +244,8 @@ def h_profile(ctx: WeightContext, i: int, pi: PiecewisePath) -> HProfile:
         e_defined = False
         if e_minus != 1 and max_value_on(ts, hs, e_minus, Fraction(1)) >= m + 1 - a:
             e_plus = first_time_at(ts, hs, Fraction(m + 1 - a), e_minus)
-            assert e_plus is not None
+            if e_plus is None:
+                raise InvariantViolation(f"h_{i} exceeds level {m + 1 - a} without reaching it")
             e_defined = min_value_on(ts, hs, e_plus, Fraction(1)) > m - a
     return HProfile(i, tuple(zip(ts, hs)), m, f_plus, f_minus, e_plus, e_minus, e_defined)
 
@@ -262,7 +264,8 @@ def _three_zone(pi: PiecewisePath, u: Fraction, v: Fraction,
         if u < t < v:
             pts.append((t, base + middle(val - base)))
     mid_end = base + middle(pi.value_at(v) - base)
-    assert mid_end == pi.value_at(v) + shift, "zone junction mismatch"
+    if mid_end != pi.value_at(v) + shift:
+        raise InvariantViolation("zone junction mismatch")
     pts.append((v, mid_end))
     for t, val in pi.points:
         if t > v:

@@ -5,6 +5,10 @@ integer matrix A = (a_ij) whose diagonal separates I into real indices
 (a_ii = 2) and imaginary ones (a_ii <= 0).  Weights are exact rational
 linear combinations of declared base weights and simple roots; the only
 data attached to a base weight is its vector of coroot pairings.
+
+Every weight coefficient and every pairing is kept in one exact form
+(see ``exact``): an int when it is integral, a Fraction otherwise, never a
+float.  Division of such data goes through ``Fraction(p, q)``.
 """
 
 from __future__ import annotations
@@ -48,8 +52,16 @@ class MatrixFormatError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-def _frac(x: Rational) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+class InvariantViolation(RuntimeError):
+    """A computed value breaks an invariant the mathematics guarantees."""
+
+
+def exact(x: Rational) -> Rational:
+    """x in the canonical exact form: an int when integral, else a Fraction."""
+    try:
+        return x.numerator if x.denominator == 1 else x
+    except AttributeError:  # a float, say
+        raise TypeError(f"not an exact rational: {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -124,26 +136,27 @@ def validate_matrix(entries: Sequence[Sequence[int]],
 class Weight:
     """Sparse exact weight: base coefficients plus simple-root coefficients.
 
-    Canonical form (sorted items, zeros dropped) makes structural equality
-    agree with mathematical equality on the represented span.
+    Canonical form (sorted items, zeros dropped, coefficients as ``exact``
+    gives them) makes structural equality agree with mathematical equality
+    on the represented span.
     """
 
-    base_items: Tuple[Tuple[str, Fraction], ...] = ()
-    root_items: Tuple[Tuple[int, Fraction], ...] = ()
+    base_items: Tuple[Tuple[str, Rational], ...] = ()
+    root_items: Tuple[Tuple[int, Rational], ...] = ()
 
     @property
-    def roots(self) -> Dict[int, Fraction]:
+    def roots(self) -> Dict[int, Rational]:
         return dict(self.root_items)
 
     def is_zero(self) -> bool:
         return not self.base_items and not self.root_items
 
-    def root_vector(self, n: int) -> Tuple[Fraction, ...]:
+    def root_vector(self, n: int) -> Tuple[Rational, ...]:
         d = self.roots
-        return tuple(d.get(i, Fraction(0)) for i in range(1, n + 1))
+        return tuple(d.get(i, 0) for i in range(1, n + 1))
 
-    def root_height(self) -> Fraction:
-        return sum((c for _, c in self.root_items), Fraction(0))
+    def root_height(self) -> Rational:
+        return sum(c for _, c in self.root_items)
 
     def sort_key(self):
         return (self.base_items, self.root_items)
@@ -158,11 +171,10 @@ class Weight:
         return self * -1
 
     def __mul__(self, c: Rational) -> "Weight":
-        c = _frac(c)
         if c == 0:
             return Weight()
-        return Weight(tuple((b, v * c) for b, v in self.base_items),
-                      tuple((i, v * c) for i, v in self.root_items))
+        return Weight(tuple((b, exact(v * c)) for b, v in self.base_items),
+                      tuple((i, exact(v * c)) for i, v in self.root_items))
 
     __rmul__ = __mul__
 
@@ -173,18 +185,18 @@ class Weight:
 def weight(bases: Optional[Mapping[str, Rational]] = None,
            roots: Optional[Mapping[int, Rational]] = None) -> Weight:
     """Build a weight in canonical sparse form."""
-    bi = tuple(sorted((b, _frac(v)) for b, v in (bases or {}).items() if v != 0))
-    ri = tuple(sorted((int(i), _frac(v)) for i, v in (roots or {}).items() if v != 0))
+    bi = tuple(sorted((b, exact(v)) for b, v in (bases or {}).items() if v != 0))
+    ri = tuple(sorted((int(i), exact(v)) for i, v in (roots or {}).items() if v != 0))
     return Weight(bi, ri)
 
 
 def _combine(a: Weight, b: Weight, sign: int) -> Weight:
     bases = dict(a.base_items)
     for name, v in b.base_items:
-        bases[name] = bases.get(name, Fraction(0)) + sign * v
+        bases[name] = bases.get(name, 0) + sign * v
     roots = dict(a.root_items)
     for i, v in b.root_items:
-        roots[i] = roots.get(i, Fraction(0)) + sign * v
+        roots[i] = roots.get(i, 0) + sign * v
     return weight(bases, roots)
 
 
@@ -224,15 +236,16 @@ class WeightContext:
                  integral_flags: Optional[Mapping[str, bool]] = None):
         self.matrix = matrix
         n = matrix.n
-        pairings: Dict[str, Tuple[Fraction, ...]] = {}
+        pairings: Dict[str, Tuple[Rational, ...]] = {}
         for name, vec in (bases or {}).items():
             if name == RHO:
                 raise ValueError("base name 'rho' is reserved")
-            vec = tuple(_frac(v) for v in vec)
+            vec = tuple(exact(v) for v in vec)
             if len(vec) != n:
                 raise ValueError(f"base {name!r} has {len(vec)} pairings, expected {n}")
             pairings[name] = vec
-        pairings[RHO] = tuple(Fraction(matrix.entry(i, i), 2) for i in matrix.indices)
+        pairings[RHO] = tuple(exact(Fraction(matrix.entry(i, i), 2))
+                              for i in matrix.indices)
         flags: Dict[str, bool] = {}
         for name, vec in pairings.items():
             inferred = all(v.denominator == 1 for v in vec)
@@ -264,18 +277,18 @@ class WeightContext:
 
     # -- exact pairing and reflections --------------------------------------
 
-    def pairing(self, i: int, w: Weight) -> Fraction:
+    def pairing(self, i: int, w: Weight) -> Rational:
         """alpha_i^vee(w), extended linearly over bases and roots."""
         if not 1 <= i <= self.matrix.n:
             raise ValueError(f"index {i} out of range")
-        total = Fraction(0)
+        total = 0
         for name, c in w.base_items:
             if name not in self.base_pairings:
                 raise UnknownBase(name)
             total += c * self.base_pairings[name][i - 1]
         for j, c in w.root_items:
             total += c * self.matrix.entry(i, j)
-        return total
+        return exact(total)
 
     def reflect(self, i: int, w: Weight) -> Weight:
         """r_i(w) = w - alpha_i^vee(w) alpha_i."""
@@ -286,7 +299,7 @@ class WeightContext:
         if not self.matrix.is_imaginary(i):
             raise ValueError(f"reflect_inverse requires an imaginary index, got {i}")
         a = self.matrix.entry(i, i)
-        return w + (self.pairing(i, w) / (1 - a)) * alpha(i)
+        return w + Fraction(self.pairing(i, w), 1 - a) * alpha(i)
 
     # -- membership predicates ----------------------------------------------
 
@@ -307,21 +320,15 @@ class WeightContext:
         return self.is_in_P(w) and all(self.pairing(i, w) >= 0 for i in self.matrix.indices)
 
 
-def _exact(x: Fraction):
-    """x as an int when it is integral, so integral data stays in int arithmetic."""
-    return x.numerator if x.denominator == 1 else x
-
-
 class OrbitTable:
     """Orbit weights of one context, interned to integer ids.  Per id: the
-    weight, its sort key and its pairings ``pairings[i][id]`` (both with
-    ints where integral), and the images r_i(id), filled on first use."""
+    weight, its pairings ``pairings[i][id]`` and the images r_i(id), filled
+    on first use."""
 
     def __init__(self, ctx: WeightContext):
         self.ctx = ctx
         self.ids: Dict[Weight, int] = {}
         self.weights: List[Weight] = []
-        self.keys: List[Tuple[tuple, tuple]] = []
         self.pairings: List[list] = [[] for _ in range(ctx.matrix.n + 1)]
         self._images: List[Dict[int, int]] = [{} for _ in range(ctx.matrix.n + 1)]
 
@@ -330,11 +337,9 @@ class OrbitTable:
         k = self.ids.get(w)
         if k is None:
             if pairings is None:
-                pairings = [_exact(self.ctx.pairing(i, w)) for i in self.ctx.matrix.indices]
+                pairings = [self.ctx.pairing(i, w) for i in self.ctx.matrix.indices]
             k = self.ids[w] = len(self.weights)
             self.weights.append(w)
-            self.keys.append((tuple((b, _exact(c)) for b, c in w.base_items),
-                              tuple((j, _exact(c)) for j, c in w.root_items)))
             for column, c in zip(self.pairings[1:], pairings):
                 column.append(c)
         return k
@@ -347,7 +352,8 @@ class OrbitTable:
             # alpha_j^vee(r_i w) = alpha_j^vee(w) - alpha_i^vee(w) a_ji
             c = self.pairings[i][k]
             entry = self.ctx.matrix.entry
-            pairings = [self.pairings[j][k] - c * entry(j, i) for j in self.ctx.matrix.indices]
+            pairings = [exact(self.pairings[j][k] - c * entry(j, i))
+                        for j in self.ctx.matrix.indices]
             image = images[k] = self.intern(self.ctx.reflect(i, self.weights[k]), pairings)
         return image
 
@@ -450,7 +456,7 @@ def load_context(path: str, imaginary_diag_zero_allowed: bool = True,
     return WeightContext(matrix, merged)
 
 
-def offset_vector(higher: Weight, lower: Weight, n: int) -> Tuple[Fraction, ...]:
+def offset_vector(higher: Weight, lower: Weight, n: int) -> Tuple[Rational, ...]:
     """Coefficients c with higher - lower = sum c_i alpha_i; bases must cancel."""
     diff = higher - lower
     if diff.base_items:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .rootdata import (Weight, WeightContext, alpha, format_weight,
-                       offset_vector, weight)
+from .rootdata import (InvariantViolation, Rational, Weight, WeightContext,
+                       alpha, exact, format_weight, offset_vector, weight)
 
 TWord = Tuple[int, ...]
 
@@ -64,9 +64,10 @@ def reduced_word_search(ctx: WeightContext, lam: Weight, mu: Weight,
     seen = {lam}
     layer: List[Tuple[TWord, Weight]] = [((), lam)]
     for _ in range(max_len):
+        # letters outside, layer inside: the next layer stays in lex order
         nxt: List[Tuple[TWord, Weight]] = []
-        for word, w in layer:
-            for i in range(1, n + 1):
+        for i in range(1, n + 1):
+            for word, w in layer:
                 w2 = ctx.reflect(i, w)
                 if w2 in seen:
                     continue
@@ -148,22 +149,22 @@ class OrbitRoot:
     """
 
     root: Weight
-    coroot_pairings: Tuple[Fraction, ...]
-    base_pairings: Tuple[Tuple[str, Fraction], ...]
+    coroot_pairings: Tuple[int, ...]
+    base_pairings: Tuple[Tuple[str, Rational], ...]
     origin_word: TWord
     origin_index: int
     imaginary: bool
 
-    def coroot_pairing(self, w: Weight) -> Fraction:
+    def coroot_pairing(self, w: Weight) -> Rational:
         base = dict(self.base_pairings)
-        total = Fraction(0)
+        total = 0
         for name, c in w.base_items:
             total += c * base[name]
         for j, c in w.root_items:
             total += c * self.coroot_pairings[j - 1]
-        return total
+        return exact(total)
 
-    def height(self) -> Fraction:
+    def height(self) -> Rational:
         return self.root.root_height()
 
     def sort_key(self):
@@ -175,7 +176,7 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> List[OrbitRoot]
 
     BFS applies real reflections to the simple roots, discarding anything
     that leaves the positive cone.  Revisiting a root must reproduce the
-    same coroot (well-definedness of beta^vee), which is asserted.
+    same coroot (well-definedness of beta^vee), which is checked.
     """
     n = ctx.matrix.n
     names = ctx.base_names
@@ -186,7 +187,7 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> List[OrbitRoot]
             break
         r = OrbitRoot(
             root=alpha(i),
-            coroot_pairings=tuple(Fraction(ctx.matrix.entry(i, j)) for j in range(1, n + 1)),
+            coroot_pairings=tuple(ctx.matrix.entry(i, j) for j in range(1, n + 1)),
             base_pairings=tuple((b, ctx.base_pairings[b][i - 1]) for b in names),
             origin_word=(),
             origin_index=i,
@@ -209,7 +210,7 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> List[OrbitRoot]
                 root=new_root,
                 coroot_pairings=tuple(v - ck * ctx.matrix.entry(k, j)
                                       for j, v in enumerate(r.coroot_pairings, start=1)),
-                base_pairings=tuple((b, v - ck * ctx.base_pairings[b][k - 1])
+                base_pairings=tuple((b, exact(v - ck * ctx.base_pairings[b][k - 1]))
                                     for b, v in r.base_pairings),
                 origin_word=(k,) + r.origin_word,
                 origin_index=r.origin_index,
@@ -217,9 +218,9 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> List[OrbitRoot]
             )
             key = new_root.sort_key()
             if key in out:
-                prev = out[key]
-                assert prev.coroot_pairings == new.coroot_pairings, \
-                    f"coroot of {format_weight(new_root)} depends on its expression"
+                if out[key].coroot_pairings != new.coroot_pairings:
+                    raise InvariantViolation(
+                        f"coroot of {format_weight(new_root)} depends on its expression")
                 continue
             out[key] = new
             queue.append(new)
@@ -257,7 +258,7 @@ def dist(ctx: WeightContext, mu: Weight, nu: Weight,
     total = sum(gap)
     if total.denominator != 1:
         return None
-    bound = int(total) if height_bound is None else min(height_bound, int(total))
+    bound = total if height_bound is None else min(height_bound, total)
     roots = positive_wpi_roots(ctx, bound)
     memo: Dict[tuple, Optional[int]] = {}
 
@@ -296,7 +297,7 @@ class AChain:
         return len(self.roots)
 
 
-def _step_admissible(ctx: WeightContext, a: Fraction, r: OrbitRoot, c: Fraction) -> bool:
+def _step_admissible(ctx: WeightContext, a: Fraction, r: OrbitRoot, c: Rational) -> bool:
     v = a * c
     if r.imaginary:
         return v == 1
@@ -323,7 +324,7 @@ def find_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight,
     total = sum(gap)
     if total.denominator != 1:
         return None
-    bound = int(total) if height_bound is None else min(height_bound, int(total))
+    bound = total if height_bound is None else min(height_bound, total)
     roots = positive_wpi_roots(ctx, bound)
     dead: Set[tuple] = set()
 

@@ -4,7 +4,7 @@ import pytest
 
 from glspaths import cli
 from glspaths.character import CharacterComparison, CharacterSeries
-from glspaths.rootdata import weight
+from glspaths.rootdata import InvariantViolation, weight
 
 
 @pytest.fixture
@@ -38,6 +38,11 @@ def test_usage_error(matrices):
     assert cli.run(["enumerate", "-m", str(matrices["im"])]) == 1
     assert cli.run(["orbit", "-m", str(matrices["im"]), "-l", "x", "-d", "2"]) == 1
     assert cli.run(["nonsense"]) == 1
+
+
+def test_negative_depth_is_a_usage_error(matrices, capsys):
+    assert cli.run(["orbit", "-m", str(matrices["im"]), "-l", "2", "-d", "-1"]) == 1
+    assert "depth must be nonnegative" in capsys.readouterr().err
 
 
 def test_orbit_output(matrices, capsys):
@@ -95,3 +100,22 @@ def test_outputs_are_deterministic(matrices, capsys):
     first = capsys.readouterr().out
     assert cli.run(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_suite_reports_every_failure(monkeypatch, capsys):
+    checks = [("first", []), ("second", ["bad a"]), ("third", ["bad b", "bad c"])]
+    monkeypatch.setattr(cli.checks, "run_suite", lambda seed: iter(checks))
+    assert cli.run(["suite"]) == 1
+    assert capsys.readouterr().out == ("ok first\nFAIL second\n  bad a\n"
+                                       "FAIL third\n  bad b\n  bad c\n")
+    monkeypatch.setattr(cli.checks, "run_suite", lambda seed: iter(checks[:1]))
+    assert cli.run(["suite"]) == 0
+    assert capsys.readouterr().out == "ok first\n"
+
+
+def test_invariant_violation_exit_code(matrices, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("parity is ill-defined")
+    monkeypatch.setattr(cli, "compare_characters", broken)
+    assert cli.run(["compare-char", "-m", str(matrices["im"]), "-l", "2", "-d", "3"]) == 2
+    assert "invariant violated: parity is ill-defined" in capsys.readouterr().err

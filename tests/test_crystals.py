@@ -27,6 +27,10 @@ def test_neg_inf_sentinel():
     assert NEG_INF - F(1, 2) is NEG_INF
     assert 3 > NEG_INF
     assert max(NEG_INF, 3, key=lambda x: (0, 0) if x is NEG_INF else (1, x)) == 3
+    # the tensor epsilon takes max without a key
+    for x in (3, -10 ** 9, F(1, 2), F(-7, 3)):
+        assert max(NEG_INF, x) == x and max(x, NEG_INF) == x
+    assert max(NEG_INF, NEG_INF) is NEG_INF
 
 
 def test_elementary_tables():

@@ -10,7 +10,8 @@ from glspaths import (GLSPath, alpha, apply_e, apply_f, concatenate,
                       trivial_path, weight)
 from glspaths.checks import (check_inversion_and_weight_shift,
                              check_operator_iteration)
-from glspaths.paths import PiecewisePath, path_to_text
+from glspaths.paths import PiecewisePath, _three_zone, path_to_text
+from glspaths.rootdata import InvariantViolation
 
 
 def ctx1(p=2):
@@ -87,6 +88,12 @@ def test_concatenate():
     assert glued != path  # as parametrized functions they differ
     double = concatenate(path, path, F(1, 2), ctx)
     assert double.weight == 2 * lam
+    # co-directional segments merge; the ratio 1/49 must stay exact
+    v = weight(roots={1: 49, 2: 98})
+    bent = PiecewisePath.from_points([(0, weight()), (F(1, 2), v), (1, F(50, 49) * v)])
+    assert len(bent.points) == 3
+    assert equal_up_to_reparametrization(bent, PiecewisePath.from_points(
+        [(0, weight()), (1, F(50, 49) * v)]))
     with pytest.raises(ValueError):
         concatenate(linear_path(ctx, lam) , path, F(0), ctx)
     ctxh, lamh = ctx2(p=1)
@@ -147,3 +154,12 @@ def test_path_serialization():
     ctx, lam = ctx1()
     text = path_to_text(apply_f(ctx, 1, linear_path(ctx, lam)))
     assert text.splitlines() == ["0 : 0", "1/2 : 1/2*lambda-a1", "1 : lambda-a1"]
+
+
+def test_three_zone_rejects_a_wrong_shift():
+    ctx, lam = ctx2()
+    path = linear_path(ctx, lam)
+    reflect = lambda w: ctx.reflect(1, w)
+    assert _three_zone(path, F(0), F(1, 2), reflect, -alpha(1)) == apply_f(ctx, 1, path)
+    with pytest.raises(InvariantViolation):
+        _three_zone(path, F(0), F(1, 2), reflect, alpha(1))

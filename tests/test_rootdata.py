@@ -9,7 +9,9 @@ from glspaths import (AsymmetricZero, AxisViolation, MatrixError,
                       MatrixFormatError, alpha, context_with_base,
                       format_weight, parse_context_text, validate_matrix,
                       weight)
-from glspaths.checks import check_coroot_signs, check_reflections
+from glspaths.checks import (TWO_IMAGINARY, check_coroot_signs, check_reflections,
+                             fixture_context)
+from glspaths.gls import enumerate_crystal
 from glspaths.rootdata import UnknownBase, WeightContext
 
 
@@ -84,6 +86,11 @@ def test_weight_canonical_form():
     assert 2 * w == w + w
     assert format_weight(weight()) == "0"
     assert format_weight(w - alpha(2)) == "lambda-1/2*a2"
+    assert type(w.root_items[0][1]) is F and type((2 * w).root_items[0][1]) is int
+    with pytest.raises(TypeError):
+        weight(roots={1: 0.5})
+    with pytest.raises(TypeError):
+        0.5 * w
 
 
 def test_reflection_properties():
@@ -127,3 +134,30 @@ def test_declared_integral_flag_must_hold():
         WeightContext(m, {"lambda": [F(1, 2)]}, {"lambda": True})
     with pytest.raises(ValueError):
         WeightContext(m, {"rho": [1]})
+
+
+def _canonical(x):
+    """An int when integral, a Fraction otherwise; never a float."""
+    return type(x) is int or (type(x) is F and x.denominator != 1)
+
+
+def test_exact_number_form():
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    graph = enumerate_crystal(ctx, lam, 5)
+    rho = ctx.rho()
+    weights = [node.wt for node in graph.nodes]
+    for node in graph.nodes:
+        assert all(_canonical(c) for _, c in node.wt.base_items + node.wt.root_items)
+        assert all(_canonical(x) for x in node.eps + node.phi)
+    for i in ctx.matrix.indices:
+        assert all(_canonical(ctx.pairing(i, w)) for w in weights + [rho])
+    # rho pairs as a_ii / 2: a half-integer at the odd diagonal entry a_33
+    assert [ctx.pairing(i, rho) for i in ctx.matrix.indices] == [1, -1, F(-1, 2)]
+    # r_i^{-1} divides by 1 - a_ii: 3 for i = 2, 2 for i = 3
+    for i in sorted(ctx.matrix.imaginary_indices):
+        for w in weights + [rho]:
+            up = ctx.reflect_inverse(i, w)
+            assert all(_canonical(c) for _, c in up.base_items + up.root_items)
+            assert ctx.reflect(i, up) == w
+    assert ctx.reflect_inverse(2, lam) == lam + F(1, 3) * alpha(2)
+    assert ctx.reflect_inverse(3, rho) == rho - F(1, 4) * alpha(3)

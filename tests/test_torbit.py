@@ -7,7 +7,8 @@ import pytest
 from glspaths import (alpha, apply_word, context_with_base, dist,
                       find_a_chain, minimal_words, orbit, positive_wpi_roots,
                       reduced_word_search, weight)
-from glspaths.checks import check_dist_lemmas, check_orbit_properties
+from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_dist_lemmas,
+                             check_orbit_properties, fixture_context)
 
 
 def ctx1():
@@ -48,6 +49,18 @@ def test_reduced_word_search():
     assert reduced_word_search(c2, l2, l2, 4) == ()
     assert reduced_word_search(ctx, lam, lam - alpha(1), 4) is None
     assert minimal_words(ctx, lam, lam - 6 * alpha(1), 4) == [(1, 1)]
+    # r_2 r_3 lam = r_3 r_2 lam; the lexicographically smaller word wins
+    ti, lt = fixture_context(TWO_IMAGINARY)
+    mu = apply_word(ti, (2, 3), lt)
+    assert sorted(minimal_words(ti, lt, mu, 4)) == [(2, 3), (3, 2)]
+    assert reduced_word_search(ti, lt, mu, 4) == (2, 3)
+    # the smallest minimal word, cross-checked by brute force on every fixture
+    for fx in FIXTURES + (TWO_IMAGINARY,):
+        c, lam = fixture_context(fx)
+        for mu in orbit(c, lam, 5):
+            words = minimal_words(c, lam, mu, 4)
+            expected = min(words) if words else None
+            assert reduced_word_search(c, lam, mu, 4) == expected, (fx[0], mu)
 
 
 def test_positive_wpi_roots():
