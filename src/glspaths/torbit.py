@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .rootdata import (InvariantViolation, Rational, Weight, WeightContext,
@@ -155,8 +156,12 @@ class OrbitRoot:
     origin_index: int
     imaginary: bool
 
+    @cached_property
+    def _base(self) -> Dict[str, Rational]:
+        return dict(self.base_pairings)
+
     def coroot_pairing(self, w: Weight) -> Rational:
-        base = dict(self.base_pairings)
+        base = self._base
         total = 0
         for name, c in w.base_items:
             total += c * base[name]
@@ -171,13 +176,17 @@ class OrbitRoot:
         return (self.height(), self.root.sort_key())
 
 
-def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> List[OrbitRoot]:
+def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot, ...]:
     """All roots of W.Pi inside Q+ with height <= bound, coroots transported.
 
     BFS applies real reflections to the simple roots, discarding anything
     that leaves the positive cone.  Revisiting a root must reproduce the
-    same coroot (well-definedness of beta^vee), which is checked.
+    same coroot (well-definedness of beta^vee), which is checked.  The
+    result is kept per bound in the context's orbit table.
     """
+    cache = ctx.orbit_table.roots
+    if height_bound in cache:
+        return cache[height_bound]
     n = ctx.matrix.n
     names = ctx.base_names
     out: Dict[tuple, OrbitRoot] = {}
@@ -224,21 +233,18 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> List[OrbitRoot]
                 continue
             out[key] = new
             queue.append(new)
-    return sorted(out.values(), key=OrbitRoot.sort_key)
+    roots = cache[height_bound] = tuple(sorted(out.values(), key=OrbitRoot.sort_key))
+    return roots
 
 
-def _descent_steps(ctx: WeightContext, roots: Sequence[OrbitRoot], x: Weight,
-                   floor: Weight, n: int):
+def _descent_steps(roots: Sequence[OrbitRoot], x: Weight, floor: Weight, n: int):
     """Covering-candidate steps x -> r_beta(x) staying componentwise above floor."""
+    gap = (x - floor).root_vector(n)
     for r in roots:
         c = r.coroot_pairing(x)
-        if c <= 0:
+        if c <= 0 or any(gap[j - 1] < c * v for j, v in r.root.root_items):
             continue
-        y = x - c * r.root
-        gap = (y - floor).root_vector(n)
-        if any(v < 0 for v in gap):
-            continue
-        yield r, c, y
+        yield r, c, x - c * r.root
 
 
 def dist(ctx: WeightContext, mu: Weight, nu: Weight,
@@ -248,35 +254,37 @@ def dist(ctx: WeightContext, mu: Weight, nu: Weight,
     Steps subtract a positive multiple of a W.Pi root, so any usable root
     has height at most height(nu - mu); bounded memoized search is
     therefore exhaustive.  Returns None if no chain exists, 0 if mu == nu.
+    Results are kept per (mu, nu, bound) in the context's orbit table.
     """
     if mu == nu:
         return 0
     n = ctx.matrix.n
     gap = (nu - mu).root_vector(n)
-    if any(c < 0 for c in gap):
-        return None
     total = sum(gap)
-    if total.denominator != 1:
+    if any(c < 0 for c in gap) or total.denominator != 1:
         return None
     bound = total if height_bound is None else min(height_bound, total)
+    cache, key = ctx.orbit_table.dists, (mu, nu, bound)
+    if key in cache:
+        return cache[key]
     roots = positive_wpi_roots(ctx, bound)
-    memo: Dict[tuple, Optional[int]] = {}
+    memo: Dict[Weight, Optional[int]] = {}
 
     def longest(x: Weight) -> Optional[int]:
         if x == mu:
             return 0
-        key = x.sort_key()
-        if key in memo:
-            return memo[key]
+        if x in memo:
+            return memo[x]
         best = None
-        for _, _, y in _descent_steps(ctx, roots, x, mu, n):
+        for _, _, y in _descent_steps(roots, x, mu, n):
             sub = longest(y)
             if sub is not None and (best is None or sub + 1 > best):
                 best = sub + 1
-        memo[key] = best
+        memo[x] = best
         return best
 
-    return longest(nu)
+    cache[key] = best = longest(nu)
+    return best
 
 
 @dataclass(frozen=True)
@@ -297,11 +305,9 @@ class AChain:
         return len(self.roots)
 
 
-def _step_admissible(ctx: WeightContext, a: Fraction, r: OrbitRoot, c: Rational) -> bool:
+def _step_admissible(a: Fraction, r: OrbitRoot, c: Rational) -> bool:
     v = a * c
-    if r.imaginary:
-        return v == 1
-    return v.denominator == 1 and v >= 1
+    return v == 1 if r.imaginary else v.denominator == 1 and v >= 1
 
 
 def find_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight,
@@ -310,7 +316,8 @@ def find_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight,
 
     Depth-first over covering steps from nu down to mu.  Each candidate
     step must be a covering (dist 1) and satisfy the integrality condition
-    at level a; failures are memoized per intermediate weight.
+    at level a; failures are memoized per intermediate weight.  The roots
+    and the covering tests come from the context's caches (see dist).
     """
     a = Fraction(a)
     if not 0 < a <= 1:
@@ -319,37 +326,32 @@ def find_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight,
         return AChain(a, (mu,), ())
     n = ctx.matrix.n
     gap = (nu - mu).root_vector(n)
-    if any(c < 0 for c in gap):
-        return None
     total = sum(gap)
-    if total.denominator != 1:
+    if any(c < 0 for c in gap) or total.denominator != 1:
         return None
     bound = total if height_bound is None else min(height_bound, total)
     roots = positive_wpi_roots(ctx, bound)
-    dead: Set[tuple] = set()
+    dead: Set[Weight] = set()
 
     def search(x: Weight) -> Optional[List[Tuple[OrbitRoot, Weight]]]:
         if x == mu:
             return []
-        if x.sort_key() in dead:
+        if x in dead:
             return None
-        for r, c, y in _descent_steps(ctx, roots, x, mu, n):
-            if not _step_admissible(ctx, a, r, c):
+        for r, c, y in _descent_steps(roots, x, mu, n):
+            if not _step_admissible(a, r, c):
                 continue
             if dist(ctx, y, x) != 1:
                 continue
             tail = search(y)
             if tail is not None:
                 return [(r, y)] + tail
-        dead.add(x.sort_key())
+        dead.add(x)
         return None
 
     steps = search(nu)
     if steps is None:
         return None
     # steps run from nu downward; weights are indexed mu = nu_0 .. nu_s = nu.
-    ws = [nu] + [y for _, y in steps]
-    rs = [r for r, _ in steps]
-    ws.reverse()
-    rs.reverse()
-    return AChain(a, tuple(ws), tuple(rs))
+    steps.reverse()
+    return AChain(a, tuple(y for _, y in steps) + (nu,), tuple(r for r, _ in steps))

@@ -8,9 +8,10 @@ from glspaths import (GLSPath, JoinRejected, NotAGLSPath, alpha, apply_e, apply_
                       concatenate, context_with_base, enumerate_crystal,
                       export_dot, gls_e, gls_f, linear_path, properly_join,
                       verify_gls, weight)
-from glspaths.checks import (check_gls_membership, check_highest_weight_unique,
+from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_gls_membership,
+                             check_highest_weight_unique,
                              check_non_strictness_witness,
-                             check_oracle_equivalence)
+                             check_oracle_equivalence, fixture_context)
 
 
 def ctx1(p=2, k=1):
@@ -63,6 +64,11 @@ def test_operators_reject_a_non_integral_path():
     # h_1 falls from 0 to -1/2: the minimum is not an integer
     with pytest.raises(NotAGLSPath):
         gls_f(ctx, 1, GLSPath.linear(-lam))
+    # the same on an imaginary index, for both operators
+    ci, li = context_with_base([[-1]], [F(1, 2)])
+    for op in (gls_f, gls_e):
+        with pytest.raises(NotAGLSPath):
+            op(ci, 1, GLSPath.linear(-li))
 
 
 def test_gls_f_vanishes_at_zero_pairing():
@@ -79,6 +85,46 @@ def test_gls_e_examples():
     assert gls_e(ctx, 1, GLSPath.linear(lam)) is None
     c2, l2 = ctx2()
     assert gls_e(c2, 1, GLSPath.linear(l2)) is None
+
+
+def raise_by_membership(ctx, i, pi):
+    """e_i by its definition: the ambient raising of the rendered path, kept
+    only if its segments, read as GLS data, pass the membership test."""
+    raised = apply_e(ctx, i, pi.render())
+    if raised is None:
+        return None
+    pts = raised.points
+    weights = tuple((v1 - v0) * (1 / (t1 - t0)) for (t0, v0), (t1, v1) in zip(pts, pts[1:]))
+    candidate = GLSPath(pi.shape, weights, tuple(t for t, _ in pts))
+    return candidate if verify_gls(ctx, candidate) else None
+
+
+def test_imaginary_raising_is_raising_by_membership():
+    defined = killed = 0
+    for fx in FIXTURES + (TWO_IMAGINARY,):
+        ctx, lam = fixture_context(fx)
+        graph = enumerate_crystal(ctx, lam, 5 if fx is TWO_IMAGINARY else 6)
+        for node in graph.nodes:
+            for i in sorted(ctx.matrix.imaginary_indices):
+                expected = raise_by_membership(ctx, i, node.element)
+                assert gls_e(ctx, i, node.element) == expected, (fx[0], node.element, i)
+                defined += expected is not None
+                killed += (expected is None
+                           and apply_e(ctx, i, node.element.render()) is not None)
+    # both outcomes of the membership test occur
+    assert defined > 0 and killed > 0
+
+
+def test_imaginary_raising_killed_by_a_late_drop():
+    # shape with alpha_2^vee = -2: h_2 rises from 0 to 3 = m+1-a_22 at 1/4 and
+    # comes back down to m-a_22 = 2 at 1, so e_2 is undefined, although the
+    # reflected path (w1, s) would pass the membership test
+    ctx, s = context_with_base([[2, -1], [-1, -2]], [6, -2])
+    w1 = ctx.reflect(1, s)
+    pi = GLSPath(s, (ctx.reflect(2, w1), w1, s), (F(0), F(1, 4), F(1, 3), F(1)))
+    assert verify_gls(ctx, GLSPath(s, (w1, s), (F(0), F(1, 3), F(1))))
+    assert gls_e(ctx, 2, pi) is None
+    assert raise_by_membership(ctx, 2, pi) is None
 
 
 def test_verify_gls_membership_sentence():

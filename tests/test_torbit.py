@@ -117,6 +117,45 @@ def test_chain_invariants():
         assert dist(c3, lower, upper) == 1
 
 
+def test_caches_agree_with_a_fresh_context():
+    for fx in FIXTURES + (TWO_IMAGINARY,):
+        warm, lam = fixture_context(fx)
+        weights = sorted(orbit(warm, lam, 5), key=lambda w: w.sort_key())
+        pairs = [(mu, nu) for mu in weights for nu in weights]
+
+        def results(ctx):
+            roots = [positive_wpi_roots(ctx, b) for b in range(6)]
+            dists = [dist(ctx, mu, nu) for mu, nu in pairs]
+            chains = [find_a_chain(ctx, a, mu, nu) for a in (F(1), F(1, 2)) for mu, nu in pairs]
+            return roots, dists, chains
+
+        first = results(warm)
+        assert results(warm) == first == results(fixture_context(fx)[0]), fx[0]
+        assert all(positive_wpi_roots(warm, b) is first[0][b] for b in range(6))
+
+
+def test_positive_wpi_roots_is_a_tuple():
+    c3, _ = ctx3()
+    assert isinstance(positive_wpi_roots(c3, 2), tuple)
+    assert isinstance(positive_wpi_roots(c3, 0), tuple)
+
+
+def test_caches_are_per_context():
+    # the same weights, read in contexts with different matrices, in turn
+    (ci, li), (cr, lr) = ctx1(), ctx2()
+    assert li == lr
+    for _ in range(2):
+        assert dist(ci, li - 6 * alpha(1), li) == 2
+        assert dist(cr, lr - 6 * alpha(1), lr) is None
+        assert find_a_chain(ci, F(1, 2), li - 2 * alpha(1), li).roots[0].imaginary
+        assert not find_a_chain(cr, F(1, 2), lr - 2 * alpha(1), lr).roots[0].imaginary
+    (c3, _), (c4, _) = ctx3(), context_with_base([[-1, -1], [-1, -2]], [1, 1])
+    for _ in range(2):
+        assert [r.root for r in positive_wpi_roots(c3, 2)] == [alpha(1), alpha(2),
+                                                              alpha(1) + alpha(2)]
+        assert [r.root for r in positive_wpi_roots(c4, 2)] == [alpha(1), alpha(2)]
+
+
 def test_orbit_properties_suite():
     for entries, pairings in ([[-1]], [2]), ([[2, -1], [-1, -2]], [1, 1]):
         ctx, lam = context_with_base(entries, pairings)
