@@ -29,12 +29,14 @@ class NotAGLSPath(ValueError):
 @dataclass(frozen=True, slots=True)
 class GLSPath:
     """Orbit-weight sequence with break points; shape is the orbit anchor.
-    ``_ints`` caches the integer form the operators work on (see below)."""
+    ``_ints`` caches the integer form the operators work on (see below),
+    ``_weight`` the weight."""
 
     shape: Weight
     weights: Tuple[Weight, ...]
     breaks: Tuple[Fraction, ...]
     _ints: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    _weight: Optional[Weight] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.weights:
@@ -54,17 +56,20 @@ class GLSPath:
 
     def weight(self) -> Weight:
         """sum_k (a_k - a_{k-1}) nu_k, summed as numerators over D."""
-        den, nums = (_common_denominator(self.breaks) if self._ints is None
-                     else self._ints[2:])
-        bases: Dict[str, int] = {}
-        roots: Dict[int, int] = {}
-        for k, w in enumerate(self.weights):
-            step = nums[k + 1] - nums[k]
-            for total, items in ((bases, w.base_items), (roots, w.root_items)):
-                for name, c in items:
-                    total[name] = total.get(name, 0) + step * c
-        return weight({name: Fraction(c, den) for name, c in bases.items()},
-                      {j: Fraction(c, den) for j, c in roots.items()})
+        if self._weight is None:
+            den, nums = (_common_denominator(self.breaks) if self._ints is None
+                         else self._ints[2:])
+            bases: Dict[str, int] = {}
+            roots: Dict[int, int] = {}
+            for k, w in enumerate(self.weights):
+                step = nums[k + 1] - nums[k]
+                for total, items in ((bases, w.base_items), (roots, w.root_items)):
+                    for name, c in items:
+                        total[name] = total.get(name, 0) + step * c
+            object.__setattr__(self, "_weight", weight(
+                {name: Fraction(c, den) for name, c in bases.items()},
+                {j: Fraction(c, den) for j, c in roots.items()}))
+        return self._weight
 
     def render(self) -> PiecewisePath:
         pts = [(Fraction(0), weight())]

@@ -10,6 +10,7 @@ the brute-force counterpart to the closed forms acting on GLS data.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -42,13 +43,16 @@ class PiecewisePath:
             raise ValueError("parameters must increase strictly")
         if not cleaned[0][1].is_zero():
             raise ValueError("paths start at 0")
-        # Drop interior points lying on the segment through their neighbours.
+        # Drop interior points on the segment through their neighbours, coordinatewise.
         out = [cleaned[0]]
         for k in range(1, len(cleaned) - 1):
             t0, v0 = out[-1]
             t1, v1 = cleaned[k]
             t2, v2 = cleaned[k + 1]
-            if (v1 - v0) * (t2 - t1) == (v2 - v1) * (t1 - t0):
+            c0, c1, c2 = (dict(v.base_items + v.root_items) for v in (v0, v1, v2))
+            d1, d0 = t2 - t1, t1 - t0
+            if all((c1.get(x, 0) - c0.get(x, 0)) * d1 == (c2.get(x, 0) - c1.get(x, 0)) * d0
+                   for x in c0.keys() | c1.keys() | c2.keys()):
                 continue
             out.append(cleaned[k])
         out.append(cleaned[-1])
@@ -177,26 +181,30 @@ def first_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
     return None
 
 
+def _value_at(ts: Sequence[Fraction], hs: Sequence[Fraction], t: Fraction) -> Fraction:
+    """h(t) for ts[0] <= t <= ts[-1]."""
+    k = bisect_left(ts, t)
+    if ts[k] == t:
+        return hs[k]
+    return hs[k - 1] + Fraction((hs[k] - hs[k - 1]) * (t - ts[k - 1])) / (ts[k] - ts[k - 1])
+
+
+def _values_on(ts, hs, lo, hi) -> list:
+    """h at lo, at hi and at the breakpoints strictly between: where a
+    piecewise-linear function takes its extrema on [lo, hi]."""
+    return [_value_at(ts, hs, lo), *hs[bisect_right(ts, lo):bisect_left(ts, hi)],
+            _value_at(ts, hs, hi)]
+
+
 def min_value_on(ts: Sequence[Fraction], hs: Sequence[Fraction],
                  lo: Fraction, hi: Fraction) -> Fraction:
-    """Exact minimum of the piecewise-linear function on [lo, hi]."""
-    vals = []
-    for k in range(1, len(ts)):
-        t0, t1 = ts[k - 1], ts[k]
-        if t1 < lo or t0 > hi:
-            continue
-        h0, h1 = hs[k - 1], hs[k]
-        slope_num, slope_den = h1 - h0, t1 - t0
-        a = max(t0, lo)
-        b = min(t1, hi)
-        vals.append(h0 + Fraction(slope_num * (a - t0)) / slope_den)
-        vals.append(h0 + Fraction(slope_num * (b - t0)) / slope_den)
-    return min(vals)
+    """Exact minimum of the piecewise-linear function on [lo, hi] (within [ts[0], ts[-1]])."""
+    return min(_values_on(ts, hs, lo, hi))
 
 
 def max_value_on(ts: Sequence[Fraction], hs: Sequence[Fraction],
                  lo: Fraction, hi: Fraction) -> Fraction:
-    return -min_value_on(ts, [-h for h in hs], lo, hi)
+    return max(_values_on(ts, hs, lo, hi))
 
 
 # -- h-profiles and the operators ---------------------------------------
@@ -225,14 +233,19 @@ class HProfile:
     e_defined: bool
 
 
-def h_profile(ctx: WeightContext, i: int, pi: PiecewisePath) -> HProfile:
-    ts = [t for t, _ in pi.points]
-    hs = [ctx.pairing(i, v) for _, v in pi.points]
+def _f_data(ctx: WeightContext, i: int, pi: PiecewisePath):
+    """(ts, hs, m, f_plus, f_minus): the breakpoint times of pi, the values of
+    h_i there, and the f-arguments; the e-data is left to h_profile."""
+    ts, hs = [t for t, _ in pi.points], [ctx.pairing(i, v) for _, v in pi.points]
     m = math.ceil(min(hs))
-    f_plus = last_time_at(ts, hs, Fraction(m))
+    f_plus = last_time_at(ts, hs, m)
     if m > 0 or f_plus is None:  # h(0) = 0, so the level m <= 0 is reached
         raise InvariantViolation(f"h_{i} never reaches its minimal level {m}")
-    f_minus = None if f_plus == 1 else first_time_at(ts, hs, Fraction(m + 1), f_plus)
+    return ts, hs, m, f_plus, None if f_plus == 1 else first_time_at(ts, hs, m + 1, f_plus)
+
+
+def h_profile(ctx: WeightContext, i: int, pi: PiecewisePath) -> HProfile:
+    ts, hs, m, f_plus, f_minus = _f_data(ctx, i, pi)
     if ctx.matrix.is_real(i):
         e_plus = first_time_at(ts, hs, Fraction(m), Fraction(0))
         e_minus = None if e_plus == 0 else last_time_at(ts, hs, Fraction(m + 1), e_plus)
@@ -276,11 +289,10 @@ def _three_zone(pi: PiecewisePath, u: Fraction, v: Fraction,
 def apply_f(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[PiecewisePath]:
     """Lowering operator: reflect between f_plus and f_minus, then shift by
     -alpha_i; absent exactly when h_i never leaves its minimum after f_plus."""
-    prof = h_profile(ctx, i, pi)
-    if prof.f_plus == 1:
+    *_, f_plus, f_minus = _f_data(ctx, i, pi)
+    if f_plus == 1:
         return None
-    return _three_zone(pi, prof.f_plus, prof.f_minus,
-                       lambda w: ctx.reflect(i, w), -alpha(i))
+    return _three_zone(pi, f_plus, f_minus, lambda w: ctx.reflect(i, w), -alpha(i))
 
 
 def apply_e(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[PiecewisePath]:
@@ -327,20 +339,17 @@ def is_monotone(ctx: WeightContext, pi: PiecewisePath, strict: bool = True) -> b
     every index whose lowering operator is defined.  ``strict=False`` uses
     the weakened form appropriate for joined paths."""
     for i in ctx.matrix.indices:
-        prof = h_profile(ctx, i, pi)
-        if prof.f_plus == 1:
+        ts, hs, m, f_plus, f_minus = _f_data(ctx, i, pi)
+        if f_plus == 1:
             continue
-        ts = [t for t, _ in prof.breakpoints]
-        hs = [h for _, h in prof.breakpoints]
         for k in range(1, len(ts)):
-            a = max(ts[k - 1], prof.f_plus)
-            b = min(ts[k], prof.f_minus)
+            a, b = max(ts[k - 1], f_plus), min(ts[k], f_minus)
             if a >= b:
                 continue
             rise = hs[k] - hs[k - 1]
             if rise < 0 or (strict and rise == 0):
                 return False
-        if min_value_on(ts, hs, prof.f_minus, Fraction(1)) < prof.m + 1:
+        if min_value_on(ts, hs, f_minus, Fraction(1)) < m + 1:
             return False
     return True
 
@@ -348,6 +357,6 @@ def is_monotone(ctx: WeightContext, pi: PiecewisePath, strict: bool = True) -> b
 def path_epsilon(ctx: WeightContext, i: int, pi: PiecewisePath):
     """Crystal statistic on the ambient path set: -m_i for real i, 0 imaginary."""
     if ctx.matrix.is_real(i):
-        return -h_profile(ctx, i, pi).m
+        return -_f_data(ctx, i, pi)[2]
     return 0
 

@@ -13,6 +13,7 @@ float.  Division of such data goes through ``Fraction(p, q)``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -191,13 +192,17 @@ def weight(bases: Optional[Mapping[str, Rational]] = None,
 
 
 def _combine(a: Weight, b: Weight, sign: int) -> Weight:
-    bases = dict(a.base_items)
-    for name, v in b.base_items:
-        bases[name] = bases.get(name, 0) + sign * v
-    roots = dict(a.root_items)
-    for i, v in b.root_items:
-        roots[i] = roots.get(i, 0) + sign * v
-    return weight(bases, roots)
+    """a + sign * b; a part that is empty on one side is taken over as it is."""
+    parts = []
+    for x, y in ((a.base_items, b.base_items), (a.root_items, b.root_items)):
+        if not x or not y:
+            parts.append(x or (y if sign == 1 else tuple((k, -v) for k, v in y)))
+            continue
+        total = dict(x)
+        for k, v in y:
+            total[k] = total.get(k, 0) + sign * v
+        parts.append(tuple(sorted((k, exact(v)) for k, v in total.items() if v != 0)))
+    return Weight(*parts)
 
 
 def alpha(i: int) -> Weight:
@@ -327,10 +332,11 @@ class OrbitTable:
     orbit roots per height bound and dist per (mu, nu, bound)."""
 
     def __init__(self, ctx: WeightContext):
-        self.ctx = ctx
+        self.ctx = weakref.proxy(ctx)  # the context owns the table, not the reverse
+        self.matrix = matrix = ctx.matrix
         self.ids: Dict[Weight, int] = {}
         self.weights: List[Weight] = []
-        n = ctx.matrix.n
+        n = matrix.n
         self.pairings: List[list] = [[] for _ in range(n + 1)]
         # r_i at [i], r_i^{-1} at [n + i]
         self._images: List[Dict[int, int]] = [{} for _ in range(2 * n + 1)]
@@ -342,7 +348,7 @@ class OrbitTable:
         k = self.ids.get(w)
         if k is None:
             if pairings is None:
-                pairings = [self.ctx.pairing(i, w) for i in self.ctx.matrix.indices]
+                pairings = [self.ctx.pairing(i, w) for i in self.matrix.indices]
             k = self.ids[w] = len(self.weights)
             self.weights.append(w)
             for column, c in zip(self.pairings[1:], pairings):
@@ -351,16 +357,15 @@ class OrbitTable:
 
     def reflect(self, i: int, k: int, inverse: bool = False) -> int:
         """Id of r_i, or of r_i^{-1} (i imaginary), applied to the weight with id k."""
-        ctx = self.ctx
-        images = self._images[ctx.matrix.n + i if inverse else i]
+        matrix = self.matrix
+        images = self._images[matrix.n + i if inverse else i]
         image = images.get(k)
         if image is None:
             # the image is w + c alpha_i, so alpha_j^vee of it is alpha_j^vee(w) + c a_ji
-            c, entry = self.pairings[i][k], ctx.matrix.entry
+            c, entry = self.pairings[i][k], matrix.entry
             c = Fraction(c, 1 - entry(i, i)) if inverse else -c
-            pairings = [exact(self.pairings[j][k] + c * entry(j, i)) for j in ctx.matrix.indices]
-            w = (ctx.reflect_inverse if inverse else ctx.reflect)(i, self.weights[k])
-            image = images[k] = self.intern(w, pairings)
+            pairings = [exact(self.pairings[j][k] + c * entry(j, i)) for j in matrix.indices]
+            image = images[k] = self.intern(self.weights[k] + c * alpha(i), pairings)
         return image
 
 

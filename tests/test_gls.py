@@ -268,3 +268,22 @@ def test_operators_across_a_genuine_stall():
     lowered = apply_f(ctx, 1, res.path)
     assert lowered.weight == lam - alpha(1)
     assert apply_e(ctx, 1, lowered) == res.path
+
+
+def test_stored_weight_is_the_rendered_weight():
+    # nodes at depth 4 of the eight bundled fixtures and their f-images; a
+    # fresh copy has no stored weight and still compares and hashes equal
+    checked = 0
+    for fx in FIXTURES + (TWO_IMAGINARY,):
+        ctx, lam = fixture_context(fx)
+        for node in enumerate_crystal(ctx, lam, 4).nodes:
+            images = [gls_f(ctx, i, node.element) for i in ctx.matrix.indices]
+            for pi in [node.element] + [p for p in images if p is not None]:
+                fresh = GLSPath(pi.shape, pi.weights, pi.breaks)
+                assert fresh._weight is None
+                assert fresh == pi and hash(fresh) == hash(pi)
+                assert pi.weight() == pi.render().weight == fresh.weight()
+                assert fresh._weight is not None and pi._weight is not None
+                assert fresh == pi and hash(fresh) == hash(pi)
+                checked += 1
+    assert checked > 300

@@ -3,14 +3,17 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glspaths import (GLSPath, alpha, apply_e, apply_f, concatenate,
-                      context_with_base, equal_up_to_reparametrization,
-                      h_profile, is_integral, is_monotone, linear_path,
-                      trivial_path, weight)
-from glspaths.checks import (check_inversion_and_weight_shift,
-                             check_operator_iteration)
-from glspaths.paths import PiecewisePath, _three_zone, path_to_text
+                      context_with_base, enumerate_crystal,
+                      equal_up_to_reparametrization, h_profile, is_integral,
+                      is_monotone, linear_path, trivial_path, weight)
+from glspaths.checks import (FIXTURES, TWO_IMAGINARY,
+                             check_inversion_and_weight_shift,
+                             check_operator_iteration, fixture_context)
+from glspaths.paths import (PiecewisePath, _three_zone, max_value_on, min_value_on,
+                            path_to_text)
 from glspaths.rootdata import InvariantViolation
 
 
@@ -163,3 +166,100 @@ def test_three_zone_rejects_a_wrong_shift():
     assert _three_zone(path, F(0), F(1, 2), reflect, -alpha(1)) == apply_f(ctx, 1, path)
     with pytest.raises(InvariantViolation):
         _three_zone(path, F(0), F(1, 2), reflect, alpha(1))
+
+
+# -- the extrema and the collinearity test against their reference forms ----
+
+def per_segment_min(ts, hs, lo, hi):
+    """Minimum on [lo, hi] from both clipped ends of every segment it meets."""
+    vals = []
+    for k in range(1, len(ts)):
+        t0, t1 = ts[k - 1], ts[k]
+        if t1 < lo or t0 > hi:
+            continue
+        h0, h1 = hs[k - 1], hs[k]
+        for t in (max(t0, lo), min(t1, hi)):
+            vals.append(h0 + (h1 - h0) * (t - t0) / (t1 - t0))
+    return min(vals)
+
+
+def rationals(lo, hi, den):
+    """Fractions in [lo, hi] whose denominators divide den."""
+    return st.builds(F, st.integers(lo * den, hi * den), st.just(den))
+
+
+@st.composite
+def profiles_and_windows(draw):
+    """Exact piecewise-linear data (ts, hs) and lo <= hi in [ts[0], ts[-1]],
+    each of them a breakpoint or a point inside a segment."""
+    inner = draw(st.lists(rationals(0, 1, 12), max_size=6))
+    ts = sorted(set(inner) | {F(0), F(1)})
+    hs = draw(st.lists(st.one_of(st.integers(-4, 4), rationals(-5, 5, 6)),
+                       min_size=len(ts), max_size=len(ts)))
+    place = st.one_of(st.sampled_from(ts), rationals(0, 1, 35))
+    lo, hi = sorted((draw(place), draw(place)))
+    if draw(st.booleans()):
+        hi = lo
+    return ts, hs, lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles_and_windows())
+def test_extrema_agree_with_the_per_segment_form(data):
+    ts, hs, lo, hi = data
+    assert min_value_on(ts, hs, lo, hi) == per_segment_min(ts, hs, lo, hi)
+    assert max_value_on(ts, hs, lo, hi) == -per_segment_min(ts, [-h for h in hs], lo, hi)
+
+
+def weight_collinear_kept(pts):
+    """The points the collinearity test of from_points keeps, decided on whole
+    weights: (v1 - v0) * (t2 - t1) == (v2 - v1) * (t1 - t0) drops t1."""
+    out = [pts[0]]
+    for k in range(1, len(pts) - 1):
+        (t0, v0), (t1, v1), (t2, v2) = out[-1], pts[k], pts[k + 1]
+        if (v1 - v0) * (t2 - t1) != (v2 - v1) * (t1 - t0):
+            out.append(pts[k])
+    return tuple(out + [pts[-1]])
+
+
+LAM = weight(bases={"lambda": 1})
+# velocities that differ from one another only in the base part (first two),
+# only in the root part (first and third), in both, or not at all
+VELOCITIES = (LAM + alpha(1), 2 * LAM + alpha(1), LAM + 2 * alpha(1), alpha(2),
+              LAM, weight(), F(1, 2) * LAM - F(3, 2) * alpha(1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from(VELOCITIES)),
+                min_size=1, max_size=7))
+def test_from_points_drops_exactly_the_collinear_points(steps):
+    total = sum(dt for dt, _ in steps)
+    pts, t, v = [(F(0), weight())], F(0), weight()
+    for dt, vel in steps:
+        t, v = t + F(dt, total), v + F(dt, total) * vel
+        pts.append((t, v))
+    assert PiecewisePath.from_points(pts).points == weight_collinear_kept(pts)
+
+
+# -- the f-only route of apply_f ---------------------------------------------
+
+def test_apply_f_is_the_three_zone_rebuild_of_the_profile():
+    # every rendered node at depth 4 and, for imaginary i, four further
+    # lowerings of it (the paths the operator iteration check runs on)
+    checked = 0
+    for fx in FIXTURES + (TWO_IMAGINARY,):
+        ctx, lam = fixture_context(fx)
+        for node in enumerate_crystal(ctx, lam, 4).nodes:
+            for i in ctx.matrix.indices:
+                path = node.element.render()
+                for _ in range(5 if ctx.matrix.is_imaginary(i) else 1):
+                    prof = h_profile(ctx, i, path)
+                    expected = None if prof.f_plus == 1 else _three_zone(
+                        path, prof.f_plus, prof.f_minus, lambda w: ctx.reflect(i, w), -alpha(i))
+                    lowered = apply_f(ctx, i, path)
+                    assert lowered == expected, (fx[0], path, i)
+                    checked += 1
+                    if lowered is None:
+                        break
+                    path = lowered
+    assert checked > 1000

@@ -1,6 +1,8 @@
 """Matrices, weights, pairings, reflections, and the matrix file format."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -9,9 +11,10 @@ from glspaths import (AsymmetricZero, AxisViolation, MatrixError,
                       MatrixFormatError, alpha, context_with_base,
                       format_weight, parse_context_text, validate_matrix,
                       weight)
-from glspaths.checks import (TWO_IMAGINARY, check_coroot_signs, check_reflections,
-                             fixture_context)
-from glspaths.gls import enumerate_crystal
+from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_coroot_signs,
+                             check_reflections, fixture_context)
+from glspaths.gls import enumerate_crystal, gls_e
+from glspaths.torbit import dist
 from glspaths.rootdata import UnknownBase, WeightContext
 
 
@@ -161,3 +164,43 @@ def test_exact_number_form():
             assert ctx.reflect(i, up) == w
     assert ctx.reflect_inverse(2, lam) == lam + F(1, 3) * alpha(2)
     assert ctx.reflect_inverse(3, rho) == rho - F(1, 4) * alpha(3)
+
+
+def test_context_is_freed_without_the_cycle_collector():
+    # the orbit table holds its context weakly, so dropping the last
+    # reference frees the context and its caches at once
+    gc.disable()
+    try:
+        ctx, lam = context_with_base([[2, -1], [-1, -2]], [1, 1])
+        graph = enumerate_crystal(ctx, lam, 3)
+        assert len(ctx.orbit_table.weights) > 1
+        assert dist(ctx, ctx.reflect(1, lam), lam) == 1 and ctx.orbit_table.dists
+        alive = weakref.ref(ctx)
+        del ctx, graph
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_orbit_table_images_are_the_reflections():
+    # every image the table interned for the eight bundled fixtures at depth
+    # 5 (forward images from f, inverse ones from the imaginary e) is the
+    # reflection of its source weight, with the pairings of that reflection
+    checked = 0
+    for fx in FIXTURES + (TWO_IMAGINARY,):
+        ctx, lam = fixture_context(fx)
+        graph = enumerate_crystal(ctx, lam, 5)
+        for node in graph.nodes:
+            for i in sorted(ctx.matrix.imaginary_indices):
+                gls_e(ctx, i, node.element)
+        table, n = ctx.orbit_table, ctx.matrix.n
+        for i in ctx.matrix.indices:
+            for inverse, reflect in ((False, ctx.reflect), (True, ctx.reflect_inverse)):
+                for k, image in table._images[n + i if inverse else i].items():
+                    w = table.weights[image]
+                    assert w == reflect(i, table.weights[k])
+                    for j in ctx.matrix.indices:
+                        p = table.pairings[j][image]
+                        assert p == ctx.pairing(j, w) and type(p) is type(ctx.pairing(j, w))
+                    checked += 1
+    assert checked > 300
