@@ -140,12 +140,11 @@ def element_wt(ctx: WeightContext, el) -> Weight:
         return element_wt(ctx, el.left) + element_wt(ctx, el.right)
     if isinstance(el, ElementaryElement):
         return -el.n * alpha(el.index)
-    if isinstance(el, BJWord):
-        total = weight()
+    if isinstance(el, BJWord):  # summed as one integer root vector
+        vec = [0] * el.seq.n
         for k, m in enumerate(el.ms, start=1):
-            if m:
-                total = total - m * alpha(el.seq.index_at(k))
-        return total
+            vec[el.seq.index_at(k) - 1] -= m
+        return weight(roots=dict(enumerate(vec, start=1)))
     if isinstance(el, PathElement):
         return el.path.weight
     raise TypeError(f"not a crystal element: {el!r}")

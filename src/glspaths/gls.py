@@ -9,16 +9,19 @@ reproduce on rendered paths (the oracle-equivalence property).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, repeat
 from math import gcd, lcm
+from operator import eq, lt
 from typing import Callable, Dict, List, Optional, Tuple
 
 # apply_e is not called here; perfbench/test_perfbench.py checks that gls binds it
 from .paths import PiecewisePath, apply_e, first_time_at, last_time_at
-from .rootdata import (OrbitTable, Weight, WeightContext, exact, format_weight,
-                       offset_vector, weight)
+from .rootdata import (InvariantViolation, OrbitTable, Rational, Weight, WeightContext,
+                       format_weight, offset_vector, weight)
 from .torbit import AChain, find_a_chain
 
 
@@ -29,13 +32,15 @@ class NotAGLSPath(ValueError):
 @dataclass(frozen=True, slots=True)
 class GLSPath:
     """Orbit-weight sequence with break points; shape is the orbit anchor.
-    ``_ints`` caches the integer form the operators work on (see below),
-    ``_weight`` the weight."""
+    ``_nums`` holds the break numerators over their least common denominator
+    D (the last one), which also serve the hash; ``_ids`` caches the weight
+    ids in an orbit table (see below), ``_weight`` the weight."""
 
     shape: Weight
     weights: Tuple[Weight, ...]
     breaks: Tuple[Fraction, ...]
-    _ints: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    _nums: Tuple[int, ...] = field(default=(), init=False, compare=False, repr=False)
+    _ids: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     _weight: Optional[Weight] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -49,26 +54,29 @@ class GLSPath:
             raise ValueError("breaks must increase strictly")
         if any(self.weights[k] == self.weights[k + 1] for k in range(len(self.weights) - 1)):
             raise ValueError("adjacent weights must differ")
+        den = lcm(*(b.denominator for b in self.breaks))
+        object.__setattr__(self, "_nums", tuple(b.numerator * (den // b.denominator)
+                                                for b in self.breaks))
+
+    def __hash__(self):
+        return hash((self.shape, self.weights, self._nums))
 
     @staticmethod
     def linear(lam: Weight) -> "GLSPath":
         return GLSPath(lam, (lam,), (Fraction(0), Fraction(1)))
 
     def weight(self) -> Weight:
-        """sum_k (a_k - a_{k-1}) nu_k, summed as numerators over D."""
+        """sum_k (a_k - a_{k-1}) nu_k, summed as numerators over D, divided once."""
         if self._weight is None:
-            den, nums = (_common_denominator(self.breaks) if self._ints is None
-                         else self._ints[2:])
-            bases: Dict[str, int] = {}
-            roots: Dict[int, int] = {}
-            for k, w in enumerate(self.weights):
-                step = nums[k + 1] - nums[k]
-                for total, items in ((bases, w.base_items), (roots, w.root_items)):
-                    for name, c in items:
-                        total[name] = total.get(name, 0) + step * c
-            object.__setattr__(self, "_weight", weight(
-                {name: Fraction(c, den) for name, c in bases.items()},
-                {j: Fraction(c, den) for j, c in roots.items()}))
+            nums, bases, roots = self._nums, {}, {}
+            for a, b, w in zip(nums, nums[1:], self.weights):
+                for name, c in w.base_items:
+                    bases[name] = bases.get(name, 0) + (b - a) * c
+                for j, c in w.root_items:
+                    roots[j] = roots.get(j, 0) + (b - a) * c
+            object.__setattr__(self, "_weight", Weight(
+                *(tuple((name, _over(c, nums[-1])) for name, c in sorted(total.items()) if c)
+                  for total in (bases, roots))))
         return self._weight
 
     def render(self) -> PiecewisePath:
@@ -91,31 +99,22 @@ class GLSPath:
 #
 # The operators see a path as (orbit table, weight ids, D, break numerators
 # over D), D the least common denominator of the breaks, so h_i at the breaks
-# is a numerator over D too and the work stays in ints.  Paths they return
-# carry this form; other paths get it on first use.  Only a new break can
-# make D grow.
+# is a numerator over D too and the work stays in ints.  Paths they return are
+# built from this form; other paths get their ids on first use.
 
 
-def _common_denominator(breaks) -> Tuple[int, Tuple[int, ...]]:
-    den = lcm(*(b.denominator for b in breaks))
-    return den, tuple(b.numerator * (den // b.denominator) for b in breaks)
+def _over(c: Rational, den: int) -> Rational:
+    """c / den in the exact form."""
+    q, r = divmod(c, den)
+    return Fraction(c, den) if r else q
 
 
-def _integer_form(table: OrbitTable, pi: GLSPath):
-    """(table, weight ids, D, break numerators over D) of pi."""
-    ints = pi._ints
-    if ints is None or ints[0] is not table:
-        ints = (table, tuple(table.intern(w) for w in pi.weights)) + _common_denominator(pi.breaks)
-        object.__setattr__(pi, "_ints", ints)
-    return ints
-
-
-def _h_values(column, ids, nums) -> List[int]:
-    """Numerators over D of h_i at the breaks, given the pairings column[id]."""
-    hs = [0]
-    for k, w in enumerate(ids):
-        hs.append(hs[-1] + (nums[k + 1] - nums[k]) * column[w])
-    return hs
+def _integer_form(ctx: WeightContext, pi: GLSPath):
+    """(orbit table, weight ids in it, break numerators over D) of pi."""
+    table = ctx.orbit_table
+    if pi._ids is None or pi._ids[0] is not table:
+        object.__setattr__(pi, "_ids", (table, tuple(table.intern(w) for w in pi.weights)))
+    return table, pi._ids[1], pi._nums
 
 
 def _h_profile(ctx: WeightContext, i: int, pi: GLSPath):
@@ -123,8 +122,10 @@ def _h_profile(ctx: WeightContext, i: int, pi: GLSPath):
     the minimal level of h_i, which must be an integer."""
     if not 1 <= i <= ctx.matrix.n:
         raise ValueError(f"index {i} out of range")
-    table, ids, den, nums = _integer_form(ctx.orbit_table, pi)
-    hs = _h_values(table.pairings[i], ids, nums)
+    table, ids, nums = _integer_form(ctx, pi)
+    den = nums[-1]
+    column = table.pairings[i]
+    hs = [0, *accumulate((b - a) * column[w] for a, b, w in zip(nums, nums[1:], ids))]
     if min(hs) % den:
         raise NotAGLSPath("path is not integral; not a GLS path")
     return table, ids, den, nums, hs, min(hs) // den
@@ -132,29 +133,43 @@ def _h_profile(ctx: WeightContext, i: int, pi: GLSPath):
 
 def _reflected(shape: Weight, table: OrbitTable, i: int, ids, den: int, nums,
                u, v, inverse: bool = False) -> GLSPath:
-    """The path with r_i (r_i^{-1} if inverse) applied to its weights on
-    [u, v] (times in units of 1/D, which become breaks), with zero-length
-    segments dropped, equal neighbours merged and D reduced."""
+    """The path with r_i (r_i^{-1} if inverse) applied on [u, v] (times in
+    units of 1/D, which become breaks), with equal neighbours merged."""
     q = lcm(u.denominator, v.denominator)
-    den, u, v = den * q, int(u * q), int(v * q)
+    u, v = u.numerator * (q // u.denominator), v.numerator * (q // v.denominator)
+    ends, ids = [b * q for b in nums[1:]], list(ids)
+    for t in (u, v):  # cut the segment that holds t in its interior
+        k = bisect_left(ends, t)
+        if 0 < t < ends[k]:
+            ends.insert(k, t)
+            ids.insert(k, ids[k])
+    lo, hi = bisect_right(ends, u), bisect_right(ends, v)
+    ids[lo:hi] = [table.reflect(i, w, inverse) for w in ids[lo:hi]]
     out_ids, out_nums = [], [0]
-    for k, w in enumerate(ids):
-        a, b = nums[k] * q, nums[k + 1] * q
-        for lo, hi, inside in ((a, min(b, u), False), (max(a, u), min(b, v), True),
-                               (max(a, v), b, False)):
-            if lo >= hi:
-                continue
-            x = table.reflect(i, w, inverse) if inside else w
-            if out_ids and out_ids[-1] == x:
-                out_nums[-1] = hi
-            else:
-                out_ids.append(x)
-                out_nums.append(hi)
-    g = gcd(den, *out_nums)
-    den, out_nums = den // g, tuple(a // g for a in out_nums)
-    pi = GLSPath(shape, tuple(table.weights[k] for k in out_ids),
-                 tuple(Fraction(a, den) for a in out_nums))
-    object.__setattr__(pi, "_ints", (table, tuple(out_ids), den, out_nums))
+    for w, t in zip(ids, ends):
+        if out_ids and out_ids[-1] == w:
+            out_nums[-1] = t
+        else:
+            out_ids.append(w)
+            out_nums.append(t)
+    return _from_integer_form(shape, table, out_ids, den * q, out_nums)
+
+
+def _from_integer_form(shape: Weight, table: OrbitTable, ids, den: int, nums) -> GLSPath:
+    """The path with weights table.weights[ids] and breaks nums / den, made
+    without the Fraction checks of the constructor: the same invariants are
+    checked on the ints, and den is reduced to the least common denominator."""
+    if (len(nums) != len(ids) + 1 or nums[0] != 0 or nums[-1] != den
+            or not all(map(lt, nums, nums[1:])) or any(map(eq, ids, ids[1:]))):
+        raise InvariantViolation(f"integer path data breaks an invariant: {ids}, {nums} / {den}")
+    g = gcd(*nums)
+    den, nums = den // g, tuple(a // g for a in nums)
+    pi = object.__new__(GLSPath)
+    for name, value in zip(GLSPath.__slots__, (
+            shape, tuple(map(table.weights.__getitem__, ids)),
+            tuple(map(Fraction, nums, repeat(den))), nums, (table, tuple(ids)), None),
+                           strict=True):
+        object.__setattr__(pi, name, value)
     return pi
 
 
@@ -212,9 +227,10 @@ def gls_epsilon(ctx: WeightContext, i: int, pi: GLSPath):
 
 def _weight_and_pairings(ctx: WeightContext, pi: GLSPath):
     """The weight of pi and its pairings h_i(1), summed over the orbit table."""
-    table, ids, den, nums = _integer_form(ctx.orbit_table, pi)
-    return pi.weight(), tuple(exact(Fraction(_h_values(table.pairings[i], ids, nums)[-1], den))
-                              for i in ctx.matrix.indices)
+    table, ids, nums = _integer_form(ctx, pi)
+    steps = [b - a for a, b in zip(nums, nums[1:])]
+    return pi.weight(), tuple(_over(sum(s * column[w] for s, w in zip(steps, ids)), nums[-1])
+                              for column in table.pairings[1:])
 
 
 @dataclass(frozen=True)
@@ -304,15 +320,16 @@ def build_crystal_graph(ctx: WeightContext, root_element, depth: int,
                         eps_func: Callable, key_func: Callable) -> CrystalGraph:
     """Breadth-first f-closure; each f-step raises the weight depth by one,
     so BFS layers coincide with depth layers.  Elements are numbered as
-    found; the result is ordered by (depth, key), so the order in which a
-    layer is expanded does not matter.
+    found and merged by equality, which inside one graph agrees with
+    equality of keys; the result is ordered by (depth, key), so the order in
+    which a layer is expanded does not matter.
 
     ``wt_func(ctx, el)`` returns the weight of el with its pairings
     alpha_i^vee(wt), i = 1..n, and ``eps_func(ctx, i, el)`` returns
     epsilon_i; phi_i is epsilon_i plus the i-th pairing."""
     n = ctx.matrix.n
-    elements, keys, depths = [root_element], [key_func(root_element)], [0]
-    found = {keys[0]: 0}
+    elements, depths = [root_element], [0]
+    found = {root_element: 0}
     edges: Dict[Tuple[int, int], int] = {}
     layer = [0]
     for level in range(1, depth + 1):
@@ -322,17 +339,16 @@ def build_crystal_graph(ctx: WeightContext, root_element, depth: int,
                 child = f_func(ctx, i, elements[src])
                 if child is None:
                     continue
-                key = key_func(child)
-                dst = found.setdefault(key, len(elements))
+                dst = found.setdefault(child, len(elements))
                 if dst == len(elements):
                     elements.append(child)
-                    keys.append(key)
                     depths.append(level)
                     nxt.append(dst)
                 edges[(src, i)] = dst
         if not nxt:
             break
         layer = nxt
+    keys = [key_func(el) for el in elements]
     order = sorted(range(len(elements)), key=lambda k: (depths[k], keys[k]))
     position = [0] * len(order)
     nodes = []

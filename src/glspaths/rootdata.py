@@ -14,7 +14,7 @@ float.  Division of such data goes through ``Fraction(p, q)``.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -133,27 +133,29 @@ def validate_matrix(entries: Sequence[Sequence[int]],
     return BorcherdsCartanMatrix(n, tuple(rows), frozenset(real), frozenset(imaginary))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weight:
     """Sparse exact weight: base coefficients plus simple-root coefficients.
 
     Canonical form (sorted items, zeros dropped, coefficients as ``exact``
     gives them) makes structural equality agree with mathematical equality
-    on the represented span.
+    on the represented span.  The hash is cached on first use.
     """
 
     base_items: Tuple[Tuple[str, Rational], ...] = ()
     root_items: Tuple[Tuple[int, Rational], ...] = ()
+    _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
-    @property
-    def roots(self) -> Dict[int, Rational]:
-        return dict(self.root_items)
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.base_items, self.root_items)))
+        return self._hash
 
     def is_zero(self) -> bool:
         return not self.base_items and not self.root_items
 
     def root_vector(self, n: int) -> Tuple[Rational, ...]:
-        d = self.roots
+        d = dict(self.root_items)
         return tuple(d.get(i, 0) for i in range(1, n + 1))
 
     def root_height(self) -> Rational:
@@ -365,7 +367,11 @@ class OrbitTable:
             c, entry = self.pairings[i][k], matrix.entry
             c = Fraction(c, 1 - entry(i, i)) if inverse else -c
             pairings = [exact(self.pairings[j][k] + c * entry(j, i)) for j in matrix.indices]
-            image = images[k] = self.intern(self.weights[k] + c * alpha(i), pairings)
+            w = self.weights[k]  # change only the alpha_i coefficient
+            roots = dict(w.root_items)
+            roots[i] = exact(roots.get(i, 0) + c)
+            image = images[k] = self.intern(Weight(w.base_items, tuple(sorted(
+                x for x in roots.items() if x[1]))), pairings)
         return image
 
 
@@ -469,9 +475,8 @@ def load_context(path: str, imaginary_diag_zero_allowed: bool = True,
 
 def offset_vector(higher: Weight, lower: Weight, n: int) -> Tuple[Rational, ...]:
     """Coefficients c with higher - lower = sum c_i alpha_i; bases must cancel."""
-    diff = higher - lower
-    if diff.base_items:
-        raise ValueError(f"weights differ in base part: {format_weight(diff)}")
-    return diff.root_vector(n)
+    if higher.base_items != lower.base_items:
+        raise ValueError(f"weights differ in base part: {format_weight(higher - lower)}")
+    return tuple(exact(a - b) for a, b in zip(higher.root_vector(n), lower.root_vector(n)))
 
 

@@ -11,13 +11,14 @@ from glspaths import (NEG_INF, BJWord, DepthMismatch, ElementaryElement,
                       hw_crystal_isomorphic, tensor_e, tensor_f,
                       validate_axioms, validate_category_B,
                       validate_normality, weight)
+from glspaths import checks
 from glspaths.checks import (TWO_IMAGINARY, check_ambient_axioms,
                              check_bj_properties, check_binfty_stability,
                              check_concatenation_tensor_compat,
                              check_embedding_theorem, check_tensor_closure,
                              fixture_context)
-from glspaths.crystals import (element_e, element_epsilon, element_f, element_phi,
-                               element_wt)
+from glspaths.crystals import (element_e, element_epsilon, element_f, element_key,
+                               element_phi, element_wt)
 
 
 def test_neg_inf_sentinel():
@@ -215,3 +216,37 @@ def test_isomorphism_rank_three():
     pair = TensorElement(GLSPath.linear(lam), GLSPath.linear(mu))
     assert hw_crystal_isomorphic(generate_from(ctx, pair, 3),
                                  enumerate_crystal(ctx, lam + mu, 3))
+
+
+def test_bj_weight_is_the_per_place_sum():
+    # on every node of the binf graph of two_imaginary at depth 7, the weight
+    # summed as one root vector is the sum over places of -m_k alpha_{i_k}
+    ctx, _ = fixture_context(TWO_IMAGINARY)
+    graph = generate_from(ctx, bj_word(GeneratorSequence(3, (), (1, 2, 3)), []), 7)
+    assert len(graph) == 824
+    for node in graph.nodes:
+        word = node.element
+        expected = weight()
+        for k, m in enumerate(word.ms, start=1):
+            expected = expected - m * alpha(word.seq.index_at(k))
+        assert element_wt(ctx, word) == expected == node.wt
+
+
+def test_element_key_is_injective_on_the_suite_graphs(monkeypatch):
+    # the closure merges elements by equality and names nodes by key, so on
+    # every graph the suite generates, distinct nodes need distinct keys
+    graphs = []
+
+    def recording(ctx, element, depth):
+        graphs.append(generate_from(ctx, element, depth))
+        return graphs[-1]
+
+    monkeypatch.setattr(checks, "generate_from", recording)
+    assert all(not violations for _, violations in checks.run_suite(seed=0))
+    kinds = {type(graph.root.element).__name__ for graph in graphs}
+    assert {"TensorElement", "BJWord", "PathElement"} <= kinds
+    for graph in graphs:
+        keys = [element_key(node.element) for node in graph.nodes]
+        assert keys == [node.key for node in graph.nodes]
+        assert len(set(keys)) == len(keys)
+        assert all(graph.index[key] == k for k, key in enumerate(keys))

@@ -6,6 +6,7 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glspaths import (AsymmetricZero, AxisViolation, MatrixError,
                       MatrixFormatError, alpha, context_with_base,
@@ -15,7 +16,7 @@ from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_coroot_signs,
                              check_reflections, fixture_context)
 from glspaths.gls import enumerate_crystal, gls_e
 from glspaths.torbit import dist
-from glspaths.rootdata import UnknownBase, WeightContext
+from glspaths.rootdata import UnknownBase, WeightContext, offset_vector
 
 
 def test_validate_real_rank_one():
@@ -199,8 +200,36 @@ def test_orbit_table_images_are_the_reflections():
                 for k, image in table._images[n + i if inverse else i].items():
                     w = table.weights[image]
                     assert w == reflect(i, table.weights[k])
+                    assert hash(w) == hash(reflect(i, table.weights[k]))
                     for j in ctx.matrix.indices:
                         p = table.pairings[j][image]
                         assert p == ctx.pairing(j, w) and type(p) is type(ctx.pairing(j, w))
                     checked += 1
     assert checked > 300
+
+
+COEFFICIENTS = st.one_of(st.integers(-4, 4),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=4))
+BASES = st.dictionaries(st.sampled_from(["lambda", "mu", "rho"]), COEFFICIENTS, max_size=3)
+ROOTS = st.dictionaries(st.integers(1, 3), COEFFICIENTS, max_size=3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(BASES, BASES, ROOTS, ROOTS)
+def test_offset_vector_is_the_root_vector_of_the_difference(b1, b2, r1, r2):
+    higher, same_base, lower = weight(b1, r1), weight(b1, r2), weight(b2, r2)
+    expected = (higher - same_base).root_vector(3)
+    got = offset_vector(higher, same_base, 3)
+    assert got == expected and [type(c) for c in got] == [type(c) for c in expected]
+    if higher.base_items != lower.base_items:
+        with pytest.raises(ValueError):
+            offset_vector(higher, lower, 3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(BASES, ROOTS, BASES, ROOTS)
+def test_weight_hash_agrees_across_constructions(b1, r1, b2, r2):
+    w, x = weight(b1, r1), weight(b2, r2)
+    for other in ((w - x) + x, (w + x) - x, -(-w), 1 * w,
+                  weight(dict(w.base_items), dict(w.root_items))):
+        assert other == w and hash(other) == hash(w)
