@@ -136,8 +136,8 @@ def path_to_text(pi: PiecewisePath) -> str:
 #
 # All helpers work on parallel lists ts/hs of breakpoint times and values;
 # between breakpoints the function is linear.  Solutions of h = target are
-# computed by exact linear solves, never by tolerance, on Fractions or on
-# ints (numerators over a common denominator) alike.
+# one exact Fraction(numerator, denominator) each, never found by tolerance,
+# on Fractions or ints (numerators over a common denominator) alike.
 
 
 def last_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
@@ -150,12 +150,11 @@ def last_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
         if t0 >= hi:
             continue
         if t1 > hi:
-            h1 = h0 + Fraction((h1 - h0) * (hi - t0)) / (t1 - t0)
-            t1 = hi
+            h1, t1 = Fraction(h0 * (t1 - t0) + (h1 - h0) * (hi - t0), t1 - t0), hi
         if h1 == target:
             return t1
         if (h0 - target) * (h1 - target) < 0:
-            return t0 + Fraction((target - h0) * (t1 - t0)) / (h1 - h0)
+            return Fraction(t0 * (h1 - h0) + (target - h0) * (t1 - t0), h1 - h0)
         if h0 == target:
             return t0
     return None
@@ -170,12 +169,11 @@ def first_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
         if t1 < start:
             continue
         if t0 < start:
-            h0 = h0 + Fraction((h1 - h0) * (start - t0)) / (t1 - t0)
-            t0 = start
+            h0, t0 = Fraction(h0 * (t1 - t0) + (h1 - h0) * (start - t0), t1 - t0), start
         if h0 == target:
             return t0
         if (h0 - target) * (h1 - target) < 0:
-            return t0 + Fraction((target - h0) * (t1 - t0)) / (h1 - h0)
+            return Fraction(t0 * (h1 - h0) + (target - h0) * (t1 - t0), h1 - h0)
         if h1 == target:
             return t1
     return None

@@ -181,11 +181,17 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot
 
     BFS applies real reflections to the simple roots, discarding anything
     that leaves the positive cone.  Revisiting a root must reproduce the
-    same coroot (well-definedness of beta^vee), which is checked.  The
-    result is kept per bound in the context's orbit table.
+    same coroot (well-definedness of beta^vee), checked on every build.  The
+    sets are nested and kept per bound in the context's orbit table, sorted by
+    (height, sort key): the BFS runs only for a bound above all bounds built,
+    and a smaller bound gets the height <= bound prefix of a larger tuple.
     """
     cache = ctx.orbit_table.roots
     if height_bound in cache:
+        return cache[height_bound]
+    built = [roots for b, roots in cache.items() if b > height_bound]
+    if built:
+        cache[height_bound] = tuple(r for r in min(built, key=len) if r.height() <= height_bound)
         return cache[height_bound]
     n = ctx.matrix.n
     names = ctx.base_names
@@ -318,8 +324,17 @@ def find_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight,
     step must be a covering (dist 1) and satisfy the integrality condition
     at level a; failures are memoized per intermediate weight.  The roots
     and the covering tests come from the context's caches (see dist).
+    Results, None too, are kept per raw (a, mu, nu, height_bound) in the orbit
+    table's ``chains``; callers share each frozen AChain.  Raises are not kept.
     """
-    a = Fraction(a)
+    chains, key = ctx.orbit_table.chains, (a, mu, nu, height_bound)
+    if (chain := chains.get(key, key)) is key:  # the key itself marks a miss
+        chain = chains[key] = _search_a_chain(ctx, Fraction(a), mu, nu, height_bound)
+    return chain
+
+
+def _search_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight,
+                    height_bound: Optional[int]) -> Optional[AChain]:
     if not 0 < a <= 1:
         raise ValueError(f"chain level must lie in (0,1], got {a}")
     if mu == nu:

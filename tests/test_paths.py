@@ -12,8 +12,8 @@ from glspaths import (GLSPath, alpha, apply_e, apply_f, concatenate,
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY,
                              check_inversion_and_weight_shift,
                              check_operator_iteration, fixture_context)
-from glspaths.paths import (PiecewisePath, _three_zone, max_value_on, min_value_on,
-                            path_to_text)
+from glspaths.paths import (PiecewisePath, _three_zone, first_time_at, last_time_at,
+                            max_value_on, min_value_on, path_to_text)
 from glspaths.rootdata import InvariantViolation
 
 
@@ -209,6 +209,75 @@ def test_extrema_agree_with_the_per_segment_form(data):
     ts, hs, lo, hi = data
     assert min_value_on(ts, hs, lo, hi) == per_segment_min(ts, hs, lo, hi)
     assert max_value_on(ts, hs, lo, hi) == -per_segment_min(ts, [-h for h in hs], lo, hi)
+
+
+def three_step_last_time_at(ts, hs, target, upto=None):
+    """last_time_at with each crossing interpolated by three Fraction steps."""
+    hi = ts[-1] if upto is None else upto
+    for k in range(len(ts) - 1, 0, -1):
+        t0, t1 = ts[k - 1], ts[k]
+        h0, h1 = hs[k - 1], hs[k]
+        if t0 >= hi:
+            continue
+        if t1 > hi:
+            h1 = h0 + F((h1 - h0) * (hi - t0)) / (t1 - t0)
+            t1 = hi
+        if h1 == target:
+            return t1
+        if (h0 - target) * (h1 - target) < 0:
+            return t0 + F((target - h0) * (t1 - t0)) / (h1 - h0)
+        if h0 == target:
+            return t0
+    return None
+
+
+def three_step_first_time_at(ts, hs, target, start):
+    """first_time_at with each crossing interpolated by three Fraction steps."""
+    for k in range(1, len(ts)):
+        t0, t1 = ts[k - 1], ts[k]
+        h0, h1 = hs[k - 1], hs[k]
+        if t1 < start:
+            continue
+        if t0 < start:
+            h0 = h0 + F((h1 - h0) * (start - t0)) / (t1 - t0)
+            t0 = start
+        if h0 == target:
+            return t0
+        if (h0 - target) * (h1 - target) < 0:
+            return t0 + F((target - h0) * (t1 - t0)) / (h1 - h0)
+        if h1 == target:
+            return t1
+    return None
+
+
+@st.composite
+def profiles_and_levels(draw):
+    """(ts, hs, target, place): all ints, as the integer kernel passes them
+    (numerators over a common denominator), or Fractions and ints mixed."""
+    if draw(st.booleans()):
+        ts = sorted(set(draw(st.lists(st.integers(1, 23), max_size=6))) | {0, 24})
+        values = st.integers(-30, 30)
+        places = st.one_of(st.sampled_from(ts), st.integers(0, 24))
+    else:
+        ts = sorted(set(draw(st.lists(rationals(0, 1, 12), max_size=6))) | {F(0), F(1)})
+        values = st.one_of(st.integers(-4, 4), rationals(-5, 5, 6))
+        places = st.one_of(st.sampled_from(ts), rationals(0, 1, 35))
+    hs = draw(st.lists(values, min_size=len(ts), max_size=len(ts)))
+    target = draw(st.one_of(st.sampled_from(hs), values))
+    return ts, hs, target, draw(places)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(profiles_and_levels())
+def test_crossings_agree_with_the_three_step_form(data):
+    ts, hs, target, place = data
+    for got, want in ((last_time_at(ts, hs, target), three_step_last_time_at(ts, hs, target)),
+                      (last_time_at(ts, hs, target, place),
+                       three_step_last_time_at(ts, hs, target, place)),
+                      (first_time_at(ts, hs, target, place),
+                       three_step_first_time_at(ts, hs, target, place))):
+        # a crossing is a Fraction; a breakpoint or the clip point keeps its type
+        assert got == want and type(got) is type(want)
 
 
 def weight_collinear_kept(pts):

@@ -7,6 +7,7 @@ import pytest
 from glspaths import (alpha, apply_word, context_with_base, dist,
                       find_a_chain, minimal_words, orbit, positive_wpi_roots,
                       reduced_word_search, weight)
+from glspaths import gls
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_dist_lemmas,
                              check_orbit_properties, fixture_context)
 
@@ -166,3 +167,68 @@ def test_dist_lemmas_suite():
     for entries, pairings in ([[-1]], [2]), ([[2, -1], [-1, -2]], [1, 1]):
         ctx, lam = context_with_base(entries, pairings)
         assert check_dist_lemmas(ctx, lam, depth=6) == []
+
+
+# rank 3, a_12 a_23 a_31 != a_21 a_32 a_13; the second has an infinite Weyl group
+NON_SYMMETRIZABLE = ([[2, -1, -1], [-2, 2, -1], [-1, -1, -2]],
+                     [[2, -2, -1], [-3, 2, -1], [-1, -2, -2]])
+
+
+def test_root_tuples_do_not_depend_on_request_order():
+    # ascending requests build every bound; descending ones build 12 and slice the rest
+    matrices = [fx[1] for fx in FIXTURES + (TWO_IMAGINARY,)] + list(NON_SYMMETRIZABLE)
+    for entries in matrices:
+        up = context_with_base(entries, [1] * len(entries))[0]
+        down = context_with_base(entries, [1] * len(entries))[0]
+        ascending = [positive_wpi_roots(up, b) for b in range(13)]
+        descending = [positive_wpi_roots(down, b) for b in reversed(range(13))][::-1]
+        assert ascending == descending, entries
+
+
+def test_chain_memo_keys_on_the_height_bound():
+    # the chain from lambda - a1 down to lambda - 2 a1 - a2 needs a root of height 2
+    fx = FIXTURES[5]
+    assert fx[0] == "mixed_rank2"
+    _, lam = fixture_context(fx)
+    calls = [(F(1), lam - 2 * alpha(1) - alpha(2), lam - alpha(1), b) for b in (1, None)]
+    fresh = [find_a_chain(fixture_context(fx)[0], *args) for args in calls]
+    assert fresh[0] is None and fresh[1] is not None
+    for order in (calls, calls[::-1]):
+        ctx = fixture_context(fx)[0]
+        got = {args[3]: find_a_chain(ctx, *args) for args in order}
+        assert [got[1], got[None]] == fresh
+
+
+def test_chain_memo_does_not_keep_a_rejected_level():
+    ctx, lam = ctx1()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            find_a_chain(ctx, F(3, 2), lam - 2 * alpha(1), lam)
+    assert not ctx.orbit_table.chains
+
+
+def test_chain_memo_serves_int_and_fraction_levels_alike():
+    c3, l3 = ctx3()
+    mu = l3 - 2 * alpha(1) - alpha(2)
+    for levels in ((1, F(1)), (F(1), 1)):
+        ctx = ctx3()[0]
+        chains = [find_a_chain(ctx, a, mu, l3) for a in levels]
+        assert chains[0] == chains[1] == find_a_chain(c3, F(1), mu, l3)
+        assert all(type(chain.level) is F for chain in chains)
+
+
+def test_chain_memo_holds_one_entry_per_distinct_call(monkeypatch):
+    seen = set()
+
+    def recording(ctx, a, mu, nu, height_bound=None):
+        seen.add((a, mu, nu, height_bound))
+        return find_a_chain(ctx, a, mu, nu, height_bound)
+
+    monkeypatch.setattr(gls, "find_a_chain", recording)
+    ctx, lam = fixture_context(FIXTURES[5])
+    graph = gls.enumerate_crystal(ctx, lam, 9)
+    assert all(gls.verify_gls(ctx, node.element) for node in graph.nodes)
+    for node in graph.nodes:
+        for i in ctx.matrix.indices:
+            gls.gls_e(ctx, i, node.element)
+    assert len(ctx.orbit_table.chains) == len(seen) == 189
