@@ -2,28 +2,35 @@
 
 A path is a finite list of (t, value) points with exact rational t,
 interpolated linearly; pi(0) = 0 and pi(1) is its weight.  The operators
-cut the path at exact solutions of h_i(t) = alpha_i^vee(pi(t)) hitting
-integer levels and reflect or translate the middle zone.  This module is
-the brute-force counterpart to the closed forms acting on GLS data.
+cut the path at exact solutions u < v of h_i(t) = alpha_i^vee(pi(t)) hitting
+integer levels, reflect the middle zone [u, v] about pi(u) and translate
+[v, 1] by +-alpha_i.  A reflection moves only the alpha_i coefficient:
+r_i maps pi(t) to pi(t) - (h_i(t) - h_i(u)) alpha_i (Littelmann, Ann. Math.
+142, 1995, section 1), r_i^{-1} (i imaginary) to pi(t) + (h_i(t) - h_i(u)) /
+(1 - a_ii) alpha_i, so the operators rebuild a path from its h-values.  On
+rootdata weights alone, without orbit tables, this module is the
+brute-force counterpart to the closed forms acting on GLS data.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .rootdata import (InvariantViolation, Weight, WeightContext, alpha,
+from .rootdata import (InvariantViolation, Rational, Weight, WeightContext, add_root,
                        format_weight, weight)
 
 
 @dataclass(frozen=True)
 class PiecewisePath:
-    """Exact path; points are normalized so equal functions compare equal."""
+    """Exact path; points are normalized so equal functions compare equal.
+    ``_f_memo`` keeps the result of ``_f_data`` per (context, index)."""
 
     points: Tuple[Tuple[Fraction, Weight], ...]
+    _f_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @staticmethod
     def from_points(pts: Sequence[Tuple[Fraction, Weight]]) -> "PiecewisePath":
@@ -43,18 +50,10 @@ class PiecewisePath:
             raise ValueError("parameters must increase strictly")
         if not cleaned[0][1].is_zero():
             raise ValueError("paths start at 0")
-        # Drop interior points on the segment through their neighbours, coordinatewise.
         out = [cleaned[0]]
         for k in range(1, len(cleaned) - 1):
-            t0, v0 = out[-1]
-            t1, v1 = cleaned[k]
-            t2, v2 = cleaned[k + 1]
-            c0, c1, c2 = (dict(v.base_items + v.root_items) for v in (v0, v1, v2))
-            d1, d0 = t2 - t1, t1 - t0
-            if all((c1.get(x, 0) - c0.get(x, 0)) * d1 == (c2.get(x, 0) - c1.get(x, 0)) * d0
-                   for x in c0.keys() | c1.keys() | c2.keys()):
-                continue
-            out.append(cleaned[k])
+            if not _collinear(out[-1], cleaned[k], cleaned[k + 1]):
+                out.append(cleaned[k])
         out.append(cleaned[-1])
         return PiecewisePath(tuple(out))
 
@@ -66,17 +65,7 @@ class PiecewisePath:
         t = Fraction(t)
         if not 0 <= t <= 1:
             raise ValueError(f"parameter {t} outside [0, 1]")
-        pts = self.points
-        for k in range(len(pts) - 1):
-            t0, v0 = pts[k]
-            t1, v1 = pts[k + 1]
-            if t <= t1:
-                if t == t0:
-                    return v0
-                if t == t1:
-                    return v1
-                return v0 + (v1 - v0) * ((t - t0) / (t1 - t0))
-        return pts[-1][1]
+        return _value_at(*zip(*self.points), t)
 
     def trace(self) -> Tuple[Weight, ...]:
         """Corner values up to reparametrization: stalls dropped, co-directional
@@ -94,6 +83,16 @@ class PiecewisePath:
         if len(corners) == 1:
             corners.append(corners[0])
         return tuple(corners)
+
+
+def _collinear(p0, p1, p2) -> bool:
+    """Whether the point p1 = (t1, v1) lies on the segment from p0 to p2 at
+    its speed, compared coordinatewise: then p1 is no corner."""
+    (t0, v0), (t1, v1), (t2, v2) = p0, p1, p2
+    c0, c1, c2 = (dict(v.base_items + v.root_items) for v in (v0, v1, v2))
+    d1, d0 = t2 - t1, t1 - t0
+    return all((c1.get(x, 0) - c0.get(x, 0)) * d1 == (c2.get(x, 0) - c1.get(x, 0)) * d0
+               for x in c0.keys() | c1.keys() | c2.keys())
 
 
 def _positively_parallel(d1: Weight, d2: Weight) -> bool:
@@ -179,12 +178,13 @@ def first_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
     return None
 
 
-def _value_at(ts: Sequence[Fraction], hs: Sequence[Fraction], t: Fraction) -> Fraction:
-    """h(t) for ts[0] <= t <= ts[-1]."""
+def _value_at(ts: Sequence[Fraction], vs: Sequence, t: Fraction):
+    """The value at t, ts[0] <= t <= ts[-1], of the function that is linear
+    between the breakpoints ts; its values vs are numbers or weights."""
     k = bisect_left(ts, t)
     if ts[k] == t:
-        return hs[k]
-    return hs[k - 1] + Fraction((hs[k] - hs[k - 1]) * (t - ts[k - 1])) / (ts[k] - ts[k - 1])
+        return vs[k]
+    return vs[k - 1] + (vs[k] - vs[k - 1]) * Fraction(t - ts[k - 1], ts[k] - ts[k - 1])
 
 
 def _values_on(ts, hs, lo, hi) -> list:
@@ -233,13 +233,18 @@ class HProfile:
 
 def _f_data(ctx: WeightContext, i: int, pi: PiecewisePath):
     """(ts, hs, m, f_plus, f_minus): the breakpoint times of pi, the values of
-    h_i there, and the f-arguments; the e-data is left to h_profile."""
-    ts, hs = [t for t, _ in pi.points], [ctx.pairing(i, v) for _, v in pi.points]
-    m = math.ceil(min(hs))
-    f_plus = last_time_at(ts, hs, m)
-    if m > 0 or f_plus is None:  # h(0) = 0, so the level m <= 0 is reached
-        raise InvariantViolation(f"h_{i} never reaches its minimal level {m}")
-    return ts, hs, m, f_plus, None if f_plus == 1 else first_time_at(ts, hs, m + 1, f_plus)
+    h_i there (both tuples), and the f-arguments; the e-data is left to
+    h_profile.  Kept on pi per (ctx, i)."""
+    data = pi._f_memo.get((ctx, i))
+    if data is None:
+        ts, hs = tuple(t for t, _ in pi.points), tuple(ctx.pairing(i, v) for _, v in pi.points)
+        m = math.ceil(min(hs))
+        f_plus = last_time_at(ts, hs, m)
+        if m > 0 or f_plus is None:  # h(0) = 0, so the level m <= 0 is reached
+            raise InvariantViolation(f"h_{i} never reaches its minimal level {m}")
+        data = pi._f_memo[ctx, i] = (ts, hs, m, f_plus,
+                                     None if f_plus == 1 else first_time_at(ts, hs, m + 1, f_plus))
+    return data
 
 
 def h_profile(ctx: WeightContext, i: int, pi: PiecewisePath) -> HProfile:
@@ -261,48 +266,47 @@ def h_profile(ctx: WeightContext, i: int, pi: PiecewisePath) -> HProfile:
     return HProfile(i, tuple(zip(ts, hs)), m, f_plus, f_minus, e_plus, e_minus, e_defined)
 
 
-def _three_zone(pi: PiecewisePath, u: Fraction, v: Fraction,
-                middle: Callable[[Weight], Weight], shift: Weight) -> PiecewisePath:
-    """Rebuild a path: unchanged on [0,u], middle map relative to pi(u) on
-    [u,v], translated by shift on [v,1]."""
-    base = pi.value_at(u)
-    pts: List[Tuple[Fraction, Weight]] = []
-    for t, val in pi.points:
-        if t < u:
-            pts.append((t, val))
-    pts.append((u, base))
-    for t, val in pi.points:
-        if u < t < v:
-            pts.append((t, base + middle(val - base)))
-    mid_end = base + middle(pi.value_at(v) - base)
-    if mid_end != pi.value_at(v) + shift:
+def _three_zone(pi: PiecewisePath, ts: Sequence[Fraction], hs: Sequence[Rational], i: int,
+                u: Fraction, v: Fraction, scale: Rational, shift: int) -> PiecewisePath:
+    """Rebuild pi, with h_i = hs at its breakpoint times ts: unchanged on
+    [0,u]; on [u,v] each pi(t) moved by scale (h_i(t) - h_i(u)) alpha_i, that
+    is r_i about pi(u) for scale -1 and r_i^{-1} for 1/(1 - a_ii); shifted by
+    shift alpha_i on [v,1].  An affine map of a zone keeps the corners
+    inside it, so only the points at u and v are tested for a corner."""
+    pts, hu = pi.points, _value_at(ts, hs, u)
+    if scale * (_value_at(ts, hs, v) - hu) != shift:
         raise InvariantViolation("zone junction mismatch")
-    pts.append((v, mid_end))
-    for t, val in pi.points:
-        if t > v:
-            pts.append((t, val + shift))
-    return PiecewisePath.from_points(pts)
+    lo, hi = bisect_left(ts, u), bisect_left(ts, v)
+    tail = [(t, add_root(w, i, shift)) for t, w in pts[bisect_right(ts, v):]]
+    out = [*pts[:lo], (u, pi.value_at(u)),
+           *((t, add_root(w, i, scale * (h - hu)))
+             for (t, w), h in zip(pts[lo:hi], hs[lo:hi]) if t > u),
+           (v, add_root(pi.value_at(v), i, shift)), *tail]
+    for k in (len(out) - len(tail) - 1, lo):  # the points at v and at u, in this order
+        if 0 < k < len(out) - 1 and _collinear(out[k - 1], out[k], out[k + 1]):
+            del out[k]
+    return PiecewisePath(tuple(out))
 
 
 def apply_f(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[PiecewisePath]:
-    """Lowering operator: reflect between f_plus and f_minus, then shift by
-    -alpha_i; absent exactly when h_i never leaves its minimum after f_plus."""
-    *_, f_plus, f_minus = _f_data(ctx, i, pi)
+    """Lowering operator: reflect by r_i between f_plus and f_minus, then
+    shift by -alpha_i; absent exactly when h_i never leaves its minimum
+    after f_plus."""
+    ts, hs, _, f_plus, f_minus = _f_data(ctx, i, pi)
     if f_plus == 1:
         return None
-    return _three_zone(pi, f_plus, f_minus, lambda w: ctx.reflect(i, w), -alpha(i))
+    return _three_zone(pi, ts, hs, i, f_plus, f_minus, -1, -1)
 
 
 def apply_e(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[PiecewisePath]:
-    """Raising operator; the imaginary case undoes a reflection with r_i^{-1}."""
+    """Raising operator: reflect between e_minus and e_plus, by r_i for a real
+    index and by r_i^{-1} for an imaginary one, then shift by +alpha_i."""
     prof = h_profile(ctx, i, pi)
     if not prof.e_defined:
         return None
-    if ctx.matrix.is_real(i):
-        return _three_zone(pi, prof.e_minus, prof.e_plus,
-                           lambda w: ctx.reflect(i, w), alpha(i))
-    return _three_zone(pi, prof.e_minus, prof.e_plus,
-                       lambda w: ctx.reflect_inverse(i, w), alpha(i))
+    scale = -1 if ctx.matrix.is_real(i) else Fraction(1, 1 - ctx.matrix.entry(i, i))
+    ts, hs = _f_data(ctx, i, pi)[:2]
+    return _three_zone(pi, ts, hs, i, prof.e_minus, prof.e_plus, scale, 1)
 
 
 def concatenate(pi1: PiecewisePath, pi2: PiecewisePath, s: Fraction,
@@ -325,11 +329,7 @@ def concatenate(pi1: PiecewisePath, pi2: PiecewisePath, s: Fraction,
 
 def is_integral(ctx: WeightContext, pi: PiecewisePath) -> bool:
     """The global minimum of every h_i is an integer."""
-    for i in ctx.matrix.indices:
-        low = min(ctx.pairing(i, v) for _, v in pi.points)
-        if low.denominator != 1:
-            return False
-    return True
+    return all(min(_f_data(ctx, i, pi)[1]).denominator == 1 for i in ctx.matrix.indices)
 
 
 def is_monotone(ctx: WeightContext, pi: PiecewisePath, strict: bool = True) -> bool:

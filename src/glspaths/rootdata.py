@@ -207,6 +207,15 @@ def _combine(a: Weight, b: Weight, sign: int) -> Weight:
     return Weight(*parts)
 
 
+def add_root(w: Weight, i: int, c: Rational) -> Weight:
+    """w + c alpha_i: only the alpha_i coefficient changes."""
+    if not c:
+        return w
+    roots = dict(w.root_items)
+    roots[i] = exact(roots.get(i, 0) + c)
+    return Weight(w.base_items, tuple(sorted(x for x in roots.items() if x[1])))
+
+
 def alpha(i: int) -> Weight:
     """The simple root with index i."""
     return weight(roots={i: 1})
@@ -262,6 +271,10 @@ class WeightContext:
             flags[name] = inferred if declared is None else declared
         self.base_pairings = pairings
         self.integral_flags = flags
+        # per index i: base name -> its pairing with alpha_i^vee, root index j -> a_ij
+        self._columns = [None] + [{**{name: vec[i - 1] for name, vec in pairings.items()},
+                                   **{j: matrix.entry(i, j) for j in matrix.indices}}
+                                  for i in matrix.indices]
 
     # -- constructors ------------------------------------------------------
 
@@ -288,25 +301,24 @@ class WeightContext:
         """alpha_i^vee(w), extended linearly over bases and roots."""
         if not 1 <= i <= self.matrix.n:
             raise ValueError(f"index {i} out of range")
-        total = 0
+        column, total = self._columns[i], 0
         for name, c in w.base_items:
-            if name not in self.base_pairings:
+            if name not in column:
                 raise UnknownBase(name)
-            total += c * self.base_pairings[name][i - 1]
+            total += c * column[name]
         for j, c in w.root_items:
-            total += c * self.matrix.entry(i, j)
+            total += c * column[j]
         return exact(total)
 
     def reflect(self, i: int, w: Weight) -> Weight:
         """r_i(w) = w - alpha_i^vee(w) alpha_i."""
-        return w - self.pairing(i, w) * alpha(i)
+        return add_root(w, i, -self.pairing(i, w))
 
     def reflect_inverse(self, i: int, w: Weight) -> Weight:
         """Inverse of r_i for an imaginary index: w + alpha_i^vee(w)/(1-a_ii) alpha_i."""
         if not self.matrix.is_imaginary(i):
             raise ValueError(f"reflect_inverse requires an imaginary index, got {i}")
-        a = self.matrix.entry(i, i)
-        return w + Fraction(self.pairing(i, w), 1 - a) * alpha(i)
+        return add_root(w, i, Fraction(self.pairing(i, w), 1 - self.matrix.entry(i, i)))
 
     # -- membership predicates ----------------------------------------------
 
@@ -369,11 +381,7 @@ class OrbitTable:
             c, entry = self.pairings[i][k], matrix.entry
             c = Fraction(c, 1 - entry(i, i)) if inverse else -c
             pairings = [exact(self.pairings[j][k] + c * entry(j, i)) for j in matrix.indices]
-            w = self.weights[k]  # change only the alpha_i coefficient
-            roots = dict(w.root_items)
-            roots[i] = exact(roots.get(i, 0) + c)
-            image = images[k] = self.intern(Weight(w.base_items, tuple(sorted(
-                x for x in roots.items() if x[1]))), pairings)
+            image = images[k] = self.intern(add_root(self.weights[k], i, c), pairings)
         return image
 
 

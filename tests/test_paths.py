@@ -12,8 +12,8 @@ from glspaths import (GLSPath, alpha, apply_e, apply_f, concatenate,
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY,
                              check_inversion_and_weight_shift,
                              check_operator_iteration, fixture_context)
-from glspaths.paths import (PiecewisePath, _three_zone, first_time_at, last_time_at,
-                            max_value_on, min_value_on, path_to_text)
+from glspaths.paths import (PiecewisePath, _f_data, _three_zone, first_time_at,
+                            last_time_at, max_value_on, min_value_on, path_to_text)
 from glspaths.rootdata import InvariantViolation
 
 
@@ -162,10 +162,32 @@ def test_path_serialization():
 def test_three_zone_rejects_a_wrong_shift():
     ctx, lam = ctx2()
     path = linear_path(ctx, lam)
-    reflect = lambda w: ctx.reflect(1, w)
-    assert _three_zone(path, F(0), F(1, 2), reflect, -alpha(1)) == apply_f(ctx, 1, path)
+    ts, hs = _f_data(ctx, 1, path)[:2]
+    assert _three_zone(path, ts, hs, 1, F(0), F(1, 2), -1, -1) == apply_f(ctx, 1, path)
     with pytest.raises(InvariantViolation):
-        _three_zone(path, F(0), F(1, 2), reflect, alpha(1))
+        _three_zone(path, ts, hs, 1, F(0), F(1, 2), -1, 1)
+
+
+def test_f_data_is_kept_per_context_and_index():
+    ctx_a, lam = ctx2(p=2)
+    ctx_b, _ = ctx2(p=4)  # the same base weight lambda, paired differently
+    path = linear_path(ctx_a, lam)
+    twin = PiecewisePath(path.points)
+    assert h_profile(ctx_a, 1, path).breakpoints == ((0, 0), (1, 2))
+    assert h_profile(ctx_b, 1, path).breakpoints == ((0, 0), (1, 4))
+    assert h_profile(ctx_a, 1, path).breakpoints == ((0, 0), (1, 2))
+    assert set(path._f_memo) == {(ctx_a, 1), (ctx_b, 1)} and not twin._f_memo
+    assert _f_data(ctx_b, 1, path) is _f_data(ctx_b, 1, path)
+    assert apply_f(ctx_a, 1, path) == reference_apply(ctx_a, 1, twin, "f")
+    assert apply_f(ctx_b, 1, path) == reference_apply(ctx_b, 1, twin, "f")
+    assert apply_f(ctx_a, 1, path) != apply_f(ctx_b, 1, path)
+    # the memo is no part of the path's value
+    assert path == twin and hash(path) == hash(twin) and repr(path) == repr(twin)
+    assert len({path, twin}) == 1
+    ts, hs, *_ = _f_data(ctx_a, 1, path)
+    assert type(ts) is tuple and type(hs) is tuple
+    with pytest.raises(TypeError):
+        hs[0] = 1
 
 
 # -- the extrema and the collinearity test against their reference forms ----
@@ -310,25 +332,113 @@ def test_from_points_drops_exactly_the_collinear_points(steps):
     assert PiecewisePath.from_points(pts).points == weight_collinear_kept(pts)
 
 
-# -- the f-only route of apply_f ---------------------------------------------
+# -- the operators against the rebuild by whole weights ------------------------
 
-def test_apply_f_is_the_three_zone_rebuild_of_the_profile():
-    # every rendered node at depth 4 and, for imaginary i, four further
-    # lowerings of it (the paths the operator iteration check runs on)
-    checked = 0
+def reference_three_zone(pi, u, v, middle, shift):
+    """Rebuild pi by whole weights: unchanged on [0,u], the map middle
+    relative to pi(u) on [u,v], translated by the weight shift on [v,1], and
+    normalized by from_points."""
+    base = pi.value_at(u)
+    pts = [(t, val) for t, val in pi.points if t < u] + [(u, base)]
+    pts += [(t, base + middle(val - base)) for t, val in pi.points if u < t < v]
+    mid_end = base + middle(pi.value_at(v) - base)
+    if mid_end != pi.value_at(v) + shift:
+        raise InvariantViolation("zone junction mismatch")
+    pts.append((v, mid_end))
+    pts += [(t, val + shift) for t, val in pi.points if t > v]
+    return PiecewisePath.from_points(pts)
+
+
+def reference_apply(ctx, i, path, op):
+    """apply_f (op "f") or apply_e (op "e") by ctx.reflect/reflect_inverse
+    and from_points, run on a copy of the path without its memo."""
+    path = PiecewisePath(path.points)
+    prof = h_profile(ctx, i, path)
+    if op == "f":
+        return None if prof.f_plus == 1 else reference_three_zone(
+            path, prof.f_plus, prof.f_minus, lambda w: ctx.reflect(i, w), -alpha(i))
+    if not prof.e_defined:
+        return None
+    middle = ctx.reflect if ctx.matrix.is_real(i) else ctx.reflect_inverse
+    return reference_three_zone(path, prof.e_minus, prof.e_plus,
+                                lambda w: middle(i, w), alpha(i))
+
+
+def zone_cases(ctx, i, path, op, result):
+    """Which of the boundary cases of the rebuild the operator met: u or v
+    on a breakpoint of the path, the point at u or v dropped as collinear."""
+    prof = h_profile(ctx, i, path)
+    u, v = (prof.f_plus, prof.f_minus) if op == "f" else (prof.e_minus, prof.e_plus)
+    before, after = {t for t, _ in path.points}, {t for t, _ in result.points}
+    return {case for case, met in (("u on a breakpoint", 0 < u and u in before),
+                                   ("v on a breakpoint", v < 1 and v in before),
+                                   ("u dropped", u not in after),
+                                   ("v dropped", v not in after)) if met}
+
+
+def test_operators_are_the_rebuild_by_whole_weights():
+    # apply_f and apply_e on every rendered node at depth 4 and, for
+    # imaginary i, on four further lowerings of it (the paths the operator
+    # iteration check runs on)
+    checked, seen = 0, {"f": set(), "e": set()}
     for fx in FIXTURES + (TWO_IMAGINARY,):
         ctx, lam = fixture_context(fx)
         for node in enumerate_crystal(ctx, lam, 4).nodes:
             for i in ctx.matrix.indices:
                 path = node.element.render()
                 for _ in range(5 if ctx.matrix.is_imaginary(i) else 1):
-                    prof = h_profile(ctx, i, path)
-                    expected = None if prof.f_plus == 1 else _three_zone(
-                        path, prof.f_plus, prof.f_minus, lambda w: ctx.reflect(i, w), -alpha(i))
+                    raised = apply_e(ctx, i, path)
+                    assert raised == reference_apply(ctx, i, path, "e"), (fx[0], path, i)
+                    if raised is not None:
+                        seen["e"] |= zone_cases(ctx, i, path, "e", raised)
                     lowered = apply_f(ctx, i, path)
-                    assert lowered == expected, (fx[0], path, i)
+                    assert lowered == reference_apply(ctx, i, path, "f"), (fx[0], path, i)
                     checked += 1
                     if lowered is None:
                         break
+                    seen["f"] |= zone_cases(ctx, i, path, "f", lowered)
                     path = lowered
     assert checked > 1000
+    # h_i rises through the zone of f and falls through that of e on these
+    # paths, so f keeps its point at v and e its point at u; ZONE_CASES
+    # meets those cases on constructed paths
+    assert seen == {"f": {"u on a breakpoint", "u dropped", "v on a breakpoint"},
+                    "e": {"v on a breakpoint", "v dropped"}}
+
+
+# (matrix, the points of a path after (0, 0), operator, the boundary cases
+# met); lambda pairs to 2 with alpha_1^vee
+A1 = alpha(1)
+ZONE_CASES = [
+    # lowering straightens the bend at u = 1/2, raising restores it
+    ([[2]], ((F(1, 2), F(1, 2) * LAM - A1), (1, LAM - A1)), "f",
+     {"u on a breakpoint", "u dropped"}),
+    ([[2]], ((F(1, 2), F(1, 2) * LAM - A1), (1, LAM - A1)), "e",
+     {"v on a breakpoint", "v dropped"}),
+    # h_1 turns down after v = 1/2 in the direction r_1 gives the zone
+    ([[2]], ((F(1, 2), F(1, 2) * LAM), (F(3, 4), F(3, 4) * LAM - F(1, 2) * A1),
+             (1, LAM - F(1, 2) * A1)), "f", {"v on a breakpoint", "v dropped"}),
+    # h_1 rises into u = 1/2 in the direction r_1 gives the zone
+    ([[2]], ((F(1, 4), F(1, 4) * LAM - F(1, 2) * A1), (F(1, 2), F(1, 2) * LAM - F(1, 2) * A1),
+             (1, LAM - F(3, 2) * A1)), "e", {"u on a breakpoint", "u dropped"}),
+    # both: the legs before u = 1/4 and after v = 1/2 are r_1 of the zone's
+    ([[2]], ((F(1, 4), F(1, 2) * LAM - A1), (F(1, 2), LAM - A1),
+             (F(5, 8), F(5, 4) * LAM - F(3, 2) * A1), (1, F(13, 8) * LAM - F(3, 2) * A1)), "f",
+     {"u on a breakpoint", "u dropped", "v on a breakpoint", "v dropped"}),
+    # imaginary: h_1 has its minimum at the corner u = 1/4 or 1/2, and the
+    # second leg of the last path is r_1 of the first
+    ([[-1]], ((F(1, 2), 2 * A1), (1, F(1, 2) * LAM + A1)), "f", {"u on a breakpoint"}),
+    ([[-1]], ((F(1, 4), A1), (1, A1 + F(3, 2) * LAM)), "e", {"u on a breakpoint"}),
+    ([[-1]], ((F(1, 2), F(1, 2) * LAM), (1, LAM - A1)), "f",
+     {"v on a breakpoint", "v dropped"}),
+]
+
+
+@pytest.mark.parametrize("entries, points, op, cases", ZONE_CASES)
+def test_boundary_cases_of_the_rebuild(entries, points, op, cases):
+    ctx, _ = context_with_base(entries, [2])
+    path = PiecewisePath.from_points(((F(0), weight()),) + points)
+    assert len(path.points) == len(points) + 1
+    result = (apply_f if op == "f" else apply_e)(ctx, 1, path)
+    assert result is not None and result == reference_apply(ctx, 1, path, op)
+    assert zone_cases(ctx, 1, path, op, result) == cases

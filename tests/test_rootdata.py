@@ -233,3 +233,25 @@ def test_weight_hash_agrees_across_constructions(b1, r1, b2, r2):
     for other in ((w - x) + x, (w + x) - x, -(-w), 1 * w,
                   weight(dict(w.base_items), dict(w.root_items))):
         assert other == w and hash(other) == hash(w)
+
+
+# two declared bases with fractional pairings over a rank-3 matrix with a
+# real, an imaginary and a zero diagonal entry; rho pairs as a_ii / 2
+PAIRING_CONTEXT = WeightContext(validate_matrix([[2, -1, 0], [-2, -1, -3], [0, -1, 0]]),
+                                {"lambda": (1, F(1, 2), 2), "mu": (0, 3, F(-2, 3))})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(BASES, ROOTS)
+def test_column_pairing_is_the_sum_over_the_items(bases, roots):
+    ctx, w = PAIRING_CONTEXT, weight(bases, roots)
+    for i in ctx.matrix.indices:
+        expected = (sum(c * ctx.base_pairings[name][i - 1] for name, c in w.base_items)
+                    + sum(c * ctx.matrix.entry(i, j) for j, c in w.root_items))
+        got = ctx.pairing(i, w)
+        assert got == expected and _canonical(got)
+    with pytest.raises(UnknownBase):
+        ctx.pairing(1, w + weight({"nu": 1}))
+    for i in (0, -1, 4):
+        with pytest.raises(ValueError):
+            ctx.pairing(i, w)

@@ -36,3 +36,19 @@ def test_no_module_level_caches_in_the_package():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name in ("cache", "lru_cache")]
     assert found == []
+
+
+def test_the_path_oracle_uses_nothing_of_the_gls_side():
+    # paths.py is the brute-force reference the closed forms are checked
+    # against: it may use rootdata weights, never the GLS kernel, the orbit
+    # table or the crystal layer built on them
+    text = (SOURCE / "paths.py").read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            imported |= {part for alias in node.names for part in alias.name.split(".")}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= set((node.module or "").split("."))
+            imported |= {alias.name for alias in node.names}
+    assert imported and not imported & {"gls", "torbit", "crystals"}
+    assert "orbit_table" not in text
