@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import eq, lt
+from operator import eq, floordiv, lt, mul, sub
 from typing import Callable, Dict, List, Optional, Tuple
 
 # apply_e is not called here; perfbench/test_perfbench.py checks that gls binds it
@@ -29,17 +29,20 @@ class NotAGLSPath(ValueError):
     """The data breaks an invariant that every GLS path satisfies."""
 
 
+_set = object.__setattr__
+
+
 @dataclass(frozen=True, slots=True)
 class GLSPath:
     """Orbit-weight sequence with break points; shape is the orbit anchor.
-    ``_nums`` holds the break numerators over their least common denominator
-    D (the last one), which also serve the hash; ``_ids`` caches the weight
-    ids in an orbit table (see below), ``_weight`` the weight."""
+    Paths compare and hash on ``_nums``, the break numerators over their least
+    common denominator D (the last one); operator-made paths build ``breaks``
+    from them on first read.  ``_ids`` caches the integer form (below), ``_weight`` the weight."""
 
     shape: Weight
     weights: Tuple[Weight, ...]
-    breaks: Tuple[Fraction, ...]
-    _nums: Tuple[int, ...] = field(default=(), init=False, compare=False, repr=False)
+    breaks: Tuple[Fraction, ...] = field(compare=False)
+    _nums: Tuple[int, ...] = field(default=(), init=False, repr=False)
     _ids: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     _weight: Optional[Weight] = field(default=None, init=False, compare=False, repr=False)
 
@@ -55,11 +58,20 @@ class GLSPath:
         if any(self.weights[k] == self.weights[k + 1] for k in range(len(self.weights) - 1)):
             raise ValueError("adjacent weights must differ")
         den = lcm(*(b.denominator for b in self.breaks))
-        object.__setattr__(self, "_nums", tuple(b.numerator * (den // b.denominator)
-                                                for b in self.breaks))
+        _set(self, "_nums", tuple(b.numerator * (den // b.denominator) for b in self.breaks))
 
     def __hash__(self):
         return hash((self.shape, self.weights, self._nums))
+
+    def __getattr__(self, name):  # only for the slot breaks, unset in operator-made paths
+        if name != "breaks":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        memo, den, out = self._ids[0].fractions, self._nums[-1], []
+        for a, g in zip(self._nums, map(gcd, self._nums, repeat(den))):
+            key = (a // g, den // g)  # in lowest terms: one Fraction per value and table
+            out.append(memo[key] if key in memo else memo.setdefault(key, Fraction(*key)))
+        _set(self, "breaks", tuple(out))
+        return self.breaks
 
     @staticmethod
     def linear(lam: Weight) -> "GLSPath":
@@ -74,17 +86,13 @@ class GLSPath:
                     bases[name] = bases.get(name, 0) + (b - a) * c
                 for j, c in w.root_items:
                     roots[j] = roots.get(j, 0) + (b - a) * c
-            object.__setattr__(self, "_weight", Weight(
+            _set(self, "_weight", Weight(
                 *(tuple((name, _over(c, nums[-1])) for name, c in sorted(total.items()) if c)
                   for total in (bases, roots))))
         return self._weight
 
     def render(self) -> PiecewisePath:
-        pts = [(Fraction(0), weight())]
-        for k, w in enumerate(self.weights):
-            t0, t1 = self.breaks[k], self.breaks[k + 1]
-            pts.append((t1, pts[-1][1] + (t1 - t0) * w))
-        return PiecewisePath.from_points(pts)
+        return _render(self.breaks, self.weights)
 
     def sort_key(self):
         return (tuple(w.sort_key() for w in self.weights), self.breaks)
@@ -93,6 +101,14 @@ class GLSPath:
         ws = ", ".join(format_weight(w) for w in self.weights)
         bs = ", ".join(str(b) for b in self.breaks)
         return f"GLSPath(({ws}; {bs}))"
+
+
+def _render(breaks, weights) -> PiecewisePath:
+    """The path with slope weights[k] on [breaks[k], breaks[k + 1]]."""
+    pts = [(Fraction(0), weight())]
+    for t0, t1, w in zip(breaks, breaks[1:], weights):
+        pts.append((t1, pts[-1][1] + (t1 - t0) * w))
+    return PiecewisePath.from_points(pts)
 
 
 # -- the closed-form operators on integer data ------------------------------
@@ -110,25 +126,25 @@ def _over(c: Rational, den: int) -> Rational:
 
 
 def _integer_form(ctx: WeightContext, pi: GLSPath):
-    """(orbit table, weight ids in it, break numerators over D) of pi."""
+    """(orbit table, weight ids and {i: minimal level of h_i} in it, _nums) of pi."""
     table = ctx.orbit_table
     if pi._ids is None or pi._ids[0] is not table:
-        object.__setattr__(pi, "_ids", (table, tuple(table.intern(w) for w in pi.weights)))
-    return table, pi._ids[1], pi._nums
+        _set(pi, "_ids", (table, tuple(table.intern(w) for w in pi.weights), {}))
+    return (*pi._ids, pi._nums)
 
 
 def _h_profile(ctx: WeightContext, i: int, pi: GLSPath):
     """(table, ids, D, nums, hs, m): h_i(nums[k] / D) = hs[k] / D, and m is
-    the minimal level of h_i, which must be an integer."""
+    the minimal level of h_i, which must be an integer (recorded on pi)."""
     if not 1 <= i <= ctx.matrix.n:
         raise ValueError(f"index {i} out of range")
-    table, ids, nums = _integer_form(ctx, pi)
+    table, ids, levels, nums = _integer_form(ctx, pi)
     den = nums[-1]
     column = table.pairings[i]
-    hs = [0, *accumulate((b - a) * column[w] for a, b, w in zip(nums, nums[1:], ids))]
+    hs = [0, *accumulate(map(mul, map(sub, nums[1:], nums), map(column.__getitem__, ids)))]
     if min(hs) % den:
         raise NotAGLSPath("path is not integral; not a GLS path")
-    return table, ids, den, nums, hs, min(hs) // den
+    return table, ids, den, nums, hs, levels.setdefault(i, min(hs) // den)
 
 
 def _reflected(shape: Weight, table: OrbitTable, i: int, ids, den: int, nums,
@@ -162,14 +178,12 @@ def _from_integer_form(shape: Weight, table: OrbitTable, ids, den: int, nums) ->
     if (len(nums) != len(ids) + 1 or nums[0] != 0 or nums[-1] != den
             or not all(map(lt, nums, nums[1:])) or any(map(eq, ids, ids[1:]))):
         raise InvariantViolation(f"integer path data breaks an invariant: {ids}, {nums} / {den}")
-    g = gcd(*nums)
-    den, nums = den // g, tuple(a // g for a in nums)
-    pi = object.__new__(GLSPath)
-    for name, value in zip(GLSPath.__slots__, (
-            shape, tuple(map(table.weights.__getitem__, ids)),
-            tuple(map(Fraction, nums, repeat(den))), nums, (table, tuple(ids)), None),
-                           strict=True):
-        object.__setattr__(pi, name, value)
+    pi = object.__new__(GLSPath)  # breaks left unset: see GLSPath.__getattr__
+    _set(pi, "shape", shape)
+    _set(pi, "weights", tuple(map(table.weights.__getitem__, ids)))
+    _set(pi, "_nums", tuple(map(floordiv, nums, repeat(gcd(*nums)))))
+    _set(pi, "_ids", (table, tuple(ids), {}))
+    _set(pi, "_weight", None)
     return pi
 
 
@@ -219,17 +233,18 @@ def gls_e(ctx: WeightContext, i: int, pi: GLSPath,
 
 
 def gls_epsilon(ctx: WeightContext, i: int, pi: GLSPath):
-    """-m_i for a real index, 0 for an imaginary one."""
+    """-m_i for a real index (the level recorded on pi if any), 0 for an imaginary one."""
     if ctx.matrix.is_real(i):
-        return -_h_profile(ctx, i, pi)[-1]
+        levels = _integer_form(ctx, pi)[2]
+        return -(levels[i] if i in levels else _h_profile(ctx, i, pi)[-1])
     return 0
 
 
 def _weight_and_pairings(ctx: WeightContext, pi: GLSPath):
     """The weight of pi and its pairings h_i(1), summed over the orbit table."""
-    table, ids, nums = _integer_form(ctx, pi)
-    steps = [b - a for a, b in zip(nums, nums[1:])]
-    return pi.weight(), tuple(_over(sum(s * column[w] for s, w in zip(steps, ids)), nums[-1])
+    table, ids, _, nums = _integer_form(ctx, pi)
+    steps = list(map(sub, nums[1:], nums))
+    return pi.weight(), tuple(_over(sum(map(mul, steps, map(column.__getitem__, ids))), nums[-1])
                               for column in table.pairings[1:])
 
 
@@ -251,8 +266,7 @@ def verify_gls(ctx: WeightContext, pi: GLSPath,
     weights and, when the last weight differs from the shape, a 1-chain
     down to it."""
     chains: List[AChain] = []
-    pairs = [(pi.weights[k], pi.weights[k + 1], pi.breaks[k + 1])
-             for k in range(len(pi.weights) - 1)]
+    pairs = list(zip(pi.weights, pi.weights[1:], pi.breaks[1:]))
     if pi.weights[-1] != pi.shape:
         pairs.append((pi.weights[-1], pi.shape, Fraction(1)))
     for mu, nu, level in pairs:
@@ -281,8 +295,8 @@ class CrystalGraph:
     """Edge-labeled f-closure of a single element, truncated by weight depth.
 
     Nodes are ordered by (depth, canonical key); e-edges are the reverses
-    of f-edges.  ``frontier`` marks nodes whose children were cut by the
-    truncation, so that a missing edge there is never read as f = 0.
+    of f-edges, built on first use.  ``frontier`` marks nodes whose children
+    were cut by the truncation, so that a missing edge there is never read as f = 0.
     """
 
     def __init__(self, ctx: WeightContext, depth: int, nodes: List[CrystalNode],
@@ -291,7 +305,8 @@ class CrystalGraph:
         self.depth = depth
         self.nodes = nodes
         self.f_edges = f_edges
-        self.e_edges = {(dst, i): src for (src, i), dst in f_edges.items()}
+
+    e_edges = cached_property(lambda self: {(d, i): s for (s, i), d in self.f_edges.items()})
 
     def __len__(self):
         return len(self.nodes)
@@ -431,7 +446,6 @@ def properly_join(ctx: WeightContext, pi: GLSPath, pi_prime: GLSPath,
     s, s_prime = Fraction(s), Fraction(s_prime)
     if not pi.breaks[-2] < s <= s_prime < pi_prime.breaks[1]:
         raise ValueError("need a_{k-1} < s <= s' < b_1")
-    lam = pi.shape
     if witnesses is None:
         witnesses = verify_gls(ctx, pi_prime, height_bound)
     if not witnesses:
@@ -440,7 +454,7 @@ def properly_join(ctx: WeightContext, pi: GLSPath, pi_prime: GLSPath,
     # Walk tau right-to-left on lambda, omitting reflections that act trivially.
     kept: List[bool] = [False] * len(chain_roots)
     evaluation_points: List[Weight] = [weight()] * len(chain_roots)
-    x = lam
+    x = pi.shape
     for t in range(len(chain_roots) - 1, -1, -1):
         root = chain_roots[t]
         evaluation_points[t] = x
@@ -466,14 +480,6 @@ def properly_join(ctx: WeightContext, pi: GLSPath, pi_prime: GLSPath,
         shape_chain = find_a_chain(ctx, s, last, tau_bar_lam, height_bound)
         if shape_chain is None:
             raise JoinRejected(1, (format_weight(last), format_weight(tau_bar_lam)))
-    ws = list(pi.weights) + [weight()] + list(pi_prime.weights)
-    bs = list(pi.breaks[:-1]) + [s, s_prime] + list(pi_prime.breaks[1:])
-    pts: List[Tuple[Fraction, Weight]] = [(bs[0], weight())]
-    for k, w in enumerate(ws):
-        t0, t1 = bs[k], bs[k + 1]
-        if t0 == t1:
-            continue
-        pts.append((t1, pts[-1][1] + (t1 - t0) * w))
-    joined = PiecewisePath.from_points(pts)
-    return JoinResult(joined, tuple(chain_roots), tuple(kept),
-                      restricted_ok, full_ok, shape_chain)
+    return JoinResult(_render([*pi.breaks[:-1], s, s_prime, *pi_prime.breaks[1:]],
+                              [*pi.weights, weight(), *pi_prime.weights]),
+                      tuple(chain_roots), tuple(kept), restricted_ok, full_ok, shape_chain)

@@ -178,10 +178,10 @@ def first_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
     return None
 
 
-def _value_at(ts: Sequence[Fraction], vs: Sequence, t: Fraction):
-    """The value at t, ts[0] <= t <= ts[-1], of the function that is linear
-    between the breakpoints ts; its values vs are numbers or weights."""
-    k = bisect_left(ts, t)
+def _value_at(ts: Sequence[Fraction], vs: Sequence, t: Fraction, k: Optional[int] = None):
+    """The value at t, ts[0] <= t <= ts[-1] (k = bisect_left(ts, t) if given), of the
+    function that is linear between the breakpoints ts; vs are numbers or weights."""
+    k = bisect_left(ts, t) if k is None else k
     if ts[k] == t:
         return vs[k]
     return vs[k - 1] + (vs[k] - vs[k - 1]) * Fraction(t - ts[k - 1], ts[k] - ts[k - 1])
@@ -273,15 +273,15 @@ def _three_zone(pi: PiecewisePath, ts: Sequence[Fraction], hs: Sequence[Rational
     is r_i about pi(u) for scale -1 and r_i^{-1} for 1/(1 - a_ii); shifted by
     shift alpha_i on [v,1].  An affine map of a zone keeps the corners
     inside it, so only the points at u and v are tested for a corner."""
-    pts, hu = pi.points, _value_at(ts, hs, u)
-    if scale * (_value_at(ts, hs, v) - hu) != shift:
-        raise InvariantViolation("zone junction mismatch")
     lo, hi = bisect_left(ts, u), bisect_left(ts, v)
-    tail = [(t, add_root(w, i, shift)) for t, w in pts[bisect_right(ts, v):]]
-    out = [*pts[:lo], (u, pi.value_at(u)),
+    pts, ws, hu = pi.points, [w for _, w in pi.points], _value_at(ts, hs, u, lo)
+    if scale * (_value_at(ts, hs, v, hi) - hu) != shift:
+        raise InvariantViolation("zone junction mismatch")
+    tail = [(t, add_root(w, i, shift)) for t, w in pts[hi + (ts[hi] == v):]]
+    out = [*pts[:lo], (u, _value_at(ts, ws, u, lo)),
            *((t, add_root(w, i, scale * (h - hu)))
              for (t, w), h in zip(pts[lo:hi], hs[lo:hi]) if t > u),
-           (v, add_root(pi.value_at(v), i, shift)), *tail]
+           (v, add_root(_value_at(ts, ws, v, hi), i, shift)), *tail]
     for k in (len(out) - len(tail) - 1, lo):  # the points at v and at u, in this order
         if 0 < k < len(out) - 1 and _collinear(out[k - 1], out[k], out[k + 1]):
             del out[k]

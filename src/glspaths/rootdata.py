@@ -343,8 +343,8 @@ class OrbitTable:
     """Path weights of one context, interned to integer ids.  Per id: the
     weight, its pairings ``pairings[i][id]`` and the images r_i(id) and
     r_i^{-1}(id), filled on first use.  Also torbit's per-context caches:
-    orbit roots per height bound, dist per (mu, nu, bound) and a-chain search
-    results per raw (a, mu, nu, height_bound), all frozen and shared."""
+    orbit roots per height bound (inf when complete), dist per (mu, nu, bound)
+    and a-chain search results per raw (a, mu, nu, height_bound), frozen, shared."""
 
     def __init__(self, ctx: WeightContext):
         self.ctx = weakref.proxy(ctx)  # the context owns the table, not the reverse
@@ -355,9 +355,10 @@ class OrbitTable:
         self.pairings: List[list] = [[] for _ in range(n + 1)]
         # r_i at [i], r_i^{-1} at [n + i]
         self._images: List[Dict[int, int]] = [{} for _ in range(2 * n + 1)]
-        self.roots: Dict[int, tuple] = {}
+        self.roots: Dict[float, tuple] = {}
         self.dists: Dict[tuple, Optional[int]] = {}
         self.chains: Dict[tuple, object] = {}
+        self.fractions: Dict[Tuple[int, int], Fraction] = {}  # GLS break values, see gls
 
     def intern(self, w: Weight, pairings: Optional[Sequence[Rational]] = None) -> int:
         """Id of w; pairings, when given, are its coroot pairings."""

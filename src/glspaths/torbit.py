@@ -179,12 +179,12 @@ class OrbitRoot:
 def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot, ...]:
     """All roots of W.Pi inside Q+ with height <= bound, coroots transported.
 
-    BFS applies real reflections to the simple roots, discarding anything
-    that leaves the positive cone.  Revisiting a root must reproduce the
-    same coroot (well-definedness of beta^vee), checked on every build.  The
-    sets are nested and kept per bound in the context's orbit table, sorted by
-    (height, sort key): the BFS runs only for a bound above all bounds built,
-    and a smaller bound gets the height <= bound prefix of a larger tuple.
+    BFS applies real reflections to the simple roots, discarding anything that leaves the
+    positive cone.  Revisiting a root must reproduce the same coroot (well-definedness of
+    beta^vee), checked on every build.  The sets are nested and kept per bound in the
+    context's orbit table, sorted by (height, sort key): the BFS runs only for a bound
+    above all bounds built, a smaller bound gets the height <= bound prefix of a larger
+    tuple, and a build that cuts nothing by height holds every root: it is bound inf too.
     """
     cache = ctx.orbit_table.roots
     if height_bound in cache:
@@ -197,9 +197,8 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot
     names = ctx.base_names
     out: Dict[tuple, OrbitRoot] = {}
     queue = deque()
-    for i in range(1, n + 1):
-        if height_bound < 1:
-            break
+    complete = height_bound >= 1  # else the simple roots are cut
+    for i in range(1, n + 1 if complete else 1):
         r = OrbitRoot(
             root=alpha(i),
             coroot_pairings=tuple(ctx.matrix.entry(i, j) for j in range(1, n + 1)),
@@ -219,6 +218,7 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot
             if any(v < 0 for v in vec) or new_root.is_zero():
                 continue
             if sum(vec) > height_bound:
+                complete = False
                 continue
             ck = r.coroot_pairings[k - 1]
             new = OrbitRoot(
@@ -240,6 +240,8 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot
             out[key] = new
             queue.append(new)
     roots = cache[height_bound] = tuple(sorted(out.values(), key=OrbitRoot.sort_key))
+    if complete:
+        cache[float("inf")] = roots
     return roots
 
 

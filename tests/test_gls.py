@@ -1,6 +1,7 @@
 """GLS paths: closed-form operators, membership, enumeration, joining."""
 
 import inspect
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,7 @@ from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_gls_membership,
                              check_highest_weight_unique,
                              check_non_strictness_witness,
                              check_oracle_equivalence, fixture_context)
-from glspaths.gls import _from_integer_form, build_crystal_graph
+from glspaths.gls import _from_integer_form, build_crystal_graph, gls_epsilon
 from glspaths.rootdata import InvariantViolation
 
 
@@ -333,3 +334,73 @@ def test_build_crystal_graph_signature_is_pinned():
     # positionally, so a renamed or reordered parameter breaks tracing
     assert list(inspect.signature(build_crystal_graph).parameters) == [
         "ctx", "root_element", "depth", "f_func", "wt_func", "eps_func", "key_func"]
+
+
+def test_operator_made_breaks_are_built_on_first_read():
+    # every node of two_imaginary at depth 6 and its f-images: the breaks are
+    # built only when read, equal the constructor's, and each break value is
+    # one shared Fraction object per orbit table, the endpoints included
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    graph = enumerate_crystal(ctx, lam, 6)
+    paths = [gls_f(ctx, i, node.element) for node in graph.nodes for i in ctx.matrix.indices]
+    paths = [p for p in paths if p is not None]
+    assert len(paths) > 500
+    shared = {}
+    for p in paths:
+        fresh = GLSPath(p.shape, p.weights, tuple(F(a, p._nums[-1]) for a in p._nums))
+        assert p == fresh and hash(p) == hash(fresh)
+        with pytest.raises(AttributeError):
+            object.__getattribute__(p, "breaks")  # not built yet
+        assert p.breaks == fresh.breaks and p.sort_key() == fresh.sort_key()
+        assert all(type(b) is F for b in p.breaks + fresh.breaks)
+        assert p.breaks[0] == fresh.breaks[0] == 0 and p.breaks[-1] == fresh.breaks[-1] == 1
+        for b in p.breaks:
+            assert shared.setdefault(b, b) is b
+    assert len(shared) < len(paths)
+
+
+def test_paths_cannot_be_assigned():
+    ctx, lam = ctx1()
+    made = gls_f(ctx, 1, GLSPath.linear(lam))
+    assert issubclass(FrozenInstanceError, AttributeError)
+    for pi in (GLSPath.linear(lam), made):
+        for name in ("shape", "weights", "breaks", "_nums"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(pi, name, None)
+        with pytest.raises(AttributeError):
+            getattr(pi, "no_such_attribute")
+    assert made.breaks == (F(0), F(1, 2), F(1))
+
+
+def test_epsilon_follows_the_context_of_each_call():
+    # A2 and a matrix with a_12 = -3: the paths of the A2 crystal, read in
+    # both contexts in turn, get each context's own epsilon_i (the value the
+    # operators recorded on a path is not carried over to the other context)
+    (ca, lam), (cb, _) = (context_with_base(m, [1, 1])
+                          for m in ([[2, -1], [-1, 2]], [[2, -3], [-1, 2]]))
+
+    def eps(ctx, pi):
+        try:
+            return tuple(gls_epsilon(ctx, i, pi) for i in ctx.matrix.indices)
+        except NotAGLSPath:
+            return None
+
+    differ = 0
+    for node in enumerate_crystal(ca, lam, 3).nodes:
+        pi = node.element
+        expected = {c: eps(c, GLSPath(pi.shape, pi.weights, pi.breaks)) for c in (ca, cb)}
+        for ctx in (cb, ca, cb, ca):
+            assert eps(ctx, pi) == expected[ctx]
+        assert expected[ca] == node.eps
+        differ += expected[ca] != expected[cb]
+    assert differ >= 2
+
+
+def test_e_edges_are_the_reversed_f_edges_built_on_first_use():
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    graph = enumerate_crystal(ctx, lam, 5)
+    assert "e_edges" not in vars(graph)
+    assert graph.e_edges == {(dst, i): src for (src, i), dst in graph.f_edges.items()}
+    assert len(graph.e_edges) == len(graph.f_edges) > 0
+    for (src, i), dst in graph.f_edges.items():
+        assert graph.e_image(dst, i) == src

@@ -232,3 +232,26 @@ def test_chain_memo_holds_one_entry_per_distinct_call(monkeypatch):
         for i in ctx.matrix.indices:
             gls.gls_e(ctx, i, node.element)
     assert len(ctx.orbit_table.chains) == len(seen) == 189
+
+
+def test_a_complete_root_build_serves_every_larger_bound():
+    # on mixed_rank2 (W = {1, r_1}) the roots stop at height 2, so the build
+    # for bound 2 cuts nothing and every larger bound is served from it
+    fx = FIXTURES[5]
+    assert fx[0] == "mixed_rank2"
+    ctx = fixture_context(fx)[0]
+    assert float("inf") not in ctx.orbit_table.roots
+    positive_wpi_roots(ctx, 1)
+    assert float("inf") not in ctx.orbit_table.roots  # alpha_1 + alpha_2 was cut
+    complete = positive_wpi_roots(ctx, 2)
+    assert ctx.orbit_table.roots[float("inf")] is complete
+    served = positive_wpi_roots(ctx, 6561)
+    assert served == positive_wpi_roots(fixture_context(fx)[0], 6561)
+    assert all(a is b for a, b in zip(served, complete)) and len(served) == len(complete)
+
+
+def test_an_infinite_root_set_is_never_complete():
+    ctx = context_with_base(NON_SYMMETRIZABLE[1], [1, 1, 1])[0]
+    for b in (1, 4, 12):
+        assert len(positive_wpi_roots(ctx, b)) < len(positive_wpi_roots(ctx, b + 1))
+    assert float("inf") not in ctx.orbit_table.roots
