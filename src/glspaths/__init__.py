@@ -16,8 +16,7 @@ from .gls import (CrystalGraph, GLSPath, JoinRejected, JoinResult, NotAGLSPath,
                   verify_gls)
 from .crystals import (NEG_INF, BJWord, DepthMismatch, ElementaryElement,
                        GeneratorSequence, TensorElement, bj_apply, bj_word,
-                       generate_from, hw_crystal_isomorphic,
-                       tensor_e, tensor_f, validate_axioms,
+                       generate_from, hw_crystal_isomorphic, validate_axioms,
                        validate_category_B, validate_normality)
 from .character import (CharacterSeries, NonIntegralOffset, OrthogonalSet,
                         char_of_graph, compare_characters, divide, multiply,

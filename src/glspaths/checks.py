@@ -15,11 +15,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from .character import compare_characters
 from .crystals import (BJWord, ElementaryElement, GeneratorSequence,
-                       PathElement, TensorElement, bj_word, element_e,
-                       element_epsilon, element_f, element_key, element_phi,
-                       element_wt, generate_from, hw_crystal_isomorphic,
-                       validate_axioms, validate_category_B,
-                       validate_normality)
+                       TensorElement, bj_word, element_phi, generate_from,
+                       hw_crystal_isomorphic, validate_axioms,
+                       validate_category_B, validate_normality)
 from .gls import GLSPath, enumerate_crystal, gls_e, gls_f, verify_gls
 from .paths import (PiecewisePath, apply_e, apply_f, concatenate, h_profile,
                     is_integral, is_monotone)
@@ -279,7 +277,7 @@ def check_oracle_equivalence(ctx, lam, depth) -> List[str]:
             standalone = gls_e(ctx, i, el)
             if parent is None:
                 if not node.frontier and standalone is not None and \
-                        element_key(standalone) in graph.index:
+                        standalone.key() in graph.index:
                     out.append(f"node {idx}, e_{i}: missing reverse edge")
                 if idx == 0 and standalone is not None:
                     out.append(f"root has a raising {i}")
@@ -329,7 +327,7 @@ def check_crystal_axioms(ctx, graph) -> List[str]:
 
 def check_ambient_axioms(ctx, lam, depth=2) -> List[str]:
     """Crystal axioms on a truncated closure inside the ambient path set."""
-    graph = generate_from(ctx, PathElement(GLSPath.linear(lam).render()), depth)
+    graph = generate_from(ctx, GLSPath.linear(lam).render(), depth)
     out = validate_axioms(ctx, graph)
     out += validate_normality(ctx, graph)
     return out
@@ -339,23 +337,22 @@ def check_concatenation_tensor_compat(ctx, lam, mu, depth=2) -> List[str]:
     """Operators on a concatenation agree with the tensor rules applied to
     the ambient crystal structures of the halves."""
     out = []
-    root = TensorElement(PathElement(GLSPath.linear(lam).render()),
-                         PathElement(GLSPath.linear(mu).render()))
+    root = TensorElement(GLSPath.linear(lam).render(), GLSPath.linear(mu).render())
     graph = generate_from(ctx, root, depth)
     half = Fraction(1, 2)
     for idx, node in enumerate(graph.nodes):
         el = node.element
-        joined = concatenate(el.left.path, el.right.path, half, ctx)
+        joined = concatenate(el.left, el.right, half, ctx)
         for i in ctx.matrix.indices:
-            by_rule = element_f(ctx, i, el)
+            by_rule = el.f(ctx, i)
             direct = apply_f(ctx, i, joined)
             if (by_rule is None) != (direct is None):
                 out.append(f"node {idx}, f_{i}: tensor rule and operator disagree")
             elif by_rule is not None:
-                expected = concatenate(by_rule.left.path, by_rule.right.path, half, ctx)
+                expected = concatenate(by_rule.left, by_rule.right, half, ctx)
                 if expected != direct:
                     out.append(f"node {idx}, f_{i}: concatenation mismatch")
-            by_rule = element_e(ctx, i, el)
+            by_rule = el.e(ctx, i)
             direct = apply_e(ctx, i, joined)
             if by_rule is None and direct is not None:
                 # The imaginary kill zone annihilates the pair while the
@@ -367,7 +364,7 @@ def check_concatenation_tensor_compat(ctx, lam, mu, depth=2) -> List[str]:
                 if direct is None:
                     out.append(f"node {idx}, e_{i}: tensor rule and operator disagree")
                     continue
-                expected = concatenate(by_rule.left.path, by_rule.right.path, half, ctx)
+                expected = concatenate(by_rule.left, by_rule.right, half, ctx)
                 if expected != direct:
                     out.append(f"node {idx}, e_{i}: concatenation mismatch")
     return out
@@ -402,7 +399,7 @@ def check_bj_properties(ctx, seq: GeneratorSequence, depth=4, prefix=6) -> List[
 
     rec(1, depth, [])
     for w in words:
-        if element_wt(ctx, w).is_zero():
+        if w.wt(ctx).is_zero():
             zero_count += 1
     if zero_count != 1:
         out.append(f"{zero_count} weight-zero elements in the truncation")
@@ -412,14 +409,14 @@ def check_bj_properties(ctx, seq: GeneratorSequence, depth=4, prefix=6) -> List[
     imag = sorted(ctx.matrix.imaginary_indices)
     for w in words:
         for i in imag:
-            fw = element_f(ctx, i, w)
-            images.setdefault(element_key(fw), []).append((i, w))
+            fw = w.f(ctx, i)
+            images.setdefault(fw.key(), []).append((i, w))
     for key, sources in images.items():
         for (i, b), (j, b2) in [(a, b) for a in sources for b in sources if a[0] < b[0]]:
             if ctx.matrix.entry(i, j) != 0:
                 out.append(f"f_{i}b = f_{j}b' with a_{i}{j} != 0")
-            back = element_e(ctx, j, b)
-            if back is None or element_key(element_f(ctx, j, back)) != element_key(b):
+            back = b.e(ctx, j)
+            if back is None or back.f(ctx, j).key() != b.key():
                 out.append(f"f_{i}b = f_{j}b' but b is not an f_{j}-image")
     return out
 
@@ -440,18 +437,18 @@ def check_embedding_theorem(ctx, i, lam, mu, max_len=4) -> List[str]:
             if not alive:
                 break
             phi1 = element_phi(ctx, j, cur.left)
-            eps2 = element_epsilon(ctx, j, cur.right)
+            eps2 = cur.right.epsilon(ctx, j)
             goes_left = phi1 > eps2
             if not goes_left and j != i:
                 out.append(f"word {word}: f_{j} routed to the right factor")
                 break
             phi1e = element_phi(ctx, j, elem.left)
-            eps2e = element_epsilon(ctx, j, elem.right)
+            eps2e = elem.right.epsilon(ctx, j)
             if goes_left != (phi1e > eps2e):
                 out.append(f"word {word}: routing differs from the elementary model")
                 break
-            nxt = element_f(ctx, j, cur)
-            elem = element_f(ctx, j, elem)
+            nxt = cur.f(ctx, j)
+            elem = elem.f(ctx, j)
             if elem is None:
                 out.append(f"word {word}: elementary side died")
                 break
@@ -460,7 +457,7 @@ def check_embedding_theorem(ctx, i, lam, mu, max_len=4) -> List[str]:
                     out.append(f"word {word}: f_{j} died unexpectedly")
                 alive = False
                 continue
-            if element_key(nxt.left) != element_key(elem.left):
+            if nxt.left.key() != elem.left.key():
                 out.append(f"word {word}: left factors diverge")
                 break
             cur = nxt

@@ -1,9 +1,11 @@
 """Abstract crystal elements: tensor products, elementary crystals, B_J(infinity).
 
-Crystal elements are a tagged union dispatched by type: GLS paths, tensor
-pairs, elementary elements b_i(-n), words in B_J(infinity), and raw
-ambient paths.  Every variant supplies wt and epsilon; phi is always
-epsilon + pairing(i, wt), with -infinity saturating.
+Every crystal element answers the same five methods: ``wt(ctx)``,
+``epsilon(ctx, i)``, ``f(ctx, i)``, ``e(ctx, i)`` (None where the operator
+vanishes) and ``key()``, a canonical sort key tagged by kind.  GLS paths
+(``gls.GLSPath``), ambient paths (``paths.PiecewisePath``), tensor pairs,
+elementary elements b_i(-n) and words in B_J(infinity) implement them; phi
+is always epsilon + pairing(i, wt), with -infinity saturating.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import gls as glsmod
-from .gls import CrystalGraph, GLSPath, build_crystal_graph
-from .paths import PiecewisePath, apply_e, apply_f, path_epsilon
+from .gls import CrystalGraph, build_crystal_graph
+# apply_e is not called here; perfbench/test_perfbench.py checks that crystals binds it
+from .paths import apply_e
 from .rootdata import InvariantViolation, Weight, WeightContext, alpha, weight
 
 
@@ -64,6 +66,54 @@ class TensorElement:
     left: object
     right: object
 
+    def wt(self, ctx: WeightContext) -> Weight:
+        return self.left.wt(ctx) + self.right.wt(ctx)
+
+    def epsilon(self, ctx: WeightContext, i: int):
+        return max(self.left.epsilon(ctx, i),
+                   self.right.epsilon(ctx, i) - ctx.pairing(i, self.left.wt(ctx)))
+
+    def key(self):
+        return ("tensor", self.left.key(), self.right.key())
+
+    def f(self, ctx: WeightContext, i: int) -> Optional[TensorElement]:
+        """Lowering on a tensor pair: the left factor acts iff phi(left) > eps(right)."""
+        if element_phi(ctx, i, self.left) > self.right.epsilon(ctx, i):
+            down = self.left.f(ctx, i)
+            return None if down is None else TensorElement(down, self.right)
+        down = self.right.f(ctx, i)
+        return None if down is None else TensorElement(self.left, down)
+
+    def e(self, ctx: WeightContext, i: int) -> Optional[TensorElement]:
+        """Raising on a tensor pair.
+
+        Real indices compare phi(left) against eps(right).  Imaginary indices
+        additionally have a kill zone eps(right) < phi(left) <= eps(right) - a_ii
+        in which the product is annihilated; inside category B this is
+        consistent with raising the left factor, which is checked.
+        """
+        phi1 = element_phi(ctx, i, self.left)
+        eps2 = self.right.epsilon(ctx, i)
+        if ctx.matrix.is_real(i):
+            acts_left = phi1 >= eps2
+        else:
+            acts_left = phi1 > eps2 - ctx.matrix.entry(i, i)
+            if not acts_left and eps2 < phi1:  # the kill zone
+                if (_in_category_B(ctx, i, self.left) and _in_category_B(ctx, i, self.right)
+                        and self.left.e(ctx, i) is not None):
+                    raise InvariantViolation(
+                        "kill zone disagrees with the simplified category-B rule")
+                return None
+        if acts_left:
+            up = self.left.e(ctx, i)
+            return None if up is None else TensorElement(up, self.right)
+        up = self.right.e(ctx, i)
+        return None if up is None else TensorElement(self.left, up)
+
+
+def _in_category_B(ctx: WeightContext, i: int, el) -> bool:
+    return el.epsilon(ctx, i) == 0 and ctx.pairing(i, el.wt(ctx)) >= 0
+
 
 @dataclass(frozen=True)
 class ElementaryElement:
@@ -71,6 +121,27 @@ class ElementaryElement:
 
     index: int
     n: int
+
+    def wt(self, ctx: WeightContext) -> Weight:
+        return -self.n * alpha(self.index)
+
+    def epsilon(self, ctx: WeightContext, i: int):
+        if i != self.index:
+            return NEG_INF
+        return self.n if ctx.matrix.is_real(i) else 0
+
+    def key(self):
+        return ("elementary", self.index, self.n)
+
+    def f(self, ctx: WeightContext, i: int) -> Optional[ElementaryElement]:
+        if i != self.index:
+            return None
+        return ElementaryElement(i, self.n + 1)
+
+    def e(self, ctx: WeightContext, i: int) -> Optional[ElementaryElement]:
+        if i != self.index or self.n == 0:
+            return None
+        return ElementaryElement(i, self.n - 1)
 
 
 @dataclass(frozen=True)
@@ -115,159 +186,33 @@ class BJWord:
         if any(m < 0 for m in self.ms):
             raise ValueError("multiplicities are nonnegative")
 
+    def wt(self, ctx: WeightContext) -> Weight:
+        """Summed as one integer root vector."""
+        vec = [0] * self.seq.n
+        for k, m in enumerate(self.ms, start=1):
+            vec[self.seq.index_at(k) - 1] -= m
+        return weight(roots=dict(enumerate(vec, start=1)))
+
+    def epsilon(self, ctx: WeightContext, i: int):
+        if ctx.matrix.is_real(i):
+            return _bj_rvalues(ctx, self, i)[1]
+        return 0
+
+    def key(self):
+        return ("bj", self.ms)
+
+    def f(self, ctx: WeightContext, i: int) -> Optional[BJWord]:
+        return bj_apply(ctx, self.seq, "f", i, self.ms)
+
+    def e(self, ctx: WeightContext, i: int) -> Optional[BJWord]:
+        return bj_apply(ctx, self.seq, "e", i, self.ms)
+
 
 def bj_word(seq: GeneratorSequence, ms: Sequence[int]) -> BJWord:
     ms = list(ms)
     while ms and ms[-1] == 0:
         ms.pop()
     return BJWord(seq, tuple(ms))
-
-
-@dataclass(frozen=True)
-class PathElement:
-    """A raw ambient path carrying the normal crystal structure of the path set."""
-
-    path: PiecewisePath
-
-
-# -- dispatch -------------------------------------------------------------
-
-
-def element_wt(ctx: WeightContext, el) -> Weight:
-    if isinstance(el, GLSPath):
-        return el.weight()
-    if isinstance(el, TensorElement):
-        return element_wt(ctx, el.left) + element_wt(ctx, el.right)
-    if isinstance(el, ElementaryElement):
-        return -el.n * alpha(el.index)
-    if isinstance(el, BJWord):  # summed as one integer root vector
-        vec = [0] * el.seq.n
-        for k, m in enumerate(el.ms, start=1):
-            vec[el.seq.index_at(k) - 1] -= m
-        return weight(roots=dict(enumerate(vec, start=1)))
-    if isinstance(el, PathElement):
-        return el.path.weight
-    raise TypeError(f"not a crystal element: {el!r}")
-
-
-def element_epsilon(ctx: WeightContext, i: int, el):
-    if isinstance(el, GLSPath):
-        return glsmod.gls_epsilon(ctx, i, el)
-    if isinstance(el, TensorElement):
-        e1 = element_epsilon(ctx, i, el.left)
-        e2 = element_epsilon(ctx, i, el.right)
-        return max(e1, e2 - ctx.pairing(i, element_wt(ctx, el.left)))
-    if isinstance(el, ElementaryElement):
-        if i != el.index:
-            return NEG_INF
-        return el.n if ctx.matrix.is_real(i) else 0
-    if isinstance(el, BJWord):
-        if ctx.matrix.is_real(i):
-            return _bj_rvalues(ctx, el, i)[1]
-        return 0
-    if isinstance(el, PathElement):
-        return path_epsilon(ctx, i, el.path)
-    raise TypeError(f"not a crystal element: {el!r}")
-
-
-def element_phi(ctx: WeightContext, i: int, el):
-    return element_epsilon(ctx, i, el) + ctx.pairing(i, element_wt(ctx, el))
-
-
-def element_key(el):
-    if isinstance(el, GLSPath):
-        return el.sort_key()
-    if isinstance(el, TensorElement):
-        return ("tensor", element_key(el.left), element_key(el.right))
-    if isinstance(el, ElementaryElement):
-        return ("elementary", el.index, el.n)
-    if isinstance(el, BJWord):
-        return ("bj", el.ms)
-    if isinstance(el, PathElement):
-        return ("path", tuple((t, v.sort_key()) for t, v in el.path.points))
-    raise TypeError(f"not a crystal element: {el!r}")
-
-
-def element_f(ctx: WeightContext, i: int, el):
-    if isinstance(el, GLSPath):
-        return glsmod.gls_f(ctx, i, el)
-    if isinstance(el, TensorElement):
-        return tensor_f(ctx, i, el)
-    if isinstance(el, ElementaryElement):
-        if i != el.index:
-            return None
-        return ElementaryElement(i, el.n + 1)
-    if isinstance(el, BJWord):
-        return bj_apply(ctx, el.seq, "f", i, el.ms)
-    if isinstance(el, PathElement):
-        out = apply_f(ctx, i, el.path)
-        return None if out is None else PathElement(out)
-    raise TypeError(f"not a crystal element: {el!r}")
-
-
-def element_e(ctx: WeightContext, i: int, el):
-    if isinstance(el, GLSPath):
-        return glsmod.gls_e(ctx, i, el)
-    if isinstance(el, TensorElement):
-        return tensor_e(ctx, i, el)
-    if isinstance(el, ElementaryElement):
-        if i != el.index or el.n == 0:
-            return None
-        return ElementaryElement(i, el.n - 1)
-    if isinstance(el, BJWord):
-        return bj_apply(ctx, el.seq, "e", i, el.ms)
-    if isinstance(el, PathElement):
-        out = apply_e(ctx, i, el.path)
-        return None if out is None else PathElement(out)
-    raise TypeError(f"not a crystal element: {el!r}")
-
-
-# -- tensor product rules --------------------------------------------------
-
-
-def _in_category_B(ctx: WeightContext, i: int, el) -> bool:
-    return (element_epsilon(ctx, i, el) == 0
-            and ctx.pairing(i, element_wt(ctx, el)) >= 0)
-
-
-def tensor_f(ctx: WeightContext, i: int, el: TensorElement) -> Optional[TensorElement]:
-    """Lowering on a tensor pair: the left factor acts iff phi(left) > eps(right)."""
-    phi1 = element_phi(ctx, i, el.left)
-    eps2 = element_epsilon(ctx, i, el.right)
-    if phi1 > eps2:
-        down = element_f(ctx, i, el.left)
-        return None if down is None else TensorElement(down, el.right)
-    down = element_f(ctx, i, el.right)
-    return None if down is None else TensorElement(el.left, down)
-
-
-def tensor_e(ctx: WeightContext, i: int, el: TensorElement) -> Optional[TensorElement]:
-    """Raising on a tensor pair.
-
-    Real indices compare phi(left) against eps(right).  Imaginary indices
-    additionally have a kill zone eps(right) < phi(left) <= eps(right) - a_ii
-    in which the product is annihilated; inside category B this is
-    consistent with raising the left factor, which is checked.
-    """
-    phi1 = element_phi(ctx, i, el.left)
-    eps2 = element_epsilon(ctx, i, el.right)
-    if ctx.matrix.is_real(i):
-        if phi1 >= eps2:
-            up = element_e(ctx, i, el.left)
-            return None if up is None else TensorElement(up, el.right)
-        up = element_e(ctx, i, el.right)
-        return None if up is None else TensorElement(el.left, up)
-    a = ctx.matrix.entry(i, i)
-    if phi1 > eps2 - a:
-        up = element_e(ctx, i, el.left)
-        return None if up is None else TensorElement(up, el.right)
-    if eps2 < phi1:  # and phi1 <= eps2 - a: the kill zone
-        if (_in_category_B(ctx, i, el.left) and _in_category_B(ctx, i, el.right)
-                and element_e(ctx, i, el.left) is not None):
-            raise InvariantViolation("kill zone disagrees with the simplified category-B rule")
-        return None
-    up = element_e(ctx, i, el.right)
-    return None if up is None else TensorElement(el.left, up)
 
 
 # -- B_J(infinity) -----------------------------------------------------------
@@ -333,6 +278,26 @@ def bj_apply(ctx: WeightContext, seq: GeneratorSequence, direction: str, i: int,
 
 
 # -- closures, validators, isomorphism ---------------------------------------
+
+
+def element_wt(ctx: WeightContext, el) -> Weight:
+    return el.wt(ctx)
+
+
+def element_epsilon(ctx: WeightContext, i: int, el):
+    return el.epsilon(ctx, i)
+
+
+def element_phi(ctx: WeightContext, i: int, el):
+    return el.epsilon(ctx, i) + ctx.pairing(i, el.wt(ctx))
+
+
+def element_key(el):
+    return el.key()
+
+
+def element_f(ctx: WeightContext, i: int, el):
+    return el.f(ctx, i)
 
 
 def _weight_and_pairings(ctx: WeightContext, el):

@@ -37,7 +37,8 @@ class GLSPath:
     """Orbit-weight sequence with break points; shape is the orbit anchor.
     Paths compare and hash on ``_nums``, the break numerators over their least
     common denominator D (the last one); operator-made paths build ``breaks``
-    from them on first read.  ``_ids`` caches the integer form (below), ``_weight`` the weight."""
+    from them on first read.  ``_ids`` caches the integer form (below), ``_weight`` the weight.
+    As a crystal element, ``epsilon``, ``f`` and ``e`` run the closed forms below."""
 
     shape: Weight
     weights: Tuple[Weight, ...]
@@ -94,7 +95,19 @@ class GLSPath:
     def render(self) -> PiecewisePath:
         return _render(self.breaks, self.weights)
 
-    def sort_key(self):
+    def wt(self, ctx: WeightContext) -> Weight:
+        return self.weight()
+
+    def epsilon(self, ctx: WeightContext, i: int):
+        return gls_epsilon(ctx, i, self)
+
+    def f(self, ctx: WeightContext, i: int) -> Optional[GLSPath]:
+        return gls_f(ctx, i, self)
+
+    def e(self, ctx: WeightContext, i: int) -> Optional[GLSPath]:
+        return gls_e(ctx, i, self)
+
+    def key(self):
         return (tuple(w.sort_key() for w in self.weights), self.breaks)
 
     def __repr__(self):
@@ -388,7 +401,7 @@ def enumerate_crystal(ctx: WeightContext, lam: Weight, depth: int) -> CrystalGra
         f_func=gls_f,
         wt_func=_weight_and_pairings,
         eps_func=gls_epsilon,
-        key_func=GLSPath.sort_key,
+        key_func=GLSPath.key,
     )
 
 

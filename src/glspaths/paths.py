@@ -27,7 +27,9 @@ from .rootdata import (InvariantViolation, Rational, Weight, WeightContext, add_
 @dataclass(frozen=True)
 class PiecewisePath:
     """Exact path; points are normalized so equal functions compare equal.
-    ``_f_memo`` keeps the result of ``_f_data`` per (context, index)."""
+    ``_f_memo`` keeps the result of ``_f_data`` per (context, index).  As a
+    crystal element it carries the normal crystal structure of the path set:
+    ``wt``, ``epsilon``, ``f``, ``e`` and ``key`` run the operators below."""
 
     points: Tuple[Tuple[Fraction, Weight], ...]
     _f_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -60,6 +62,21 @@ class PiecewisePath:
     @property
     def weight(self) -> Weight:
         return self.points[-1][1]
+
+    def wt(self, ctx: WeightContext) -> Weight:
+        return self.weight
+
+    def epsilon(self, ctx: WeightContext, i: int):
+        return path_epsilon(ctx, i, self)
+
+    def f(self, ctx: WeightContext, i: int) -> Optional[PiecewisePath]:
+        return apply_f(ctx, i, self)
+
+    def e(self, ctx: WeightContext, i: int) -> Optional[PiecewisePath]:
+        return apply_e(ctx, i, self)
+
+    def key(self):
+        return ("path", tuple((t, v.sort_key()) for t, v in self.points))
 
     def value_at(self, t: Fraction) -> Weight:
         t = Fraction(t)

@@ -467,11 +467,7 @@ def parse_context_text(text: str,
                 except (ValueError, ZeroDivisionError):
                     raise MatrixFormatError(no, col, f"invalid rational {tok!r}") from None
             bases[name] = tuple(vec)
-    try:
-        matrix = validate_matrix(entries, imaginary_diag_zero_allowed)
-    except MatrixError:
-        raise
-    return matrix, bases
+    return validate_matrix(entries, imaginary_diag_zero_allowed), bases
 
 
 def load_context(path: str, imaginary_diag_zero_allowed: bool = True,

@@ -13,7 +13,7 @@ import pytest
 from glspaths import (GLSPath, TensorElement, alpha, apply_e,
                       compare_characters, context_with_base, enumerate_crystal,
                       generate_from, gls_e, gls_f, hw_crystal_isomorphic,
-                      tensor_e, verify_gls, weight)
+                      verify_gls, weight)
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_ambient_axioms,
                              check_bj_properties, check_crystal_axioms,
                              check_embedding_theorem, check_gls_membership,
@@ -146,7 +146,7 @@ def test_criterion_5_non_strictness_and_kill_zone():
         assert gls_e(ctx2, 1, top2) is None
         ctx1, lam1 = context_with_base([[-1]], [1])
         pair = TensorElement(GLSPath.linear(lam1), GLSPath.linear(lam1))
-        assert tensor_e(ctx1, 1, pair) is None
+        assert pair.e(ctx1, 1) is None
         doubled = GLSPath.linear(2 * lam1)
         assert apply_e(ctx1, 1, doubled.render()) is not None
         assert gls_e(ctx1, 1, doubled) is None

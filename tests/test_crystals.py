@@ -8,8 +8,7 @@ from glspaths import (NEG_INF, BJWord, DepthMismatch, ElementaryElement,
                       GLSPath, GeneratorSequence, TensorElement, alpha,
                       bj_apply, bj_word, context_with_base,
                       enumerate_crystal, generate_from, gls_e,
-                      hw_crystal_isomorphic, tensor_e, tensor_f,
-                      validate_axioms, validate_category_B,
+                      hw_crystal_isomorphic, validate_axioms, validate_category_B,
                       validate_normality, weight)
 from glspaths import checks
 from glspaths.checks import (TWO_IMAGINARY, check_ambient_axioms,
@@ -17,8 +16,8 @@ from glspaths.checks import (TWO_IMAGINARY, check_ambient_axioms,
                              check_concatenation_tensor_compat,
                              check_embedding_theorem, check_tensor_closure,
                              fixture_context)
-from glspaths.crystals import (element_e, element_epsilon, element_f, element_key,
-                               element_phi, element_wt)
+from glspaths.crystals import (element_epsilon, element_f, element_key, element_phi,
+                               element_wt)
 
 
 def test_neg_inf_sentinel():
@@ -39,7 +38,7 @@ def test_elementary_tables():
     b3 = ElementaryElement(1, 3)
     assert element_epsilon(ctx2, 1, b3) == 3 and element_phi(ctx2, 1, b3) == -3
     assert element_wt(ctx2, b3) == -3 * alpha(1)
-    assert element_e(ctx2, 1, ElementaryElement(1, 0)) is None
+    assert ElementaryElement(1, 0).e(ctx2, 1) is None
     assert element_f(ctx2, 1, b3) == ElementaryElement(1, 4)
     ctx1, _ = context_with_base([[-1]], [2])
     b2 = ElementaryElement(1, 2)
@@ -59,8 +58,8 @@ def test_tensor_weight_additivity():
 def test_tensor_kill_zone():
     ctx, lam = context_with_base([[-1]], [1])
     pair = TensorElement(GLSPath.linear(lam), GLSPath.linear(lam))
-    assert tensor_e(ctx, 1, pair) is None
-    lowered = tensor_f(ctx, 1, pair)
+    assert pair.e(ctx, 1) is None
+    lowered = pair.f(ctx, 1)
     assert lowered == TensorElement(
         GLSPath(lam, (ctx.reflect(1, lam),), (F(0), F(1))), GLSPath.linear(lam))
 
@@ -68,8 +67,7 @@ def test_tensor_kill_zone():
 def test_tensor_real_acts_right():
     ctx, _ = context_with_base([[2]], [0])
     pair = TensorElement(ElementaryElement(1, 0), ElementaryElement(1, 0))
-    assert tensor_f(ctx, 1, pair) == TensorElement(ElementaryElement(1, 0),
-                                                   ElementaryElement(1, 1))
+    assert pair.f(ctx, 1) == TensorElement(ElementaryElement(1, 0), ElementaryElement(1, 1))
 
 
 def test_generator_sequence_validation():
@@ -199,11 +197,10 @@ def test_limit_crystal_stability():
 def test_ambient_closure_matches_gls_closure():
     # BFS with the generic operators on rendered paths gives the same
     # crystal as the closed-form enumeration
-    from glspaths.crystals import PathElement
     ctx, lam = context_with_base([[2, -1], [-1, -2]], [1, 1])
-    ambient = generate_from(ctx, PathElement(GLSPath.linear(lam).render()), 2)
+    ambient = generate_from(ctx, GLSPath.linear(lam).render(), 2)
     closed = enumerate_crystal(ctx, lam, 2)
-    ambient_keys = {node.element.path for node in ambient.nodes}
+    ambient_keys = {node.element for node in ambient.nodes}
     closed_keys = {node.element.render() for node in closed.nodes}
     assert ambient_keys == closed_keys
     assert hw_crystal_isomorphic(ambient, closed)
@@ -244,9 +241,29 @@ def test_element_key_is_injective_on_the_suite_graphs(monkeypatch):
     monkeypatch.setattr(checks, "generate_from", recording)
     assert all(not violations for _, violations in checks.run_suite(seed=0))
     kinds = {type(graph.root.element).__name__ for graph in graphs}
-    assert {"TensorElement", "BJWord", "PathElement"} <= kinds
+    assert {"TensorElement", "BJWord", "PiecewisePath"} <= kinds
     for graph in graphs:
         keys = [element_key(node.element) for node in graph.nodes]
         assert keys == [node.key for node in graph.nodes]
         assert len(set(keys)) == len(keys)
         assert all(graph.index[key] == k for k, key in enumerate(keys))
+
+
+def test_raising_undoes_every_f_edge_of_each_element_kind():
+    # the validators read e-edges as reversed f-edges, so e itself is checked
+    # here: on every f-edge src -i-> dst of a generated graph, e_i(dst) = src
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    rank2, lam2 = context_with_base([[2, -1], [-1, -2]], [3, 2])
+    cases = [
+        (ctx, TensorElement(GLSPath.linear(lam), GLSPath.linear(lam)), 5, 202),
+        (ctx, bj_word(GeneratorSequence(3, (), (1, 2, 3)), []), 7, 1128),
+        (ctx, GLSPath.linear(lam).render(), 4, 76),
+        (rank2, TensorElement(GLSPath.linear(lam2), ElementaryElement(1, 0)), 4, 28),
+        (rank2, TensorElement(GLSPath.linear(lam2), ElementaryElement(2, 0)), 4, 27),
+    ]
+    for context, root, depth, edges in cases:
+        graph = generate_from(context, root, depth)
+        assert len(graph.f_edges) == edges
+        bad = [(src, i, dst) for (src, i), dst in graph.f_edges.items()
+               if graph.nodes[dst].element.e(context, i) != graph.nodes[src].element]
+        assert bad == [], (root, bad[:3])

@@ -351,7 +351,7 @@ def test_operator_made_breaks_are_built_on_first_read():
         assert p == fresh and hash(p) == hash(fresh)
         with pytest.raises(AttributeError):
             object.__getattribute__(p, "breaks")  # not built yet
-        assert p.breaks == fresh.breaks and p.sort_key() == fresh.sort_key()
+        assert p.breaks == fresh.breaks and p.key() == fresh.key()
         assert all(type(b) is F for b in p.breaks + fresh.breaks)
         assert p.breaks[0] == fresh.breaks[0] == 0 and p.breaks[-1] == fresh.breaks[-1] == 1
         for b in p.breaks:

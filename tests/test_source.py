@@ -52,3 +52,12 @@ def test_the_path_oracle_uses_nothing_of_the_gls_side():
             imported |= {alias.name for alias in node.names}
     assert imported and not imported & {"gls", "torbit", "crystals"}
     assert "orbit_table" not in text
+
+
+def test_crystal_elements_dispatch_by_method_not_by_type():
+    # every crystal element answers wt/epsilon/f/e/key itself, so the crystal
+    # layer never branches on the type of an element
+    tree = ast.parse((SOURCE / "crystals.py").read_text(encoding="utf-8"))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"]
+    assert found == []
