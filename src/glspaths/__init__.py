@@ -2,12 +2,11 @@
 
 from .rootdata import (BorcherdsCartanMatrix, MatrixError, AxisViolation,
                        AsymmetricZero, InvariantViolation, MatrixFormatError,
-                       Weight, WeightContext, alpha, context_with_base,
+                       Weight, WeightContext, context_with_base,
                        format_weight, load_context, parse_context_text,
-                       validate_matrix, weight)
+                       validate_matrix)
 from .torbit import (AChain, OrbitRoot, apply_word, dist, find_a_chain,
-                     minimal_words, orbit, positive_wpi_roots,
-                     reduced_word_search)
+                     minimal_words, orbit, positive_wpi_roots)
 from .paths import (HProfile, PiecewisePath, apply_e, apply_f, concatenate,
                     equal_up_to_reparametrization, h_profile, is_integral,
                     is_monotone, linear_path, trivial_path)

@@ -14,8 +14,7 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .gls import CrystalGraph, enumerate_crystal
-from .rootdata import (InvariantViolation, Weight, WeightContext, alpha,
-                       format_weight, weight)
+from .rootdata import InvariantViolation, Weight, WeightContext, format_weight
 
 Exponent = Tuple[int, ...]
 
@@ -138,11 +137,8 @@ class OrthogonalSet:
     def sum_vector(self, n: int) -> Exponent:
         return tuple(1 if i in self.indices else 0 for i in range(1, n + 1))
 
-    def sum_weight(self) -> Weight:
-        total = weight()
-        for i in self.indices:
-            total = total + alpha(i)
-        return total
+    def sum_weight(self, ctx: WeightContext) -> Weight:
+        return ctx.weight(roots=dict.fromkeys(self.indices, 1))
 
 
 def orthogonal_subsets(ctx: WeightContext, restrict_to_lambda: Optional[Weight],
@@ -188,7 +184,7 @@ def _signed_orbit_terms(ctx: WeightContext, start: Weight, budget: int,
                                   for k, v in enumerate(vec, start=1))
                 if sum(child_vec) + sum(shift) > budget:
                     continue
-                child = point - c * alpha(j)
+                child = point - c * ctx.alpha(j)
                 key = child.sort_key()
                 if key in seen:
                     if seen[key] != (parity + 1) % 2:
@@ -206,7 +202,7 @@ def _wkb_side(ctx: WeightContext, anchor: Weight, restrict: Optional[Weight],
     out: Dict[Exponent, int] = {}
     for fset in orthogonal_subsets(ctx, restrict, depth):
         shift = fset.sum_vector(n)
-        start = anchor - fset.sum_weight()
+        start = anchor - fset.sum_weight(ctx)
         sign = (-1) ** len(fset)
         _signed_orbit_terms(ctx, start, depth, shift, out, sign)
     return CharacterSeries.from_dict(anchor, n, depth, out)

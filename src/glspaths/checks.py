@@ -21,8 +21,7 @@ from .crystals import (BJWord, ElementaryElement, GeneratorSequence,
 from .gls import GLSPath, enumerate_crystal, gls_e, gls_f, verify_gls
 from .paths import (PiecewisePath, apply_e, apply_f, concatenate, h_profile,
                     is_integral, is_monotone)
-from .rootdata import (Weight, alpha, context_with_base, format_weight,
-                       offset_vector, weight)
+from .rootdata import Weight, context_with_base, format_weight, offset_vector
 from .torbit import (apply_word, dist, element_table, minimal_words, orbit,
                      positive_wpi_roots)
 
@@ -50,10 +49,9 @@ def fixture_context(fx: Fixture):
 
 def _sample_weights(ctx, lam, rng, count=6) -> List[Weight]:
     n = ctx.matrix.n
-    out = [lam, ctx.rho(), weight()]
+    out = [lam, ctx.rho(), ctx.weight()]
     for _ in range(count):
-        out.append(lam - sum((rng.randint(0, 3) * alpha(i) for i in range(1, n + 1)),
-                             weight()))
+        out.append(lam - ctx.weight(roots={i: rng.randint(0, 3) for i in range(1, n + 1)}))
     return out
 
 
@@ -97,10 +95,10 @@ def check_coroot_signs(ctx, rng, height_bound=4) -> List[str]:
     n = ctx.matrix.n
     for r in roots:
         for i in sorted(ctx.matrix.imaginary_indices):
-            if r.coroot_pairings[i - 1] > 0:
+            if r.coroot_pairing(ctx.alpha(i)) > 0:
                 out.append(f"coroot of {format_weight(r.root)} positive on alpha_{i}")
     for _ in range(10):
-        beta = sum((rng.randint(0, 3) * alpha(j) for j in range(1, n + 1)), weight())
+        beta = ctx.weight(roots={j: rng.randint(0, 3) for j in range(1, n + 1)})
         for i in sorted(ctx.matrix.imaginary_indices):
             if ctx.pairing(i, beta) > 0:
                 out.append(f"pairing({i}, {format_weight(beta)}) > 0 on Q+")
@@ -112,10 +110,9 @@ def check_orbit_properties(ctx, lam, depth=5, word_bound=4) -> List[str]:
     reflections, the shape of reduced expressions of dominant elements, and
     the stabilizer description."""
     out = []
-    n = ctx.matrix.n
     orb = orbit(ctx, lam, depth)
     for mu in orb:
-        off = offset_vector(lam, mu, n)
+        off = offset_vector(lam, mu)
         if any(c < 0 for c in off):
             out.append(f"{format_weight(mu)} escapes lam - Q+")
         for i in sorted(ctx.matrix.imaginary_indices):
@@ -238,13 +235,13 @@ def check_inversion_and_weight_shift(ctx, lam, depth=3) -> List[str]:
         for i in ctx.matrix.indices:
             down = apply_f(ctx, i, path)
             if down is not None:
-                if down.weight != path.weight - alpha(i):
+                if down.weight != path.weight - ctx.alpha(i):
                     out.append(f"f_{i} weight shift wrong")
                 if apply_e(ctx, i, down) != path:
                     out.append(f"e_{i} f_{i} != id")
             up = apply_e(ctx, i, path)
             if up is not None:
-                if up.weight != path.weight + alpha(i):
+                if up.weight != path.weight + ctx.alpha(i):
                     out.append(f"e_{i} weight shift wrong")
                 if apply_f(ctx, i, up) != path:
                     out.append(f"f_{i} e_{i} != id")
@@ -291,7 +288,6 @@ def check_gls_membership(ctx, lam, depth) -> List[str]:
     """Every enumerated path verifies its chains and is integral and monotone."""
     out = []
     graph = enumerate_crystal(ctx, lam, depth)
-    n = ctx.matrix.n
     for idx, node in enumerate(graph.nodes):
         el: GLSPath = node.element
         cert = verify_gls(ctx, el)
@@ -302,7 +298,7 @@ def check_gls_membership(ctx, lam, depth) -> List[str]:
             out.append(f"node {idx} not integral")
         if not is_monotone(ctx, path):
             out.append(f"node {idx} not monotone")
-        if any(c < 0 for c in offset_vector(lam, node.wt, n)):
+        if any(c < 0 for c in offset_vector(lam, node.wt)):
             out.append(f"node {idx} weight escapes lam - Q+")
     return out
 

@@ -85,7 +85,7 @@ def _cmd_orbit(args) -> int:
     ctx = _context(args)
     lam = ctx.base("lambda")
     weights = orbit(ctx, lam, args.depth)
-    rows = sorted((sum(offset_vector(lam, w, ctx.matrix.n)), w.sort_key(),
+    rows = sorted((sum(offset_vector(lam, w)), w.sort_key(),
                    format_weight(w)) for w in weights)
     _emit("".join(f"{r[2]}\n" for r in rows), args.output)
     return 0

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .gls import CrystalGraph, build_crystal_graph
 # apply_e is not called here; perfbench/test_perfbench.py checks that crystals binds it
 from .paths import apply_e
-from .rootdata import InvariantViolation, Weight, WeightContext, alpha, weight
+from .rootdata import InvariantViolation, Weight, WeightContext
 
 
 class NegInfinity:
@@ -123,7 +123,7 @@ class ElementaryElement:
     n: int
 
     def wt(self, ctx: WeightContext) -> Weight:
-        return -self.n * alpha(self.index)
+        return -self.n * ctx.alpha(self.index)
 
     def epsilon(self, ctx: WeightContext, i: int):
         if i != self.index:
@@ -191,7 +191,7 @@ class BJWord:
         vec = [0] * self.seq.n
         for k, m in enumerate(self.ms, start=1):
             vec[self.seq.index_at(k) - 1] -= m
-        return weight(roots=dict(enumerate(vec, start=1)))
+        return ctx.weight(roots=dict(enumerate(vec, start=1)))
 
     def epsilon(self, ctx: WeightContext, i: int):
         if ctx.matrix.is_real(i):
@@ -300,17 +300,12 @@ def element_f(ctx: WeightContext, i: int, el):
     return el.f(ctx, i)
 
 
-def _weight_and_pairings(ctx: WeightContext, el):
-    wt = element_wt(ctx, el)
-    return wt, tuple(ctx.pairing(i, wt) for i in ctx.matrix.indices)
-
-
 def generate_from(ctx: WeightContext, element, depth: int) -> CrystalGraph:
     """f-closure of an arbitrary crystal element, truncated by weight depth."""
     return build_crystal_graph(
         ctx, element, depth,
         f_func=element_f,
-        wt_func=_weight_and_pairings,
+        wt_func=element_wt,
         eps_func=element_epsilon,
         key_func=element_key,
     )
@@ -341,7 +336,7 @@ def validate_axioms(ctx: WeightContext, graph: CrystalGraph) -> List[str]:
                 out.append(f"node {idx}: rule 4 fails for i={i}: f_i not injective")
     for (src, i), dst in graph.f_edges.items():
         a, b = graph.nodes[src], graph.nodes[dst]
-        if b.wt != a.wt - alpha(i):
+        if b.wt != a.wt - ctx.alpha(i):
             out.append(f"edge {src}->{dst}: rule 2 fails for i={i}")
         step = 1 if ctx.matrix.is_real(i) else 0
         if b.eps[i - 1] != a.eps[i - 1] + step:

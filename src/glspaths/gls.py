@@ -20,8 +20,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 # apply_e is not called here; perfbench/test_perfbench.py checks that gls binds it
 from .paths import PiecewisePath, apply_e, first_time_at, last_time_at
-from .rootdata import (InvariantViolation, OrbitTable, Rational, Weight, WeightContext,
-                       format_weight, offset_vector, weight)
+from .rootdata import (InvariantViolation, OrbitTable, Weight, WeightContext, combination,
+                       format_weight, offset_vector)
 from .torbit import AChain, find_a_chain
 
 
@@ -81,15 +81,8 @@ class GLSPath:
     def weight(self) -> Weight:
         """sum_k (a_k - a_{k-1}) nu_k, summed as numerators over D, divided once."""
         if self._weight is None:
-            nums, bases, roots = self._nums, {}, {}
-            for a, b, w in zip(nums, nums[1:], self.weights):
-                for name, c in w.base_items:
-                    bases[name] = bases.get(name, 0) + (b - a) * c
-                for j, c in w.root_items:
-                    roots[j] = roots.get(j, 0) + (b - a) * c
-            _set(self, "_weight", Weight(
-                *(tuple((name, _over(c, nums[-1])) for name, c in sorted(total.items()) if c)
-                  for total in (bases, roots))))
+            nums = self._nums
+            _set(self, "_weight", combination(map(sub, nums[1:], nums), self.weights, nums[-1]))
         return self._weight
 
     def render(self) -> PiecewisePath:
@@ -118,7 +111,7 @@ class GLSPath:
 
 def _render(breaks, weights) -> PiecewisePath:
     """The path with slope weights[k] on [breaks[k], breaks[k + 1]]."""
-    pts = [(Fraction(0), weight())]
+    pts = [(Fraction(0), weights[0] * 0)]
     for t0, t1, w in zip(breaks, breaks[1:], weights):
         pts.append((t1, pts[-1][1] + (t1 - t0) * w))
     return PiecewisePath.from_points(pts)
@@ -130,12 +123,6 @@ def _render(breaks, weights) -> PiecewisePath:
 # over D), D the least common denominator of the breaks, so h_i at the breaks
 # is a numerator over D too and the work stays in ints.  Paths they return are
 # built from this form; other paths get their ids on first use.
-
-
-def _over(c: Rational, den: int) -> Rational:
-    """c / den in the exact form."""
-    q, r = divmod(c, den)
-    return Fraction(c, den) if r else q
 
 
 def _integer_form(ctx: WeightContext, pi: GLSPath):
@@ -253,14 +240,6 @@ def gls_epsilon(ctx: WeightContext, i: int, pi: GLSPath):
     return 0
 
 
-def _weight_and_pairings(ctx: WeightContext, pi: GLSPath):
-    """The weight of pi and its pairings h_i(1), summed over the orbit table."""
-    table, ids, _, nums = _integer_form(ctx, pi)
-    steps = list(map(sub, nums[1:], nums))
-    return pi.weight(), tuple(_over(sum(map(mul, steps, map(column.__getitem__, ids))), nums[-1])
-                              for column in table.pairings[1:])
-
-
 @dataclass(frozen=True)
 class GLSVerification:
     """Outcome of the membership test, with chain witnesses on success."""
@@ -340,7 +319,7 @@ class CrystalGraph:
         return self.e_edges.get((idx, i))
 
     def offset_of(self, idx: int) -> Tuple[Fraction, ...]:
-        return offset_vector(self.root.wt, self.nodes[idx].wt, self.ctx.matrix.n)
+        return offset_vector(self.root.wt, self.nodes[idx].wt)
 
 
 def build_crystal_graph(ctx: WeightContext, root_element, depth: int,
@@ -352,9 +331,8 @@ def build_crystal_graph(ctx: WeightContext, root_element, depth: int,
     equality of keys; the result is ordered by (depth, key), so the order in
     which a layer is expanded does not matter.
 
-    ``wt_func(ctx, el)`` returns the weight of el with its pairings
-    alpha_i^vee(wt), i = 1..n, and ``eps_func(ctx, i, el)`` returns
-    epsilon_i; phi_i is epsilon_i plus the i-th pairing."""
+    ``wt_func(ctx, el)`` returns the weight of el and ``eps_func(ctx, i, el)``
+    epsilon_i; phi_i is epsilon_i + alpha_i^vee(wt)."""
     n = ctx.matrix.n
     elements, depths = [root_element], [0]
     found = {root_element: 0}
@@ -383,9 +361,9 @@ def build_crystal_graph(ctx: WeightContext, root_element, depth: int,
     for idx, k in enumerate(order):
         position[k] = idx
         el, d = elements[k], depths[k]
-        wt, pairings = wt_func(ctx, el)
+        wt = wt_func(ctx, el)
         eps = tuple(eps_func(ctx, i, el) for i in range(1, n + 1))
-        phi = tuple(e + h for e, h in zip(eps, pairings))
+        phi = tuple(e + ctx.pairing(i, wt) for i, e in enumerate(eps, 1))
         nodes.append(CrystalNode(el, keys[k], wt, d, d == depth, eps, phi))
     f_edges = {(position[src], i): position[dst] for (src, i), dst in edges.items()}
     return CrystalGraph(ctx, depth, nodes, f_edges)
@@ -399,7 +377,7 @@ def enumerate_crystal(ctx: WeightContext, lam: Weight, depth: int) -> CrystalGra
     return build_crystal_graph(
         ctx, GLSPath.linear(lam), depth,
         f_func=gls_f,
-        wt_func=_weight_and_pairings,
+        wt_func=lambda ctx, pi: pi.weight(),
         eps_func=gls_epsilon,
         key_func=GLSPath.key,
     )
@@ -466,7 +444,7 @@ def properly_join(ctx: WeightContext, pi: GLSPath, pi_prime: GLSPath,
     chain_roots = [r for chain in witnesses.chains for r in chain.roots]
     # Walk tau right-to-left on lambda, omitting reflections that act trivially.
     kept: List[bool] = [False] * len(chain_roots)
-    evaluation_points: List[Weight] = [weight()] * len(chain_roots)
+    evaluation_points: List[Weight] = [pi.shape * 0] * len(chain_roots)
     x = pi.shape
     for t in range(len(chain_roots) - 1, -1, -1):
         root = chain_roots[t]
@@ -494,5 +472,5 @@ def properly_join(ctx: WeightContext, pi: GLSPath, pi_prime: GLSPath,
         if shape_chain is None:
             raise JoinRejected(1, (format_weight(last), format_weight(tau_bar_lam)))
     return JoinResult(_render([*pi.breaks[:-1], s, s_prime, *pi_prime.breaks[1:]],
-                              [*pi.weights, weight(), *pi_prime.weights]),
+                              [*pi.weights, pi.shape * 0, *pi_prime.weights]),
                       tuple(chain_roots), tuple(kept), restricted_ok, full_ok, shape_chain)

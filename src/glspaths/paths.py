@@ -18,10 +18,11 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from .rootdata import (InvariantViolation, Rational, Weight, WeightContext, add_root,
-                       format_weight, weight)
+                       format_weight)
 
 
 @dataclass(frozen=True)
@@ -104,28 +105,17 @@ class PiecewisePath:
 
 def _collinear(p0, p1, p2) -> bool:
     """Whether the point p1 = (t1, v1) lies on the segment from p0 to p2 at
-    its speed, compared coordinatewise: then p1 is no corner."""
+    its speed: then p1 is no corner."""
     (t0, v0), (t1, v1), (t2, v2) = p0, p1, p2
-    c0, c1, c2 = (dict(v.base_items + v.root_items) for v in (v0, v1, v2))
-    d1, d0 = t2 - t1, t1 - t0
-    return all((c1.get(x, 0) - c0.get(x, 0)) * d1 == (c2.get(x, 0) - c1.get(x, 0)) * d0
-               for x in c0.keys() | c1.keys() | c2.keys())
+    return (v1 - v0) * (t2 - t1) == (v2 - v1) * (t1 - t0)
 
 
 def _positively_parallel(d1: Weight, d2: Weight) -> bool:
-    """Whether d2 = c*d1 for some rational c > 0 (both nonzero)."""
-    items1 = dict(d1.base_items) | {("r", i): c for i, c in d1.root_items}
-    items2 = dict(d2.base_items) | {("r", i): c for i, c in d2.root_items}
-    if set(items1) != set(items2):
-        return False
-    ratio = None
-    for k, c1 in items1.items():
-        c2 = items2[k]
-        if ratio is None:
-            ratio = Fraction(c2, c1)
-        elif c2 != ratio * c1:
-            return False
-    return ratio is not None and ratio > 0
+    """Whether d2 = c*d1 for some rational c > 0 (both nonzero): c is the
+    ratio of their first nonzero coefficients."""
+    (_, c1), (_, c2) = (next(chain(*d.sort_key())) for d in (d1, d2))
+    c = Fraction(c2, c1)
+    return c > 0 and d2 == c * d1
 
 
 def equal_up_to_reparametrization(p: PiecewisePath, q: PiecewisePath) -> bool:
@@ -136,16 +126,11 @@ def linear_path(ctx: WeightContext, lam: Weight) -> PiecewisePath:
     """The straight path t*lam (the constant path when lam = 0)."""
     if not ctx.is_in_P(lam):
         raise ValueError(f"endpoint {format_weight(lam)} is not in P")
-    return PiecewisePath.from_points([(Fraction(0), weight()), (Fraction(1), lam)])
+    return PiecewisePath.from_points([(Fraction(0), ctx.weight()), (Fraction(1), lam)])
 
 
-def trivial_path() -> PiecewisePath:
-    return PiecewisePath.from_points([(Fraction(0), weight()), (Fraction(1), weight())])
-
-
-def path_to_text(pi: PiecewisePath) -> str:
-    """Serialization: one '(t) value' line per point, exact rationals."""
-    return "\n".join(f"{t} : {format_weight(v)}" for t, v in pi.points)
+def trivial_path(ctx: WeightContext) -> PiecewisePath:
+    return PiecewisePath.from_points([(Fraction(0), ctx.weight()), (Fraction(1), ctx.weight())])
 
 
 # -- scanning piecewise-linear height profiles --------------------------

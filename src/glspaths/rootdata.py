@@ -3,8 +3,9 @@
 Everything downstream works over a finite index set I = {1..n} with an
 integer matrix A = (a_ij) whose diagonal separates I into real indices
 (a_ii = 2) and imaginary ones (a_ii <= 0).  Weights are exact rational
-linear combinations of declared base weights and simple roots; the only
-data attached to a base weight is its vector of coroot pairings.
+linear combinations of declared base weights and simple roots, stored as
+dense vectors over their context's basis; the only data attached to a base
+weight is its vector of coroot pairings, so a pairing is a dot product.
 
 Every weight coefficient and every pairing is kept in one exact form
 (see ``exact``): an int when it is integral, a Fraction otherwise, never a
@@ -13,11 +14,12 @@ float.  Division of such data goes through ``Fraction(p, q)``.
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from math import gcd, lcm
+from operator import add, mul, sub
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -133,51 +135,67 @@ def validate_matrix(entries: Sequence[Sequence[int]],
     return BorcherdsCartanMatrix(n, tuple(rows), frozenset(real), frozenset(imaginary))
 
 
-@dataclass(frozen=True, slots=True)
 class Weight:
-    """Sparse exact weight: base coefficients plus simple-root coefficients.
+    """Dense exact weight over its context's basis: the declared base weights
+    in name order (``names``), then alpha_1..alpha_n.  Coefficient k is
+    ``nums[k] / den``, in lowest terms with den > 0, so structural equality is
+    mathematical equality.  Made only by a context (``WeightContext.weight``,
+    ``alpha``, ``base``, ``rho``) and by the arithmetic below; a coroot is kept
+    in the same form, as its values on the basis (see ``pair``).  Never changed
+    after construction; the hash and the sparse ``sort_key`` are cached in
+    slots on first use."""
 
-    Canonical form (sorted items, zeros dropped, coefficients as ``exact``
-    gives them) makes structural equality agree with mathematical equality
-    on the represented span.  The hash is cached on first use.
-    """
+    __slots__ = ("names", "den", "nums", "_key", "_hash")
 
-    base_items: Tuple[Tuple[str, Rational], ...] = ()
-    root_items: Tuple[Tuple[int, Rational], ...] = ()
-    _hash: Optional[int] = field(default=None, init=False, compare=False, repr=False)
+    def __init__(self, names: Tuple[str, ...], den: int, nums: Tuple[int, ...]):
+        self.names, self.den, self.nums = names, den, nums
+        self._key = self._hash = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Weight):
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den and self.names == other.names
 
     def __hash__(self):
         if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.base_items, self.root_items)))
+            self._hash = hash((self.den, self.nums))
         return self._hash
 
     def is_zero(self) -> bool:
-        return not self.base_items and not self.root_items
+        return not any(self.nums)
 
-    def root_vector(self, n: int) -> Tuple[Rational, ...]:
-        d = dict(self.root_items)
-        return tuple(d.get(i, 0) for i in range(1, n + 1))
+    def root_vector(self) -> Tuple[Rational, ...]:
+        """The coefficients of alpha_1..alpha_n."""
+        roots = self.nums[len(self.names):]
+        return roots if self.den == 1 else tuple(_over(x, self.den) for x in roots)
 
     def root_height(self) -> Rational:
-        return sum(c for _, c in self.root_items)
+        return _over(sum(self.nums[len(self.names):]), self.den)
 
     def sort_key(self):
-        return (self.base_items, self.root_items)
+        """(base_items, root_items): the nonzero coefficients as (name, c) and
+        (i, c) pairs, in the exact form; the canonical sparse order of weights."""
+        if self._key is None:
+            k, den = len(self.names), self.den
+            self._key = (tuple((b, _over(x, den)) for b, x in zip(self.names, self.nums) if x),
+                         tuple((i, _over(x, den)) for i, x in enumerate(self.nums[k:], 1) if x))
+        return self._key
 
     def __add__(self, other: "Weight") -> "Weight":
-        return _combine(self, other, 1)
+        names, den, a, b = _common(self, other)
+        return _reduced(names, den, tuple(map(add, a, b)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return _combine(self, other, -1)
+        names, den, a, b = _common(self, other)
+        return _reduced(names, den, tuple(map(sub, a, b)))
 
     def __neg__(self) -> "Weight":
         return self * -1
 
     def __mul__(self, c: Rational) -> "Weight":
-        if c == 0:
-            return Weight()
-        return Weight(tuple((b, exact(v * c)) for b, v in self.base_items),
-                      tuple((i, exact(v * c)) for i, v in self.root_items))
+        c = exact(c)
+        return _reduced(self.names, self.den * c.denominator,
+                        tuple(x * c.numerator for x in self.nums))
 
     __rmul__ = __mul__
 
@@ -185,49 +203,82 @@ class Weight:
         return f"Weight({format_weight(self)})"
 
 
-def weight(bases: Optional[Mapping[str, Rational]] = None,
-           roots: Optional[Mapping[int, Rational]] = None) -> Weight:
-    """Build a weight in canonical sparse form."""
-    bi = tuple(sorted((b, exact(v)) for b, v in (bases or {}).items() if v != 0))
-    ri = tuple(sorted((int(i), exact(v)) for i, v in (roots or {}).items() if v != 0))
-    return Weight(bi, ri)
+def _over(c: int, den: int) -> Rational:
+    """c / den in the exact form."""
+    q, r = divmod(c, den)
+    return Fraction(c, den) if r else q
 
 
-def _combine(a: Weight, b: Weight, sign: int) -> Weight:
-    """a + sign * b; a part that is empty on one side is taken over as it is."""
-    parts = []
-    for x, y in ((a.base_items, b.base_items), (a.root_items, b.root_items)):
-        if not x or not y:
-            parts.append(x or (y if sign == 1 else tuple((k, -v) for k, v in y)))
-            continue
-        total = dict(x)
-        for k, v in y:
-            total[k] = total.get(k, 0) + sign * v
-        parts.append(tuple(sorted((k, exact(v)) for k, v in total.items() if v != 0)))
-    return Weight(*parts)
+def _reduced(names: Tuple[str, ...], den: int, nums: Tuple[int, ...]) -> Weight:
+    """The weight nums / den (den > 0) in lowest terms."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den, nums = den // g, tuple(x // g for x in nums)
+    return Weight(names, den, nums)
+
+
+def _vector(names: Tuple[str, ...], values: Sequence[Rational]) -> Weight:
+    """The weight with the exact coefficients values over the basis names."""
+    den = lcm(*(v.denominator for v in values))
+    return _reduced(names, den, tuple(v.numerator * (den // v.denominator) for v in values))
+
+
+def _basis(a: Weight, b: Weight) -> Tuple[str, ...]:
+    """The basis of a and b; UnknownBase if they have different ones."""
+    if a.names is not b.names and (a.names != b.names or len(a.nums) != len(b.nums)):
+        raise UnknownBase(f"weights over different bases {a.names} and {b.names}")
+    return a.names
+
+
+def _common(a: Weight, b: Weight):
+    """(basis, D, the numerators of a over D, those of b), D the lcm of the denominators."""
+    names = _basis(a, b)
+    if a.den == b.den:
+        return names, a.den, a.nums, b.nums
+    den = lcm(a.den, b.den)
+    p, q = den // a.den, den // b.den
+    return names, den, [x * p for x in a.nums], [y * q for y in b.nums]
+
+
+def pair(f: Weight, w: Weight) -> Rational:
+    """f(w) for a functional f given by its values on the basis (a coroot):
+    one dot product, in the exact form."""
+    _basis(f, w)
+    return _over(sum(map(mul, f.nums, w.nums)), f.den * w.den)
+
+
+def combination(coeffs: Iterable[int], weights: Sequence[Weight], den: int) -> Weight:
+    """sum_k coeffs[k] weights[k] / den for int coefficients, over one basis."""
+    first, m = weights[0], lcm(*(w.den for w in weights))
+    for w in weights:
+        _basis(first, w)
+    scaled = [c * (m // w.den) for c, w in zip(coeffs, weights)]
+    return _reduced(first.names, den * m, tuple(sum(map(mul, scaled, column))
+                                                 for column in zip(*(w.nums for w in weights))))
 
 
 def add_root(w: Weight, i: int, c: Rational) -> Weight:
-    """w + c alpha_i: only the alpha_i coefficient changes."""
+    """w + c alpha_i: one numerator changes."""
     if not c:
         return w
-    roots = dict(w.root_items)
-    roots[i] = exact(roots.get(i, 0) + c)
-    return Weight(w.base_items, tuple(sorted(x for x in roots.items() if x[1])))
-
-
-def alpha(i: int) -> Weight:
-    """The simple root with index i."""
-    return weight(roots={i: 1})
+    c = exact(c)
+    den, nums, q = w.den, list(w.nums), c.denominator
+    if den % q:
+        den = lcm(den, q)
+        nums = [x * (den // w.den) for x in nums]
+    nums[len(w.names) + i - 1] += c.numerator * (den // q)
+    return _reduced(w.names, den, tuple(nums))
 
 
 def format_weight(w: Weight) -> str:
     """Deterministic text form, e.g. ``lambda-2*a1`` (a_i stands for alpha_i)."""
-    if w.is_zero():
+    base_items, root_items = w.sort_key()
+    if not base_items and not root_items:
         return "0"
     out = ""
-    terms = [(c, name) for name, c in w.base_items]
-    terms += [(c, f"a{i}") for i, c in w.root_items]
+    terms = [(c, name) for name, c in base_items]
+    terms += [(c, f"a{i}") for i, c in root_items]
     for c, sym in terms:
         if c < 0:
             out += "-"
@@ -244,7 +295,9 @@ class WeightContext:
     """A matrix with named base weights, each given by its pairing vector.
 
     The distinguished base ``rho`` (pairing a_ii/2 against every coroot)
-    always exists; it is flagged non-integral when some a_ii is odd.
+    always exists; it is flagged non-integral when some a_ii is odd.  The
+    basis of the context's weights is ``base_names``, then alpha_1..alpha_n;
+    ``coroots[i]`` is alpha_i^vee written over it.
     """
 
     def __init__(self, matrix: BorcherdsCartanMatrix,
@@ -271,24 +324,43 @@ class WeightContext:
             flags[name] = inferred if declared is None else declared
         self.base_pairings = pairings
         self.integral_flags = flags
-        # per index i: base name -> its pairing with alpha_i^vee, root index j -> a_ij
-        self._columns = [None] + [{**{name: vec[i - 1] for name, vec in pairings.items()},
-                                   **{j: matrix.entry(i, j) for j in matrix.indices}}
-                                  for i in matrix.indices]
+        self.base_names = names = tuple(sorted(pairings))
+        self._integral = [flags[name] for name in names]
+        # alpha_i^vee over the basis: its pairing with each base, then a_ij
+        self.coroots = [None] + [_vector(names, [pairings[name][i - 1] for name in names]
+                                         + [matrix.entry(i, j) for j in matrix.indices])
+                                 for i in matrix.indices]
+        self._alphas = [None] + [self.weight(roots={i: 1}) for i in matrix.indices]
 
     # -- constructors ------------------------------------------------------
 
+    def weight(self, bases: Optional[Mapping[str, Rational]] = None,
+               roots: Optional[Mapping[int, Rational]] = None) -> Weight:
+        """sum_b c_b b + sum_i c_i alpha_i over this context's basis; UnknownBase
+        for an undeclared base, TypeError for a float coefficient."""
+        names, n = self.base_names, self.matrix.n
+        values = [0] * (len(names) + n)
+        for name, c in (bases or {}).items():
+            if name not in self.base_pairings:
+                raise UnknownBase(name)
+            values[names.index(name)] = exact(c)
+        for i, c in (roots or {}).items():
+            if not 1 <= i <= n:
+                raise ValueError(f"index {i} out of range")
+            values[len(names) + i - 1] = exact(c)
+        return _vector(names, values)
+
+    def alpha(self, i: int) -> Weight:
+        """The simple root with index i."""
+        if not 1 <= i <= self.matrix.n:
+            raise ValueError(f"index {i} out of range")
+        return self._alphas[i]
+
     def base(self, name: str) -> Weight:
-        if name not in self.base_pairings:
-            raise UnknownBase(name)
-        return weight(bases={name: 1})
+        return self.weight(bases={name: 1})
 
     def rho(self) -> Weight:
-        return weight(bases={RHO: 1})
-
-    @property
-    def base_names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.base_pairings))
+        return self.base(RHO)
 
     @cached_property
     def orbit_table(self) -> "OrbitTable":
@@ -298,17 +370,10 @@ class WeightContext:
     # -- exact pairing and reflections --------------------------------------
 
     def pairing(self, i: int, w: Weight) -> Rational:
-        """alpha_i^vee(w), extended linearly over bases and roots."""
+        """alpha_i^vee(w): a dot product with the coroot's values on the basis."""
         if not 1 <= i <= self.matrix.n:
             raise ValueError(f"index {i} out of range")
-        column, total = self._columns[i], 0
-        for name, c in w.base_items:
-            if name not in column:
-                raise UnknownBase(name)
-            total += c * column[name]
-        for j, c in w.root_items:
-            total += c * column[j]
-        return exact(total)
+        return pair(self.coroots[i], w)
 
     def reflect(self, i: int, w: Weight) -> Weight:
         """r_i(w) = w - alpha_i^vee(w) alpha_i."""
@@ -328,12 +393,9 @@ class WeightContext:
 
     def is_in_P(self, w: Weight) -> bool:
         """Integral pairings everywhere, integer coefficients over integral bases."""
-        for name, c in w.base_items:
-            if name not in self.base_pairings:
-                raise UnknownBase(name)
-            if self.integral_flags[name] and c.denominator != 1:
-                return False
-        return all(self.pairing(i, w).denominator == 1 for i in self.matrix.indices)
+        if any(self.pairing(i, w).denominator != 1 for i in self.matrix.indices):
+            return False
+        return not any(flag and x % w.den for flag, x in zip(self._integral, w.nums))
 
     def is_P_plus(self, w: Weight) -> bool:
         return self.is_in_P(w) and all(self.pairing(i, w) >= 0 for i in self.matrix.indices)
@@ -347,8 +409,8 @@ class OrbitTable:
     and a-chain search results per raw (a, mu, nu, height_bound), frozen, shared."""
 
     def __init__(self, ctx: WeightContext):
-        self.ctx = weakref.proxy(ctx)  # the context owns the table, not the reverse
         self.matrix = matrix = ctx.matrix
+        self.coroots = ctx.coroots  # not the context: the context owns the table
         self.ids: Dict[Weight, int] = {}
         self.weights: List[Weight] = []
         n = matrix.n
@@ -360,29 +422,24 @@ class OrbitTable:
         self.chains: Dict[tuple, object] = {}
         self.fractions: Dict[Tuple[int, int], Fraction] = {}  # GLS break values, see gls
 
-    def intern(self, w: Weight, pairings: Optional[Sequence[Rational]] = None) -> int:
-        """Id of w; pairings, when given, are its coroot pairings."""
+    def intern(self, w: Weight) -> int:
+        """Id of w; a new weight gets its coroot pairings."""
         k = self.ids.get(w)
         if k is None:
-            if pairings is None:
-                pairings = [self.ctx.pairing(i, w) for i in self.matrix.indices]
             k = self.ids[w] = len(self.weights)
             self.weights.append(w)
-            for column, c in zip(self.pairings[1:], pairings):
-                column.append(c)
+            for column, coroot in zip(self.pairings[1:], self.coroots[1:]):
+                column.append(pair(coroot, w))
         return k
 
     def reflect(self, i: int, k: int, inverse: bool = False) -> int:
         """Id of r_i, or of r_i^{-1} (i imaginary), applied to the weight with id k."""
-        matrix = self.matrix
-        images = self._images[matrix.n + i if inverse else i]
+        images = self._images[self.matrix.n + i if inverse else i]
         image = images.get(k)
         if image is None:
-            # the image is w + c alpha_i, so alpha_j^vee of it is alpha_j^vee(w) + c a_ji
-            c, entry = self.pairings[i][k], matrix.entry
-            c = Fraction(c, 1 - entry(i, i)) if inverse else -c
-            pairings = [exact(self.pairings[j][k] + c * entry(j, i)) for j in matrix.indices]
-            image = images[k] = self.intern(add_root(self.weights[k], i, c), pairings)
+            c = self.pairings[i][k]
+            c = Fraction(c, 1 - self.matrix.entry(i, i)) if inverse else -c
+            image = images[k] = self.intern(add_root(self.weights[k], i, c))
         return image
 
 
@@ -480,10 +537,9 @@ def load_context(path: str, imaginary_diag_zero_allowed: bool = True,
     return WeightContext(matrix, merged)
 
 
-def offset_vector(higher: Weight, lower: Weight, n: int) -> Tuple[Rational, ...]:
+def offset_vector(higher: Weight, lower: Weight) -> Tuple[Rational, ...]:
     """Coefficients c with higher - lower = sum c_i alpha_i; bases must cancel."""
-    if higher.base_items != lower.base_items:
-        raise ValueError(f"weights differ in base part: {format_weight(higher - lower)}")
-    return tuple(exact(a - b) for a, b in zip(higher.root_vector(n), lower.root_vector(n)))
-
-
+    d = higher - lower
+    if any(d.nums[:len(d.names)]):
+        raise ValueError(f"weights differ in base part: {format_weight(d)}")
+    return d.root_vector()

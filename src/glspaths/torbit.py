@@ -10,11 +10,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .rootdata import (InvariantViolation, Rational, Weight, WeightContext,
-                       alpha, exact, format_weight, offset_vector, weight)
+                       add_root, format_weight, offset_vector, pair)
 
 TWord = Tuple[int, ...]
 
@@ -44,43 +43,12 @@ def orbit(ctx: WeightContext, lam: Weight, depth: int) -> Set[Weight]:
             nu = ctx.reflect(i, mu)
             if nu in seen:
                 continue
-            off = offset_vector(lam, nu, n)
+            off = offset_vector(lam, nu)
             if any(c < 0 for c in off) or sum(off) > depth:
                 continue
             seen.add(nu)
             queue.append(nu)
     return seen
-
-
-def reduced_word_search(ctx: WeightContext, lam: Weight, mu: Weight,
-                        max_len: int) -> Optional[TWord]:
-    """Shortest word with word.lam = mu, or None within the length bound.
-
-    BFS guarantees minimality; among minimal words the lexicographically
-    smallest is returned.
-    """
-    if lam == mu:
-        return ()
-    n = ctx.matrix.n
-    seen = {lam}
-    layer: List[Tuple[TWord, Weight]] = [((), lam)]
-    for _ in range(max_len):
-        # letters outside, layer inside: the next layer stays in lex order
-        nxt: List[Tuple[TWord, Weight]] = []
-        for i in range(1, n + 1):
-            for word, w in layer:
-                w2 = ctx.reflect(i, w)
-                if w2 in seen:
-                    continue
-                word2 = (i,) + word
-                if w2 == mu:
-                    return word2
-                seen.add(w2)
-                nxt.append((word2, w2))
-        layer = nxt
-        if not layer:
-            break
-    return None
 
 
 def minimal_words(ctx: WeightContext, lam: Weight, mu: Weight,
@@ -114,7 +82,7 @@ def element_table(ctx: WeightContext, max_len: int) -> Dict[tuple, TWord]:
     each element is the BFS-minimal one.
     """
     n = ctx.matrix.n
-    span = [ctx.base(name) for name in ctx.base_names] + [alpha(i) for i in range(1, n + 1)]
+    span = [ctx.base(name) for name in ctx.base_names] + [ctx.alpha(i) for i in range(1, n + 1)]
 
     def key_of(images):
         return tuple(w.sort_key() for w in images)
@@ -143,31 +111,20 @@ def element_table(ctx: WeightContext, max_len: int) -> Dict[tuple, TWord]:
 class OrbitRoot:
     """A positive root in W.Pi together with its transported coroot.
 
-    The coroot is stored as a functional: values against every simple root
-    (``coroot_pairings``) and against every declared base weight
-    (``base_pairings``).  ``origin`` records one way of writing the root as
-    w.alpha_i with w a word over real indices.
+    The coroot is a functional, kept as its values on the context's basis
+    (declared bases, then simple roots; see ``rootdata.pair``).  ``origin``
+    records one way of writing the root as w.alpha_i with w a word over real
+    indices.
     """
 
     root: Weight
-    coroot_pairings: Tuple[int, ...]
-    base_pairings: Tuple[Tuple[str, Rational], ...]
+    coroot: Weight
     origin_word: TWord
     origin_index: int
     imaginary: bool
 
-    @cached_property
-    def _base(self) -> Dict[str, Rational]:
-        return dict(self.base_pairings)
-
     def coroot_pairing(self, w: Weight) -> Rational:
-        base = self._base
-        total = 0
-        for name, c in w.base_items:
-            total += c * base[name]
-        for j, c in w.root_items:
-            total += c * self.coroot_pairings[j - 1]
-        return exact(total)
+        return pair(self.coroot, w)
 
     def height(self) -> Rational:
         return self.root.root_height()
@@ -180,11 +137,12 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot
     """All roots of W.Pi inside Q+ with height <= bound, coroots transported.
 
     BFS applies real reflections to the simple roots, discarding anything that leaves the
-    positive cone.  Revisiting a root must reproduce the same coroot (well-definedness of
-    beta^vee), checked on every build.  The sets are nested and kept per bound in the
-    context's orbit table, sorted by (height, sort key): the BFS runs only for a bound
-    above all bounds built, a smaller bound gets the height <= bound prefix of a larger
-    tuple, and a build that cuts nothing by height holds every root: it is bound inf too.
+    positive cone.  Revisiting a root must reproduce the same coroot, on the simple roots
+    and on the bases alike (well-definedness of beta^vee), checked on every build.  The
+    sets are nested and kept per bound in the context's orbit table, sorted by (height,
+    sort key): the BFS runs only for a bound above all bounds built, a smaller bound gets
+    the height <= bound prefix of a larger tuple, and a build that cuts nothing by height
+    holds every root: it is bound inf too.
     """
     cache = ctx.orbit_table.roots
     if height_bound in cache:
@@ -194,46 +152,32 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot
         cache[height_bound] = tuple(r for r in min(built, key=len) if r.height() <= height_bound)
         return cache[height_bound]
     n = ctx.matrix.n
-    names = ctx.base_names
     out: Dict[tuple, OrbitRoot] = {}
     queue = deque()
     complete = height_bound >= 1  # else the simple roots are cut
     for i in range(1, n + 1 if complete else 1):
-        r = OrbitRoot(
-            root=alpha(i),
-            coroot_pairings=tuple(ctx.matrix.entry(i, j) for j in range(1, n + 1)),
-            base_pairings=tuple((b, ctx.base_pairings[b][i - 1]) for b in names),
-            origin_word=(),
-            origin_index=i,
-            imaginary=ctx.matrix.is_imaginary(i),
-        )
+        r = OrbitRoot(root=ctx.alpha(i), coroot=ctx.coroots[i], origin_word=(),
+                      origin_index=i, imaginary=ctx.matrix.is_imaginary(i))
         out[r.root.sort_key()] = r
         queue.append(r)
     while queue:
         r = queue.popleft()
         for k in sorted(ctx.matrix.real_indices):
-            c = ctx.pairing(k, r.root)
-            new_root = r.root - c * alpha(k)
-            vec = new_root.root_vector(n)
+            new_root = add_root(r.root, k, -ctx.pairing(k, r.root))
+            vec = new_root.root_vector()
             if any(v < 0 for v in vec) or new_root.is_zero():
                 continue
             if sum(vec) > height_bound:
                 complete = False
                 continue
-            ck = r.coroot_pairings[k - 1]
-            new = OrbitRoot(
-                root=new_root,
-                coroot_pairings=tuple(v - ck * ctx.matrix.entry(k, j)
-                                      for j, v in enumerate(r.coroot_pairings, start=1)),
-                base_pairings=tuple((b, exact(v - ck * ctx.base_pairings[b][k - 1]))
-                                    for b, v in r.base_pairings),
-                origin_word=(k,) + r.origin_word,
-                origin_index=r.origin_index,
-                imaginary=r.imaginary,
-            )
+            # r_k(beta)^vee = r_k(beta^vee) = beta^vee - beta^vee(alpha_k) alpha_k^vee
+            ck = r.coroot_pairing(ctx.alpha(k))
+            new = OrbitRoot(root=new_root, coroot=r.coroot - ck * ctx.coroots[k],
+                            origin_word=(k,) + r.origin_word, origin_index=r.origin_index,
+                            imaginary=r.imaginary)
             key = new_root.sort_key()
             if key in out:
-                if out[key].coroot_pairings != new.coroot_pairings:
+                if out[key].coroot != new.coroot:
                     raise InvariantViolation(
                         f"coroot of {format_weight(new_root)} depends on its expression")
                 continue
@@ -245,12 +189,12 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot
     return roots
 
 
-def _descent_steps(roots: Sequence[OrbitRoot], x: Weight, floor: Weight, n: int):
+def _descent_steps(roots: Sequence[OrbitRoot], x: Weight, floor: Weight):
     """Covering-candidate steps x -> r_beta(x) staying componentwise above floor."""
-    gap = (x - floor).root_vector(n)
+    gap = (x - floor).root_vector()
     for r in roots:
         c = r.coroot_pairing(x)
-        if c <= 0 or any(gap[j - 1] < c * v for j, v in r.root.root_items):
+        if c <= 0 or any(g < c * v for g, v in zip(gap, r.root.root_vector()) if v):
             continue
         yield r, c, x - c * r.root
 
@@ -266,8 +210,7 @@ def dist(ctx: WeightContext, mu: Weight, nu: Weight,
     """
     if mu == nu:
         return 0
-    n = ctx.matrix.n
-    gap = (nu - mu).root_vector(n)
+    gap = (nu - mu).root_vector()
     total = sum(gap)
     if any(c < 0 for c in gap) or total.denominator != 1:
         return None
@@ -284,7 +227,7 @@ def dist(ctx: WeightContext, mu: Weight, nu: Weight,
         if x in memo:
             return memo[x]
         best = None
-        for _, _, y in _descent_steps(roots, x, mu, n):
+        for _, _, y in _descent_steps(roots, x, mu):
             sub = longest(y)
             if sub is not None and (best is None or sub + 1 > best):
                 best = sub + 1
@@ -341,8 +284,7 @@ def _search_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight,
         raise ValueError(f"chain level must lie in (0,1], got {a}")
     if mu == nu:
         return AChain(a, (mu,), ())
-    n = ctx.matrix.n
-    gap = (nu - mu).root_vector(n)
+    gap = (nu - mu).root_vector()
     total = sum(gap)
     if any(c < 0 for c in gap) or total.denominator != 1:
         return None
@@ -355,7 +297,7 @@ def _search_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight,
             return []
         if x in dead:
             return None
-        for r, c, y in _descent_steps(roots, x, mu, n):
+        for r, c, y in _descent_steps(roots, x, mu):
             if not _step_admissible(a, r, c):
                 continue
             if dist(ctx, y, x) != 1:

@@ -8,12 +8,9 @@ runtime budgets are asserted as well).
 import time
 from fractions import Fraction as F
 
-import pytest
-
-from glspaths import (GLSPath, TensorElement, alpha, apply_e,
+from glspaths import (GLSPath, TensorElement, apply_e,
                       compare_characters, context_with_base, enumerate_crystal,
-                      generate_from, gls_e, gls_f, hw_crystal_isomorphic,
-                      verify_gls, weight)
+                      generate_from, gls_e, hw_crystal_isomorphic, verify_gls)
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_ambient_axioms,
                              check_bj_properties, check_crystal_axioms,
                              check_embedding_theorem, check_gls_membership,
@@ -21,7 +18,6 @@ from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_ambient_axioms,
                              check_operator_iteration, check_oracle_equivalence,
                              fixture_context)
 from glspaths.crystals import GeneratorSequence
-from glspaths.gls import CrystalGraph
 
 # matrices of criterion 3: (entries, pairing vector, depth)
 CHARACTER_CASES = (
@@ -86,7 +82,7 @@ def test_criterion_1_rank_one_reproduction():
             if s == 0:
                 expected = (F(0), F(1))
             assert el.breaks == expected
-            assert node.wt == lam - s * alpha(1)
+            assert node.wt == lam - s * ctx.alpha(1)
             if s < 5:
                 assert graph.f_image(s, 1) == s + 1
 
@@ -124,7 +120,7 @@ def test_criterion_4_isomorphism_theorem():
     with Budget(4, 30.0):
         for entries, left, right in SPLIT_CASES:
             ctx, lam = context_with_base(entries, left, extra_bases={"mu": right})
-            mu = ctx.base("mu") if any(right) else weight()
+            mu = ctx.base("mu") if any(right) else ctx.weight()
             pair = TensorElement(GLSPath.linear(lam), GLSPath.linear(mu))
             tensor_side = generate_from(ctx, pair, 4)
             sum_side = enumerate_crystal(ctx, lam + mu, 4)

@@ -4,7 +4,7 @@ import pytest
 
 from glspaths import cli
 from glspaths.character import CharacterComparison, CharacterSeries
-from glspaths.rootdata import InvariantViolation, weight
+from glspaths.rootdata import InvariantViolation, context_with_base
 
 
 @pytest.fixture
@@ -68,10 +68,11 @@ def test_char_and_compare(matrices, capsys):
 
 
 def test_compare_mismatch_exit_code(matrices, monkeypatch, capsys):
+    zero = context_with_base([[-1]], [2])[0].weight()
     fake = CharacterComparison(
         equal=False, differences=(((0,), 1, 2),),
-        crystal=CharacterSeries.from_dict(weight(), 1, 1, {(0,): 1}),
-        formula=CharacterSeries.from_dict(weight(), 1, 1, {(0,): 2}))
+        crystal=CharacterSeries.from_dict(zero, 1, 1, {(0,): 1}),
+        formula=CharacterSeries.from_dict(zero, 1, 1, {(0,): 2}))
     monkeypatch.setattr(cli, "compare_characters", lambda *a, **k: fake)
     assert cli.run(["compare-char", "-m", str(matrices["im"]), "-l", "2", "-d", "3"]) == 2
     assert "MISMATCH" in capsys.readouterr().out

@@ -4,12 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from glspaths import (NEG_INF, BJWord, DepthMismatch, ElementaryElement,
-                      GLSPath, GeneratorSequence, TensorElement, alpha,
+from glspaths import (NEG_INF, DepthMismatch, ElementaryElement,
+                      GLSPath, GeneratorSequence, TensorElement,
                       bj_apply, bj_word, context_with_base,
-                      enumerate_crystal, generate_from, gls_e,
+                      enumerate_crystal, generate_from,
                       hw_crystal_isomorphic, validate_axioms, validate_category_B,
-                      validate_normality, weight)
+                      validate_normality)
 from glspaths import checks
 from glspaths.checks import (TWO_IMAGINARY, check_ambient_axioms,
                              check_bj_properties, check_binfty_stability,
@@ -37,7 +37,7 @@ def test_elementary_tables():
     ctx2, _ = context_with_base([[2]], [2])
     b3 = ElementaryElement(1, 3)
     assert element_epsilon(ctx2, 1, b3) == 3 and element_phi(ctx2, 1, b3) == -3
-    assert element_wt(ctx2, b3) == -3 * alpha(1)
+    assert element_wt(ctx2, b3) == -3 * ctx2.alpha(1)
     assert ElementaryElement(1, 0).e(ctx2, 1) is None
     assert element_f(ctx2, 1, b3) == ElementaryElement(1, 4)
     ctx1, _ = context_with_base([[-1]], [2])
@@ -223,9 +223,9 @@ def test_bj_weight_is_the_per_place_sum():
     assert len(graph) == 824
     for node in graph.nodes:
         word = node.element
-        expected = weight()
+        expected = ctx.weight()
         for k, m in enumerate(word.ms, start=1):
-            expected = expected - m * alpha(word.seq.index_at(k))
+            expected = expected - m * ctx.alpha(word.seq.index_at(k))
         assert element_wt(ctx, word) == expected == node.wt
 
 

@@ -6,10 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from glspaths import (GLSPath, JoinRejected, NotAGLSPath, alpha, apply_e, apply_f,
+from glspaths import (GLSPath, JoinRejected, NotAGLSPath, apply_e, apply_f,
                       concatenate, context_with_base, enumerate_crystal,
                       export_dot, gls_e, gls_f, linear_path, properly_join,
-                      verify_gls, weight)
+                      verify_gls)
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_gls_membership,
                              check_highest_weight_unique,
                              check_non_strictness_witness,
@@ -33,7 +33,7 @@ def rpow(ctx, lam, s):
 
 
 def test_gls_path_validation():
-    lam = weight(bases={"lambda": 1})
+    _, lam = ctx1()
     with pytest.raises(ValueError):
         GLSPath(lam, (lam,), (F(0), F(1, 2)))
     with pytest.raises(ValueError):
@@ -158,7 +158,7 @@ def test_enumerate_rank_one_chain():
     graph = enumerate_crystal(ctx, lam, 3)
     assert len(graph) == 4
     for s, node in enumerate(graph.nodes):
-        assert node.wt == lam - s * alpha(1)
+        assert node.wt == lam - s * ctx.alpha(1)
         assert node.frontier == (s == 3)
         if s:
             assert graph.f_image(s - 1, 1) == s
@@ -168,7 +168,8 @@ def test_enumerate_rank_one_chain():
 def test_enumerate_sl2():
     ctx, lam = ctx2()
     graph = enumerate_crystal(ctx, lam, 4)
-    assert [node.wt for node in graph.nodes] == [lam, lam - alpha(1), lam - 2 * alpha(1)]
+    assert [node.wt for node in graph.nodes] == [lam, lam - ctx.alpha(1),
+                                                 lam - 2 * ctx.alpha(1)]
     with pytest.raises(ValueError):
         enumerate_crystal(ctx, -lam, 2)
 
@@ -240,7 +241,7 @@ def test_join_accepts_lowered_left():
     v_half = F(1, 2) * r2l
     v_join = v_half + F(1, 4) * (2 * lam)
     expected = PiecewisePath.from_points([
-        (F(0), weight()), (F(1, 2), v_half), (F(3, 4), v_join),
+        (F(0), ctx.weight()), (F(1, 2), v_half), (F(3, 4), v_join),
         (F(1), v_join + F(1, 4) * (2 * mu))])
     assert res.path == expected
 
@@ -270,7 +271,7 @@ def test_operators_across_a_genuine_stall():
     assert is_integral(ctx, res.path)
     assert is_monotone(ctx, res.path, strict=False)
     lowered = apply_f(ctx, 1, res.path)
-    assert lowered.weight == lam - alpha(1)
+    assert lowered.weight == lam - ctx.alpha(1)
     assert apply_e(ctx, 1, lowered) == res.path
 
 

@@ -9,14 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from glspaths import (AsymmetricZero, AxisViolation, MatrixError,
-                      MatrixFormatError, alpha, context_with_base,
-                      format_weight, parse_context_text, validate_matrix,
-                      weight)
+                      MatrixFormatError, context_with_base, format_weight,
+                      parse_context_text, validate_matrix)
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_coroot_signs,
                              check_reflections, fixture_context)
 from glspaths.gls import enumerate_crystal, gls_e
 from glspaths.torbit import dist
-from glspaths.rootdata import UnknownBase, WeightContext, offset_vector
+from glspaths.rootdata import UnknownBase, WeightContext, exact, offset_vector, pair
+
+# two declared bases with fractional pairings over a rank-3 matrix with a
+# real, an imaginary and a zero diagonal entry; rho pairs as a_ii / 2
+PAIRING_CONTEXT = WeightContext(validate_matrix([[2, -1, 0], [-2, -1, -3], [0, -1, 0]]),
+                                {"lambda": (1, F(1, 2), 2), "mu": (0, 3, F(-2, 3))})
 
 
 def test_validate_real_rank_one():
@@ -54,47 +58,59 @@ def test_validate_rejects_positive_offdiag_and_bad_diag():
 def test_pairing_examples():
     ctx, lam = context_with_base([[-1]], [2])
     assert ctx.pairing(1, lam) == 2
-    assert ctx.pairing(1, lam - alpha(1)) == 3
+    assert ctx.pairing(1, lam - ctx.alpha(1)) == 3
     assert ctx.pairing(1, ctx.rho()) == F(-1, 2)
     with pytest.raises(UnknownBase):
-        ctx.pairing(1, weight(bases={"nu": 1}))
+        ctx.pairing(1, context_with_base([[-1]], [2], name="nu")[1])
 
 
 def test_reflect_and_inverse():
     ctx, lam = context_with_base([[-1]], [2])
-    assert ctx.reflect(1, lam) == lam - 2 * alpha(1)
-    assert ctx.reflect_inverse(1, lam - 2 * alpha(1)) == lam
+    assert ctx.reflect(1, lam) == lam - 2 * ctx.alpha(1)
+    assert ctx.reflect_inverse(1, lam - 2 * ctx.alpha(1)) == lam
     ctx2, lam2 = context_with_base([[2]], [2])
-    assert ctx2.reflect(1, lam2 - alpha(1)) == lam2 - alpha(1)  # pairing 0
+    assert ctx2.reflect(1, lam2 - ctx2.alpha(1)) == lam2 - ctx2.alpha(1)  # pairing 0
     with pytest.raises(ValueError):
         ctx2.reflect_inverse(1, lam2)
 
 
 def test_dominance_and_lattice():
     ctx, lam = context_with_base([[-1]], [2])
-    assert ctx.is_dominant(-alpha(1))
-    assert ctx.is_P_plus(-alpha(1))
-    assert ctx.is_dominant(lam - 2 * alpha(1))  # no real indices
+    assert ctx.is_dominant(-ctx.alpha(1))
+    assert ctx.is_P_plus(-ctx.alpha(1))
+    assert ctx.is_dominant(lam - 2 * ctx.alpha(1))  # no real indices
     ctx2, lam2 = context_with_base([[2]], [2])
-    assert not ctx2.is_dominant(lam2 - 2 * alpha(1))
-    assert not ctx2.is_P_plus(lam2 - 2 * alpha(1))
+    assert not ctx2.is_dominant(lam2 - 2 * ctx2.alpha(1))
+    assert not ctx2.is_P_plus(lam2 - 2 * ctx2.alpha(1))
     # rho is non-integral when a_11 is odd
     assert not ctx.is_in_P(ctx.rho())
     assert ctx2.is_in_P(ctx2.rho())
 
 
 def test_weight_canonical_form():
-    w = weight(bases={"lambda": 1}, roots={1: 0, 2: F(1, 2)})
-    assert w.root_items == ((2, F(1, 2)),)
-    assert w - w == weight()
+    ctx = PAIRING_CONTEXT
+    w = ctx.weight(bases={"lambda": 1}, roots={1: 0, 2: F(1, 2)})
+    assert w.sort_key() == ((("lambda", 1),), ((2, F(1, 2)),))
+    assert w - w == ctx.weight()
     assert 2 * w == w + w
-    assert format_weight(weight()) == "0"
-    assert format_weight(w - alpha(2)) == "lambda-1/2*a2"
-    assert type(w.root_items[0][1]) is F and type((2 * w).root_items[0][1]) is int
+    assert format_weight(ctx.weight()) == "0"
+    assert format_weight(w - ctx.alpha(2)) == "lambda-1/2*a2"
+    assert type(w.sort_key()[1][0][1]) is F and type((2 * w).sort_key()[1][0][1]) is int
     with pytest.raises(TypeError):
-        weight(roots={1: 0.5})
+        ctx.weight(roots={1: 0.5})
+    with pytest.raises(TypeError):
+        ctx.weight(bases={"lambda": 0.5})
     with pytest.raises(TypeError):
         0.5 * w
+    with pytest.raises(TypeError):
+        w * 0.5
+    with pytest.raises(UnknownBase):
+        ctx.weight(bases={"nu": 1})
+    for i in (0, 4):
+        with pytest.raises(ValueError):
+            ctx.weight(roots={i: 1})
+        with pytest.raises(ValueError):
+            ctx.alpha(i)
 
 
 def test_reflection_properties():
@@ -151,7 +167,7 @@ def test_exact_number_form():
     rho = ctx.rho()
     weights = [node.wt for node in graph.nodes]
     for node in graph.nodes:
-        assert all(_canonical(c) for _, c in node.wt.base_items + node.wt.root_items)
+        assert all(_canonical(c) for _, c in sum(node.wt.sort_key(), ()))
         assert all(_canonical(x) for x in node.eps + node.phi)
     for i in ctx.matrix.indices:
         assert all(_canonical(ctx.pairing(i, w)) for w in weights + [rho])
@@ -161,14 +177,14 @@ def test_exact_number_form():
     for i in sorted(ctx.matrix.imaginary_indices):
         for w in weights + [rho]:
             up = ctx.reflect_inverse(i, w)
-            assert all(_canonical(c) for _, c in up.base_items + up.root_items)
+            assert all(_canonical(c) for _, c in sum(up.sort_key(), ()))
             assert ctx.reflect(i, up) == w
-    assert ctx.reflect_inverse(2, lam) == lam + F(1, 3) * alpha(2)
-    assert ctx.reflect_inverse(3, rho) == rho - F(1, 4) * alpha(3)
+    assert ctx.reflect_inverse(2, lam) == lam + F(1, 3) * ctx.alpha(2)
+    assert ctx.reflect_inverse(3, rho) == rho - F(1, 4) * ctx.alpha(3)
 
 
 def test_context_is_freed_without_the_cycle_collector():
-    # the orbit table holds its context weakly, so dropping the last
+    # the orbit table does not hold its context, so dropping the last
     # reference frees the context and its caches at once
     gc.disable()
     try:
@@ -214,44 +230,68 @@ BASES = st.dictionaries(st.sampled_from(["lambda", "mu", "rho"]), COEFFICIENTS, 
 ROOTS = st.dictionaries(st.integers(1, 3), COEFFICIENTS, max_size=3)
 
 
+def _items(values):
+    """The (key, c) pairs of a dict of coefficients, sorted, zeros dropped, exact."""
+    return tuple(sorted((k, exact(c)) for k, c in values.items() if c))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(BASES, BASES, ROOTS, ROOTS)
 def test_offset_vector_is_the_root_vector_of_the_difference(b1, b2, r1, r2):
-    higher, same_base, lower = weight(b1, r1), weight(b1, r2), weight(b2, r2)
-    expected = (higher - same_base).root_vector(3)
-    got = offset_vector(higher, same_base, 3)
+    ctx = PAIRING_CONTEXT
+    higher, same_base, lower = ctx.weight(b1, r1), ctx.weight(b1, r2), ctx.weight(b2, r2)
+    expected = (higher - same_base).root_vector()
+    got = offset_vector(higher, same_base)
     assert got == expected and [type(c) for c in got] == [type(c) for c in expected]
-    if higher.base_items != lower.base_items:
+    assert got == tuple(exact(F(r1.get(i, 0)) - r2.get(i, 0)) for i in (1, 2, 3))
+    assert all(_canonical(c) for c in got)
+    if _items(b1) != _items(b2):
         with pytest.raises(ValueError):
-            offset_vector(higher, lower, 3)
+            offset_vector(higher, lower)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(BASES, ROOTS, BASES, ROOTS)
 def test_weight_hash_agrees_across_constructions(b1, r1, b2, r2):
-    w, x = weight(b1, r1), weight(b2, r2)
+    ctx = PAIRING_CONTEXT
+    w, x = ctx.weight(b1, r1), ctx.weight(b2, r2)
     for other in ((w - x) + x, (w + x) - x, -(-w), 1 * w,
-                  weight(dict(w.base_items), dict(w.root_items))):
+                  ctx.weight(*map(dict, w.sort_key()))):
         assert other == w and hash(other) == hash(w)
 
 
-# two declared bases with fractional pairings over a rank-3 matrix with a
-# real, an imaginary and a zero diagonal entry; rho pairs as a_ii / 2
-PAIRING_CONTEXT = WeightContext(validate_matrix([[2, -1, 0], [-2, -1, -3], [0, -1, 0]]),
-                                {"lambda": (1, F(1, 2), 2), "mu": (0, 3, F(-2, 3))})
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(BASES, ROOTS)
+def test_sort_key_is_the_sparse_form_of_the_input(bases, roots):
+    key = PAIRING_CONTEXT.weight(bases, roots).sort_key()
+    assert key == (_items(bases), _items(roots))
+    assert all(_canonical(c) for _, c in key[0] + key[1])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(BASES, ROOTS)
 def test_column_pairing_is_the_sum_over_the_items(bases, roots):
-    ctx, w = PAIRING_CONTEXT, weight(bases, roots)
+    ctx, w = PAIRING_CONTEXT, PAIRING_CONTEXT.weight(bases, roots)
     for i in ctx.matrix.indices:
-        expected = (sum(c * ctx.base_pairings[name][i - 1] for name, c in w.base_items)
-                    + sum(c * ctx.matrix.entry(i, j) for j, c in w.root_items))
+        expected = (sum(c * ctx.base_pairings[name][i - 1] for name, c in bases.items())
+                    + sum(c * ctx.matrix.entry(i, j) for j, c in roots.items()))
         got = ctx.pairing(i, w)
         assert got == expected and _canonical(got)
-    with pytest.raises(UnknownBase):
-        ctx.pairing(1, w + weight({"nu": 1}))
     for i in (0, -1, 4):
         with pytest.raises(ValueError):
             ctx.pairing(i, w)
+
+
+def test_weights_over_different_bases_do_not_mix():
+    ctx, w = PAIRING_CONTEXT, PAIRING_CONTEXT.base("lambda")
+    # other base names over rank 3, then the same names (lambda, mu, rho) over ranks 1, 2
+    others = [context_with_base([[2, -1, 0], [-1, 2, 0], [0, 0, -1]], [1, 0, 0], name="nu"),
+              context_with_base([[2]], [1], extra_bases={"mu": [0]}),
+              context_with_base([[2, -1], [-1, 2]], [1, 0], extra_bases={"mu": [0, 1]})]
+    for other, v in others:
+        for operation in (lambda: w + v, lambda: v - w, lambda: ctx.pairing(1, v),
+                          lambda: other.pairing(1, w), lambda: pair(ctx.coroots[1], v),
+                          lambda: ctx.reflect(1, v), lambda: offset_vector(w, v)):
+            with pytest.raises(UnknownBase):
+                operation()
+        assert v != w

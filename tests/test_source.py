@@ -61,3 +61,25 @@ def test_crystal_elements_dispatch_by_method_not_by_type():
     found = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"]
     assert found == []
+
+
+def test_only_rootdata_reads_the_weight_layout():
+    # a weight is a dense vector over its context's basis: other modules use
+    # its arithmetic, pair and combination, never den or nums, and every
+    # weight is made through a context (ctx.weight, alpha, base, rho)
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name != "rootdata.py":
+            found += [f"{path.name}:{node.lineno} reads .{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr in ("den", "nums")]
+        names = [(node.lineno, node.name) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        names += [(node.lineno, target.id) for node in tree.body if isinstance(node, ast.Assign)
+                  for target in node.targets if isinstance(target, ast.Name)]
+        names += [(node.lineno, name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  for alias in node.names for name in (alias.name, alias.asname)]
+        found += [f"{path.name}:{line} binds {name}" for line, name in names
+                  if name in ("weight", "alpha")]
+    assert found == []
