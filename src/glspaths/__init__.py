@@ -10,7 +10,7 @@ from .torbit import (AChain, OrbitRoot, apply_word, dist, find_a_chain,
 from .paths import (HProfile, PiecewisePath, apply_e, apply_f, concatenate,
                     equal_up_to_reparametrization, h_profile, is_integral,
                     is_monotone, linear_path, trivial_path)
-from .gls import (CrystalGraph, GLSPath, JoinRejected, JoinResult, NotAGLSPath,
+from .gls import (CrystalGraph, GLSPath, JoinRejected, NotAGLSPath,
                   enumerate_crystal, export_dot, gls_e, gls_f, properly_join,
                   verify_gls)
 from .crystals import (NEG_INF, BJWord, DepthMismatch, ElementaryElement,

@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 domain error (bad matrix, weight outside P+,
 malformed input, usage), 2 comparison failure (compare-char or tensor-iso
 mismatch, suite violation is 1) or a broken internal invariant
-(``InvariantViolation``), 3 I/O error.  All outputs are deterministic:
-identical inputs give byte-identical results.
+(``InvariantViolation``, or ``NotAGLSPath``, which no command's input can
+cause: every command starts from straight paths of weights in P+), 3 I/O
+error.  All outputs are deterministic: identical inputs give byte-identical
+results.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import checks
 from .character import compare_characters, char_of_graph, series_text
 from .crystals import (GeneratorSequence, TensorElement, bj_word,
                        generate_from, hw_crystal_isomorphic, validate_axioms)
-from .gls import GLSPath, enumerate_crystal, export_dot
+from .gls import GLSPath, NotAGLSPath, enumerate_crystal, export_dot
 from .rootdata import (InvariantViolation, MatrixError, MatrixFormatError,
                        WeightContext, format_weight, load_context, offset_vector)
 from .torbit import orbit
@@ -248,7 +250,7 @@ def run(argv: Sequence[str]) -> int:
     except ComparisonFailure as exc:
         print(f"comparison failed: {exc}", file=sys.stderr)
         return 2
-    except InvariantViolation as exc:
+    except (InvariantViolation, NotAGLSPath) as exc:  # NotAGLSPath is a ValueError
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 2
     except (MatrixError, MatrixFormatError, UsageError, ValueError) as exc:

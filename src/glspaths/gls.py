@@ -204,8 +204,7 @@ def gls_f(ctx: WeightContext, i: int, pi: GLSPath) -> Optional[GLSPath]:
     return _reflected(pi.shape, table, i, ids, den, nums, f_plus, f_minus)
 
 
-def gls_e(ctx: WeightContext, i: int, pi: GLSPath,
-          height_bound: Optional[int] = None) -> Optional[GLSPath]:
+def gls_e(ctx: WeightContext, i: int, pi: GLSPath) -> Optional[GLSPath]:
     """Raising operator inside the GLS crystal.
 
     Real indices have a closed form mirroring gls_f.  For an imaginary
@@ -229,7 +228,7 @@ def gls_e(ctx: WeightContext, i: int, pi: GLSPath,
     if e_plus is None or any(h <= (m - a) * den for t, h in zip(nums, hs) if t > e_plus):
         return None
     candidate = _reflected(pi.shape, table, i, ids, den, nums, e_minus, e_plus, inverse=True)
-    return candidate if verify_gls(ctx, candidate, height_bound) else None
+    return candidate if verify_gls(ctx, candidate) else None
 
 
 def gls_epsilon(ctx: WeightContext, i: int, pi: GLSPath):
@@ -252,8 +251,7 @@ class GLSVerification:
         return self.ok
 
 
-def verify_gls(ctx: WeightContext, pi: GLSPath,
-               height_bound: Optional[int] = None) -> GLSVerification:
+def verify_gls(ctx: WeightContext, pi: GLSPath) -> GLSVerification:
     """Check the chain conditions: an a_k-chain for each consecutive pair of
     weights and, when the last weight differs from the shape, a 1-chain
     down to it."""
@@ -262,7 +260,7 @@ def verify_gls(ctx: WeightContext, pi: GLSPath,
     if pi.weights[-1] != pi.shape:
         pairs.append((pi.weights[-1], pi.shape, Fraction(1)))
     for mu, nu, level in pairs:
-        chain = find_a_chain(ctx, level, mu, nu, height_bound)
+        chain = find_a_chain(ctx, level, mu, nu)
         if chain is None:
             return GLSVerification(False, tuple(chains), (mu, nu, level))
         chains.append(chain)
@@ -411,66 +409,37 @@ class JoinRejected(ValueError):
         super().__init__(f"JoinRejected(condition {condition}): {witness}")
 
 
-@dataclass(frozen=True)
-class JoinResult:
-    path: PiecewisePath
-    tau_roots: tuple
-    tau_bar_kept: Tuple[bool, ...]
-    condition2_restricted_ok: bool
-    condition2_full_ok: bool
-    shape_chain: Optional[AChain]
-
-
 def properly_join(ctx: WeightContext, pi: GLSPath, pi_prime: GLSPath,
-                  s: Fraction, s_prime: Fraction,
-                  height_bound: Optional[int] = None,
-                  witnesses: Optional[GLSVerification] = None) -> JoinResult:
+                  s: Fraction, s_prime: Fraction) -> PiecewisePath:
     """Join pi (shape lambda) to pi_prime (shape mu) across [s, s'].
 
     Writing mu_1 = tau.mu through the covering chains of pi_prime, the
     shadow tau-bar on lambda omits reflections that fix their argument.
-    Condition 1 asks for an s-chain from the last weight of pi down to
-    tau-bar.lambda; condition 2 bounds s * beta^vee at every imaginary
-    chain root (checked on the roots kept in tau-bar; the unrestricted
-    variant is recorded alongside).  The joined path stalls on [s, s'].
+    Condition 2 asks s * beta^vee < 1 at every imaginary chain root kept in
+    tau-bar, evaluated where tau-bar meets it; its witness is the first
+    failing position and value.  Condition 1 asks for an s-chain from the
+    last weight of pi down to tau-bar.lambda.  The joined path stalls on [s, s'].
     """
     s, s_prime = Fraction(s), Fraction(s_prime)
     if not pi.breaks[-2] < s <= s_prime < pi_prime.breaks[1]:
         raise ValueError("need a_{k-1} < s <= s' < b_1")
-    if witnesses is None:
-        witnesses = verify_gls(ctx, pi_prime, height_bound)
+    witnesses = verify_gls(ctx, pi_prime)
     if not witnesses:
         raise ValueError("second path failed GLS verification; cannot join")
     chain_roots = [r for chain in witnesses.chains for r in chain.roots]
     # Walk tau right-to-left on lambda, omitting reflections that act trivially.
-    kept: List[bool] = [False] * len(chain_roots)
-    evaluation_points: List[Weight] = [pi.shape * 0] * len(chain_roots)
-    x = pi.shape
+    x, bad = pi.shape, None
     for t in range(len(chain_roots) - 1, -1, -1):
         root = chain_roots[t]
-        evaluation_points[t] = x
         c = root.coroot_pairing(x)
         if c != 0:
-            kept[t] = True
+            if root.imaginary and s * c >= 1:
+                bad = (t, s * c)  # the walk runs down, so the last one found is the first
             x = x - c * root.root
-    tau_bar_lam = x
-    cond2_results = []
-    for t, root in enumerate(chain_roots):
-        if not root.imaginary:
-            continue
-        value = s * root.coroot_pairing(evaluation_points[t])
-        cond2_results.append((t, kept[t], value, value < 1))
-    full_ok = all(ok for _, _, _, ok in cond2_results)
-    restricted_ok = all(ok for _, k, _, ok in cond2_results if k)
-    if not restricted_ok:
-        bad = next((t, v) for t, k, v, ok in cond2_results if k and not ok)
+    if bad is not None:
         raise JoinRejected(2, bad)
     last = pi.weights[-1]
-    shape_chain = None
-    if last != tau_bar_lam:
-        shape_chain = find_a_chain(ctx, s, last, tau_bar_lam, height_bound)
-        if shape_chain is None:
-            raise JoinRejected(1, (format_weight(last), format_weight(tau_bar_lam)))
-    return JoinResult(_render([*pi.breaks[:-1], s, s_prime, *pi_prime.breaks[1:]],
-                              [*pi.weights, pi.shape * 0, *pi_prime.weights]),
-                      tuple(chain_roots), tuple(kept), restricted_ok, full_ok, shape_chain)
+    if last != x and find_a_chain(ctx, s, last, x) is None:
+        raise JoinRejected(1, (format_weight(last), format_weight(x)))
+    return _render([*pi.breaks[:-1], s, s_prime, *pi_prime.breaks[1:]],
+                   [*pi.weights, pi.shape * 0, *pi_prime.weights])

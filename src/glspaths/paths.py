@@ -212,7 +212,7 @@ def max_value_on(ts: Sequence[Fraction], hs: Sequence[Fraction],
 
 @dataclass(frozen=True)
 class HProfile:
-    """Breakpoint data of h_i along a path plus the four operator arguments.
+    """The four operator arguments of h_i along a path.
 
     ``m`` is the minimal integer attained by h_i.  ``f_plus`` is the last
     time h hits m, ``f_minus`` the first time >= f_plus hitting m+1 (absent
@@ -223,8 +223,6 @@ class HProfile:
     never reached after f_plus, drop to m-a_ii after e_plus).
     """
 
-    index: int
-    breakpoints: Tuple[Tuple[Fraction, Fraction], ...]
     m: int
     f_plus: Fraction
     f_minus: Optional[Fraction]
@@ -265,7 +263,7 @@ def h_profile(ctx: WeightContext, i: int, pi: PiecewisePath) -> HProfile:
             if e_plus is None:
                 raise InvariantViolation(f"h_{i} exceeds level {m + 1 - a} without reaching it")
             e_defined = min_value_on(ts, hs, e_plus, Fraction(1)) > m - a
-    return HProfile(i, tuple(zip(ts, hs)), m, f_plus, f_minus, e_plus, e_minus, e_defined)
+    return HProfile(m, f_plus, f_minus, e_plus, e_minus, e_defined)
 
 
 def _three_zone(pi: PiecewisePath, ts: Sequence[Fraction], hs: Sequence[Rational], i: int,
@@ -312,16 +310,15 @@ def apply_e(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[Piecewise
 
 
 def concatenate(pi1: PiecewisePath, pi2: PiecewisePath, s: Fraction,
-                ctx: Optional[WeightContext] = None) -> PiecewisePath:
+                ctx: WeightContext) -> PiecewisePath:
     """Run pi1 on [0,s] and pi2 on [s,1]; weights add.
 
-    The junction value is pi1(1); when a context is supplied it is checked
-    to lie in P, which is what keeps the operators from straddling the
-    junction."""
+    The junction value is pi1(1); it is checked to lie in P, which is what
+    keeps the operators from straddling the junction."""
     s = Fraction(s)
     if not 0 < s < 1:
         raise ValueError(f"junction parameter must lie in (0,1), got {s}")
-    if ctx is not None and not ctx.is_in_P(pi1.weight):
+    if not ctx.is_in_P(pi1.weight):
         raise ValueError(f"junction weight {format_weight(pi1.weight)} is not in P")
     pts = [(t * s, v) for t, v in pi1.points]
     shift = pi1.weight

@@ -301,8 +301,7 @@ class WeightContext:
     """
 
     def __init__(self, matrix: BorcherdsCartanMatrix,
-                 bases: Optional[Mapping[str, Sequence[Rational]]] = None,
-                 integral_flags: Optional[Mapping[str, bool]] = None):
+                 bases: Optional[Mapping[str, Sequence[Rational]]] = None):
         self.matrix = matrix
         n = matrix.n
         pairings: Dict[str, Tuple[Rational, ...]] = {}
@@ -315,17 +314,9 @@ class WeightContext:
             pairings[name] = vec
         pairings[RHO] = tuple(exact(Fraction(matrix.entry(i, i), 2))
                               for i in matrix.indices)
-        flags: Dict[str, bool] = {}
-        for name, vec in pairings.items():
-            inferred = all(v.denominator == 1 for v in vec)
-            declared = (integral_flags or {}).get(name)
-            if declared is True and not inferred:
-                raise ValueError(f"base {name!r} declared integral but has fractional pairings")
-            flags[name] = inferred if declared is None else declared
         self.base_pairings = pairings
-        self.integral_flags = flags
         self.base_names = names = tuple(sorted(pairings))
-        self._integral = [flags[name] for name in names]
+        self._integral = [all(v.denominator == 1 for v in pairings[name]) for name in names]
         # alpha_i^vee over the basis: its pairing with each base, then a_ij
         self.coroots = [None] + [_vector(names, [pairings[name][i - 1] for name in names]
                                          + [matrix.entry(i, j) for j in matrix.indices])
@@ -405,8 +396,8 @@ class OrbitTable:
     """Path weights of one context, interned to integer ids.  Per id: the
     weight, its pairings ``pairings[i][id]`` and the images r_i(id) and
     r_i^{-1}(id), filled on first use.  Also torbit's per-context caches:
-    orbit roots per height bound (inf when complete), dist per (mu, nu, bound)
-    and a-chain search results per raw (a, mu, nu, height_bound), frozen, shared."""
+    orbit roots per height bound (inf when complete), dist per (mu, nu) and
+    a-chain search results per raw (a, mu, nu), frozen, shared."""
 
     def __init__(self, ctx: WeightContext):
         self.matrix = matrix = ctx.matrix
@@ -446,11 +437,10 @@ class OrbitTable:
 def context_with_base(entries: Sequence[Sequence[int]],
                       pairings: Sequence[Rational],
                       name: str = "lambda",
-                      imaginary_diag_zero_allowed: bool = True,
                       extra_bases: Optional[Mapping[str, Sequence[Rational]]] = None,
                       ) -> Tuple[WeightContext, Weight]:
     """Validate a matrix and declare one named base weight; returns (ctx, weight)."""
-    matrix = validate_matrix(entries, imaginary_diag_zero_allowed)
+    matrix = validate_matrix(entries)
     bases = {name: pairings}
     bases.update(extra_bases or {})
     ctx = WeightContext(matrix, bases)

@@ -112,15 +112,11 @@ class OrbitRoot:
     """A positive root in W.Pi together with its transported coroot.
 
     The coroot is a functional, kept as its values on the context's basis
-    (declared bases, then simple roots; see ``rootdata.pair``).  ``origin``
-    records one way of writing the root as w.alpha_i with w a word over real
-    indices.
+    (declared bases, then simple roots; see ``rootdata.pair``).
     """
 
     root: Weight
     coroot: Weight
-    origin_word: TWord
-    origin_index: int
     imaginary: bool
 
     def coroot_pairing(self, w: Weight) -> Rational:
@@ -156,8 +152,8 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot
     queue = deque()
     complete = height_bound >= 1  # else the simple roots are cut
     for i in range(1, n + 1 if complete else 1):
-        r = OrbitRoot(root=ctx.alpha(i), coroot=ctx.coroots[i], origin_word=(),
-                      origin_index=i, imaginary=ctx.matrix.is_imaginary(i))
+        r = OrbitRoot(root=ctx.alpha(i), coroot=ctx.coroots[i],
+                      imaginary=ctx.matrix.is_imaginary(i))
         out[r.root.sort_key()] = r
         queue.append(r)
     while queue:
@@ -173,7 +169,6 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot
             # r_k(beta)^vee = r_k(beta^vee) = beta^vee - beta^vee(alpha_k) alpha_k^vee
             ck = r.coroot_pairing(ctx.alpha(k))
             new = OrbitRoot(root=new_root, coroot=r.coroot - ck * ctx.coroots[k],
-                            origin_word=(k,) + r.origin_word, origin_index=r.origin_index,
                             imaginary=r.imaginary)
             key = new_root.sort_key()
             if key in out:
@@ -199,26 +194,33 @@ def _descent_steps(roots: Sequence[OrbitRoot], x: Weight, floor: Weight):
         yield r, c, x - c * r.root
 
 
-def dist(ctx: WeightContext, mu: Weight, nu: Weight,
-         height_bound: Optional[int] = None) -> Optional[int]:
+def _descent_roots(ctx: WeightContext, mu: Weight,
+                   nu: Weight) -> Optional[Tuple[OrbitRoot, ...]]:
+    """The roots a descent from nu to mu can use, those of height <= height(nu - mu);
+    None unless nu - mu is a nonnegative combination of simple roots of integral height."""
+    gap = (nu - mu).root_vector()
+    total = sum(gap)
+    if any(c < 0 for c in gap) or total.denominator != 1:
+        return None
+    return positive_wpi_roots(ctx, total)
+
+
+def dist(ctx: WeightContext, mu: Weight, nu: Weight) -> Optional[int]:
     """Maximal length of a chain of positive-pairing reflections from nu down to mu.
 
     Steps subtract a positive multiple of a W.Pi root, so any usable root
     has height at most height(nu - mu); bounded memoized search is
     therefore exhaustive.  Returns None if no chain exists, 0 if mu == nu.
-    Results are kept per (mu, nu, bound) in the context's orbit table.
+    Results are kept per (mu, nu) in the context's orbit table.
     """
     if mu == nu:
         return 0
-    gap = (nu - mu).root_vector()
-    total = sum(gap)
-    if any(c < 0 for c in gap) or total.denominator != 1:
-        return None
-    bound = total if height_bound is None else min(height_bound, total)
-    cache, key = ctx.orbit_table.dists, (mu, nu, bound)
+    cache, key = ctx.orbit_table.dists, (mu, nu)
     if key in cache:
         return cache[key]
-    roots = positive_wpi_roots(ctx, bound)
+    roots = _descent_roots(ctx, mu, nu)
+    if roots is None:
+        return None
     memo: Dict[Weight, Optional[int]] = {}
 
     def longest(x: Weight) -> Optional[int]:
@@ -261,35 +263,30 @@ def _step_admissible(a: Fraction, r: OrbitRoot, c: Rational) -> bool:
     return v == 1 if r.imaginary else v.denominator == 1 and v >= 1
 
 
-def find_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight,
-                 height_bound: Optional[int] = None) -> Optional[AChain]:
+def find_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight) -> Optional[AChain]:
     """Search for an a-chain for the pair (mu, nu); None if there is none.
 
     Depth-first over covering steps from nu down to mu.  Each candidate
     step must be a covering (dist 1) and satisfy the integrality condition
     at level a; failures are memoized per intermediate weight.  The roots
     and the covering tests come from the context's caches (see dist).
-    Results, None too, are kept per raw (a, mu, nu, height_bound) in the orbit
-    table's ``chains``; callers share each frozen AChain.  Raises are not kept.
+    Results, None too, are kept per raw (a, mu, nu) in the orbit table's
+    ``chains``; callers share each frozen AChain.  Raises are not kept.
     """
-    chains, key = ctx.orbit_table.chains, (a, mu, nu, height_bound)
+    chains, key = ctx.orbit_table.chains, (a, mu, nu)
     if (chain := chains.get(key, key)) is key:  # the key itself marks a miss
-        chain = chains[key] = _search_a_chain(ctx, Fraction(a), mu, nu, height_bound)
+        chain = chains[key] = _search_a_chain(ctx, Fraction(a), mu, nu)
     return chain
 
 
-def _search_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight,
-                    height_bound: Optional[int]) -> Optional[AChain]:
+def _search_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight) -> Optional[AChain]:
     if not 0 < a <= 1:
         raise ValueError(f"chain level must lie in (0,1], got {a}")
     if mu == nu:
         return AChain(a, (mu,), ())
-    gap = (nu - mu).root_vector()
-    total = sum(gap)
-    if any(c < 0 for c in gap) or total.denominator != 1:
+    roots = _descent_roots(ctx, mu, nu)
+    if roots is None:
         return None
-    bound = total if height_bound is None else min(height_bound, total)
-    roots = positive_wpi_roots(ctx, bound)
     dead: Set[Weight] = set()
 
     def search(x: Weight) -> Optional[List[Tuple[OrbitRoot, Weight]]]:

@@ -4,6 +4,7 @@ import pytest
 
 from glspaths import cli
 from glspaths.character import CharacterComparison, CharacterSeries
+from glspaths.gls import NotAGLSPath
 from glspaths.rootdata import InvariantViolation, context_with_base
 
 
@@ -120,3 +121,12 @@ def test_invariant_violation_exit_code(matrices, monkeypatch, capsys):
     monkeypatch.setattr(cli, "compare_characters", broken)
     assert cli.run(["compare-char", "-m", str(matrices["im"]), "-l", "2", "-d", "3"]) == 2
     assert "invariant violated: parity is ill-defined" in capsys.readouterr().err
+
+
+def test_not_a_gls_path_exit_code(matrices, monkeypatch, capsys):
+    # a ValueError, yet no CLI input reaches it: it is a broken invariant, not a domain error
+    def broken(*args, **kwargs):
+        raise NotAGLSPath("path is not integral; not a GLS path")
+    monkeypatch.setattr(cli, "enumerate_crystal", broken)
+    assert cli.run(["enumerate", "-m", str(matrices["im"]), "-l", "2", "-d", "3"]) == 2
+    assert "invariant violated: path is not integral" in capsys.readouterr().err

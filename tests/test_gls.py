@@ -200,15 +200,14 @@ def test_properly_join_trivial():
     mu = ctx.base("mu")
     res = properly_join(ctx, GLSPath.linear(2 * lam), GLSPath.linear(2 * mu),
                         F(1, 2), F(1, 2))
-    assert res.path == concatenate(linear_path(ctx, lam), linear_path(ctx, mu),
-                                   F(1, 2), ctx)
-    assert res.condition2_full_ok and res.condition2_restricted_ok
+    assert res == concatenate(linear_path(ctx, lam), linear_path(ctx, mu),
+                              F(1, 2), ctx)
 
 
 def test_properly_join_self():
     ctx, lam = context_with_base([[2]], [1])
     res = properly_join(ctx, GLSPath.linear(lam), GLSPath.linear(lam), F(1, 3), F(1, 3))
-    assert res.path == linear_path(ctx, lam)
+    assert res == linear_path(ctx, lam)
 
 
 def test_properly_join_rejections():
@@ -219,6 +218,7 @@ def test_properly_join_rejections():
     with pytest.raises(JoinRejected) as err:
         properly_join(ctx, GLSPath.linear(2 * lam), lowered, F(1, 4), F(1, 4))
     assert err.value.condition == 1
+    assert err.value.witness == ("2*lambda", "2*lambda-2*a1")
     # asymmetric pairings make condition 2 the decisive check: s*beta(2lam) >= 1
     ctx2_, lam2 = context_with_base([[-1]], [3], extra_bases={"mu": [1]})
     mu2 = ctx2_.base("mu")
@@ -226,6 +226,8 @@ def test_properly_join_rejections():
     with pytest.raises(JoinRejected) as err:
         properly_join(ctx2_, GLSPath.linear(2 * lam2), lowered2, F(1, 4), F(1, 4))
     assert err.value.condition == 2
+    # the first kept imaginary chain root, at position 0: s * beta^vee(2 lam) = 6/4
+    assert err.value.witness == (0, F(3, 2))
     with pytest.raises(ValueError):
         properly_join(ctx2_, GLSPath.linear(2 * lam2), lowered2, F(3, 4), F(3, 4))
 
@@ -243,7 +245,7 @@ def test_join_accepts_lowered_left():
     expected = PiecewisePath.from_points([
         (F(0), ctx.weight()), (F(1, 2), v_half), (F(3, 4), v_join),
         (F(1), v_join + F(1, 4) * (2 * mu))])
-    assert res.path == expected
+    assert res == expected
 
 
 def test_joined_paths_integral_and_weakly_monotone():
@@ -257,8 +259,8 @@ def test_joined_paths_integral_and_weakly_monotone():
                       GLSPath.linear(2 * mu), F(3, 4), F(3, 4)),
     ]
     for res in cases:
-        assert is_integral(ctx, res.path)
-        assert is_monotone(ctx, res.path, strict=False)
+        assert is_integral(ctx, res)
+        assert is_monotone(ctx, res, strict=False)
 
 
 def test_operators_across_a_genuine_stall():
@@ -267,12 +269,12 @@ def test_operators_across_a_genuine_stall():
     ctx, lam = context_with_base([[2]], [2])
     res = properly_join(ctx, GLSPath.linear(2 * lam), GLSPath.linear(2 * lam),
                         F(1, 4), F(3, 4))
-    assert res.path.weight == lam
-    assert is_integral(ctx, res.path)
-    assert is_monotone(ctx, res.path, strict=False)
-    lowered = apply_f(ctx, 1, res.path)
+    assert res.weight == lam
+    assert is_integral(ctx, res)
+    assert is_monotone(ctx, res, strict=False)
+    lowered = apply_f(ctx, 1, res)
     assert lowered.weight == lam - ctx.alpha(1)
-    assert apply_e(ctx, 1, lowered) == res.path
+    assert apply_e(ctx, 1, lowered) == res
 
 
 def test_stored_weight_is_the_rendered_weight():

@@ -148,12 +148,9 @@ def test_parser_rejects_bad_matrix():
         parse_context_text("1\n3\n")
 
 
-def test_declared_integral_flag_must_hold():
-    m = validate_matrix([[2]])
+def test_rho_is_a_reserved_base_name():
     with pytest.raises(ValueError):
-        WeightContext(m, {"lambda": [F(1, 2)]}, {"lambda": True})
-    with pytest.raises(ValueError):
-        WeightContext(m, {"rho": [1]})
+        WeightContext(validate_matrix([[2]]), {"rho": [1]})
 
 
 def _canonical(x):

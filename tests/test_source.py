@@ -83,3 +83,71 @@ def test_only_rootdata_reads_the_weight_layout():
         found += [f"{path.name}:{line} binds {name}" for line, name in names
                   if name in ("weight", "alpha")]
     assert found == []
+
+
+KERNEL = ("rootdata", "torbit", "paths", "gls", "crystals", "character")
+
+
+def _trees(paths):
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+
+
+def _defaulted_parameters(tree):
+    """(name, parameter, position or None) of every defaulted parameter;
+    a method's position excludes self, and __init__ is named by its class."""
+    found = []
+    for owner in ast.walk(tree):
+        body = owner.body if isinstance(owner, (ast.Module, ast.ClassDef)) else []
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = owner.name if node.name == "__init__" else node.name
+            positional = node.args.posonlyargs + node.args.args
+            skip = 1 if isinstance(owner, ast.ClassDef) and not any(
+                _decorator_name(d) == "staticmethod" for d in node.decorator_list) else 0
+            first = len(positional) - len(node.args.defaults)
+            found += [(name, arg.arg, k - skip) for k, arg in enumerate(positional) if k >= first]
+            found += [(name, arg.arg, None) for arg, default
+                      in zip(node.args.kwonlyargs, node.args.kw_defaults) if default]
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call in the package or the tests overrides is an
+    # option with one value in use: fold it into the code instead
+    trees = _trees(SOURCE.glob("*.py")) + _trees(Path(__file__).parent.glob("*.py"))
+    passed = set()
+    for call in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        name = _decorator_name(call)
+        passed |= {(name, kw.arg) for kw in call.keywords}
+        passed |= {(name, k) for k in range(len(call.args))}
+    unused = [f"{name}({param})"
+              for tree in _trees(SOURCE / f"{module}.py" for module in KERNEL)
+              for name, param, k in _defaulted_parameters(tree)
+              if (name, param) not in passed and (name, k) not in passed]
+    assert unused == []
+
+
+def _bound_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, node.lineno) for a in node.names)
+
+
+# apply_e is pinned as a binding of gls and crystals by perfbench's
+# test_wraps_every_binding_site_and_restores_it; ROADMAP item 5 drops both
+UNUSED_IMPORTS_ALLOWED = {("gls.py", "apply_e"), ("crystals.py", "apply_e")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":  # the package's re-exports
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in _bound_names(tree)
+                  if name not in read and (path.name, name) not in UNUSED_IMPORTS_ALLOWED]
+    assert found == []

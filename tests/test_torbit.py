@@ -62,7 +62,6 @@ def test_positive_wpi_roots():
     assert [tall.coroot_pairing(a) for a in (a1, a2)] == [F(1), F(-3)]
     assert tall.coroot_pairing(l3) == 2
     assert tall.imaginary
-    assert tall.origin_word == (1,) and tall.origin_index == 2
 
 
 def test_dist_examples():
@@ -170,21 +169,6 @@ def test_root_tuples_do_not_depend_on_request_order():
         assert ascending == descending, entries
 
 
-def test_chain_memo_keys_on_the_height_bound():
-    # the chain from lambda - a1 down to lambda - 2 a1 - a2 needs a root of height 2
-    fx = FIXTURES[5]
-    assert fx[0] == "mixed_rank2"
-    ctx, lam = fixture_context(fx)
-    calls = [(F(1), lam - 2 * ctx.alpha(1) - ctx.alpha(2), lam - ctx.alpha(1), b)
-             for b in (1, None)]
-    fresh = [find_a_chain(fixture_context(fx)[0], *args) for args in calls]
-    assert fresh[0] is None and fresh[1] is not None
-    for order in (calls, calls[::-1]):
-        ctx = fixture_context(fx)[0]
-        got = {args[3]: find_a_chain(ctx, *args) for args in order}
-        assert [got[1], got[None]] == fresh
-
-
 def test_chain_memo_does_not_keep_a_rejected_level():
     ctx, lam = ctx1()
     for _ in range(2):
@@ -206,9 +190,9 @@ def test_chain_memo_serves_int_and_fraction_levels_alike():
 def test_chain_memo_holds_one_entry_per_distinct_call(monkeypatch):
     seen = set()
 
-    def recording(ctx, a, mu, nu, height_bound=None):
-        seen.add((a, mu, nu, height_bound))
-        return find_a_chain(ctx, a, mu, nu, height_bound)
+    def recording(ctx, a, mu, nu):
+        seen.add((a, mu, nu))
+        return find_a_chain(ctx, a, mu, nu)
 
     monkeypatch.setattr(gls, "find_a_chain", recording)
     ctx, lam = fixture_context(FIXTURES[5])
