@@ -47,10 +47,10 @@ def fixture_context(fx: Fixture):
     return context_with_base(entries, pairings)
 
 
-def _sample_weights(ctx, lam, rng, count=6) -> List[Weight]:
+def _sample_weights(ctx, lam, rng) -> List[Weight]:
     n = ctx.matrix.n
     out = [lam, ctx.rho(), ctx.weight()]
-    for _ in range(count):
+    for _ in range(6):
         out.append(lam - ctx.weight(roots={i: rng.randint(0, 3) for i in range(1, n + 1)}))
     return out
 
@@ -87,11 +87,11 @@ def check_reflections(ctx, lam, rng) -> List[str]:
     return out
 
 
-def check_coroot_signs(ctx, rng, height_bound=4) -> List[str]:
-    """Coroots of positive orbit roots pair nonpositively with imaginary
-    simple roots, and imaginary coroots are nonpositive on all of Q+."""
+def check_coroot_signs(ctx, rng) -> List[str]:
+    """Coroots of positive orbit roots (height <= 4) pair nonpositively with
+    imaginary simple roots, and imaginary coroots are nonpositive on Q+."""
     out = []
-    roots = positive_wpi_roots(ctx, height_bound)
+    roots = positive_wpi_roots(ctx, 4)
     n = ctx.matrix.n
     for r in roots:
         for i in sorted(ctx.matrix.imaginary_indices):
@@ -105,10 +105,10 @@ def check_coroot_signs(ctx, rng, height_bound=4) -> List[str]:
     return out
 
 
-def check_orbit_properties(ctx, lam, depth=5, word_bound=4) -> List[str]:
+def check_orbit_properties(ctx, lam, depth=5) -> List[str]:
     """Orbit containment in lam - Q+, dominance behaviour of imaginary
     reflections, the shape of reduced expressions of dominant elements, and
-    the stabilizer description."""
+    the stabilizer description, for words of length at most 4."""
     out = []
     orb = orbit(ctx, lam, depth)
     for mu in orb:
@@ -123,11 +123,11 @@ def check_orbit_properties(ctx, lam, depth=5, word_bound=4) -> List[str]:
                 if not ctx.is_P_plus(ctx.reflect(i, mu)):
                     out.append(f"r_{i} of dominant {format_weight(mu)} not dominant")
             if mu != lam:
-                for word in minimal_words(ctx, lam, mu, word_bound):
+                for word in minimal_words(ctx, lam, mu, 4):
                     if not word or not ctx.matrix.is_imaginary(word[0]):
                         out.append(f"minimal word {word} of dominant "
                                    f"{format_weight(mu)} starts with a real letter")
-    for key, word in element_table(ctx, word_bound).items():
+    for key, word in element_table(ctx, 4).items():
         if apply_word(ctx, word, lam) == lam and word:
             if any(ctx.pairing(i, lam) != 0 for i in word):
                 out.append(f"stabilizing word {word} uses a non-stabilizing letter")
@@ -176,13 +176,13 @@ def _rendered_nodes(graph) -> List[Tuple[GLSPath, PiecewisePath]]:
     return [(node.element, node.element.render()) for node in graph.nodes]
 
 
-def check_operator_iteration(ctx, lam, depth=3, iterations=8) -> List[str]:
-    """Lowering iteration: for an imaginary index the minimum level and its
-    last attainment time are preserved and f never dies (checked to the
-    given power); for a real index the minimum drops by one each step and
-    the string length matches phi."""
+def check_operator_iteration(ctx, lam, iterations=8) -> List[str]:
+    """Lowering iteration to depth 3: for an imaginary index the minimum level
+    and its last attainment time are preserved and f never dies (checked to
+    the given power); for a real index the minimum drops by one each step
+    and the string length matches phi."""
     out = []
-    graph = enumerate_crystal(ctx, lam, depth)
+    graph = enumerate_crystal(ctx, lam, 3)
     for el, path in _rendered_nodes(graph):
         for i in ctx.matrix.indices:
             prof = h_profile(ctx, i, path)
@@ -227,10 +227,10 @@ def check_operator_iteration(ctx, lam, depth=3, iterations=8) -> List[str]:
     return out
 
 
-def check_inversion_and_weight_shift(ctx, lam, depth=3) -> List[str]:
-    """f and e are mutually inverse where defined and shift weights by alpha_i."""
+def check_inversion_and_weight_shift(ctx, lam) -> List[str]:
+    """To depth 3, f and e are mutually inverse and shift weights by alpha_i."""
     out = []
-    graph = enumerate_crystal(ctx, lam, depth)
+    graph = enumerate_crystal(ctx, lam, 3)
     for _, path in _rendered_nodes(graph):
         for i in ctx.matrix.indices:
             down = apply_f(ctx, i, path)
@@ -321,20 +321,20 @@ def check_crystal_axioms(ctx, graph) -> List[str]:
     return out
 
 
-def check_ambient_axioms(ctx, lam, depth=2) -> List[str]:
-    """Crystal axioms on a truncated closure inside the ambient path set."""
-    graph = generate_from(ctx, GLSPath.linear(lam).render(), depth)
+def check_ambient_axioms(ctx, lam) -> List[str]:
+    """Crystal axioms on the closure to depth 2 inside the ambient path set."""
+    graph = generate_from(ctx, GLSPath.linear(lam).render(), 2)
     out = validate_axioms(ctx, graph)
     out += validate_normality(ctx, graph)
     return out
 
 
-def check_concatenation_tensor_compat(ctx, lam, mu, depth=2) -> List[str]:
+def check_concatenation_tensor_compat(ctx, lam, mu) -> List[str]:
     """Operators on a concatenation agree with the tensor rules applied to
-    the ambient crystal structures of the halves."""
+    the ambient crystal structures of the halves, to depth 2."""
     out = []
     root = TensorElement(GLSPath.linear(lam).render(), GLSPath.linear(mu).render())
-    graph = generate_from(ctx, root, depth)
+    graph = generate_from(ctx, root, 2)
     half = Fraction(1, 2)
     for idx, node in enumerate(graph.nodes):
         el = node.element
@@ -417,13 +417,13 @@ def check_bj_properties(ctx, seq: GeneratorSequence, depth=4, prefix=6) -> List[
     return out
 
 
-def check_embedding_theorem(ctx, i, lam, mu, max_len=4) -> List[str]:
-    """Lowering words on pi_lam (x) pi_mu only ever route f_i to the right
-    factor, and the routing matches the pairing with the elementary crystal
-    B_i while both survive (mu is concentrated on the index i)."""
+def check_embedding_theorem(ctx, i, lam, mu) -> List[str]:
+    """Lowering words (length <= 4) on pi_lam (x) pi_mu only route f_i to the
+    right factor, and the routing matches the pairing with the elementary
+    crystal B_i while both survive (mu is concentrated on the index i)."""
     out = []
     n = ctx.matrix.n
-    words = [w for length in range(max_len + 1)
+    words = [w for length in range(5)
              for w in product(range(1, n + 1), repeat=length)]
     for word in words:
         cur = TensorElement(GLSPath.linear(lam), GLSPath.linear(mu))
@@ -475,10 +475,10 @@ def check_binfty_stability(ctx, depth=3) -> List[str]:
     return []
 
 
-def check_non_strictness_witness(ctx, lam, depth=3) -> List[str]:
-    """Somewhere in the crystal the ambient raising operator is defined while
-    the crystal-internal one vanishes (imaginary index)."""
-    graph = enumerate_crystal(ctx, lam, depth)
+def check_non_strictness_witness(ctx, lam) -> List[str]:
+    """Somewhere in the crystal to depth 3 the ambient raising operator is
+    defined while the crystal-internal one vanishes (imaginary index)."""
+    graph = enumerate_crystal(ctx, lam, 3)
     for node in graph.nodes:
         for i in sorted(ctx.matrix.imaginary_indices):
             ambient = apply_e(ctx, i, node.element.render())

@@ -86,7 +86,7 @@ class GLSPath:
         return self._weight
 
     def render(self) -> PiecewisePath:
-        return _render(self.breaks, self.weights)
+        return _render(self._nums, self.weights)
 
     def wt(self, ctx: WeightContext) -> Weight:
         return self.weight()
@@ -109,12 +109,12 @@ class GLSPath:
         return f"GLSPath(({ws}; {bs}))"
 
 
-def _render(breaks, weights) -> PiecewisePath:
-    """The path with slope weights[k] on [breaks[k], breaks[k + 1]]."""
-    pts = [(Fraction(0), weights[0] * 0)]
-    for t0, t1, w in zip(breaks, breaks[1:], weights):
-        pts.append((t1, pts[-1][1] + (t1 - t0) * w))
-    return PiecewisePath.from_points(pts)
+def _render(nums, weights) -> PiecewisePath:
+    """The path with slope weights[k] on [nums[k], nums[k + 1]] / D, D =
+    nums[-1]: its value at each break summed as numerators over D, divided once."""
+    steps = list(map(sub, nums[1:], nums))
+    return PiecewisePath.from_grid(nums, [weights[0] * 0, *(
+        combination(steps[:k], weights[:k], nums[-1]) for k in range(1, len(nums)))])
 
 
 # -- the closed-form operators on integer data ------------------------------
@@ -441,5 +441,7 @@ def properly_join(ctx: WeightContext, pi: GLSPath, pi_prime: GLSPath,
     last = pi.weights[-1]
     if last != x and find_a_chain(ctx, s, last, x) is None:
         raise JoinRejected(1, (format_weight(last), format_weight(x)))
-    return _render([*pi.breaks[:-1], s, s_prime, *pi_prime.breaks[1:]],
+    breaks = [*pi.breaks[:-1], s, s_prime, *pi_prime.breaks[1:]]
+    den = lcm(*(b.denominator for b in breaks))
+    return _render([b.numerator * (den // b.denominator) for b in breaks],
                    [*pi.weights, pi.shape * 0, *pi_prime.weights])

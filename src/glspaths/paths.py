@@ -1,68 +1,93 @@
 """Piecewise-linear paths in Q(x)P and the raising/lowering root operators.
 
-A path is a finite list of (t, value) points with exact rational t,
-interpolated linearly; pi(0) = 0 and pi(1) is its weight.  The operators
-cut the path at exact solutions u < v of h_i(t) = alpha_i^vee(pi(t)) hitting
-integer levels, reflect the middle zone [u, v] about pi(u) and translate
-[v, 1] by +-alpha_i.  A reflection moves only the alpha_i coefficient:
-r_i maps pi(t) to pi(t) - (h_i(t) - h_i(u)) alpha_i (Littelmann, Ann. Math.
-142, 1995, section 1), r_i^{-1} (i imaginary) to pi(t) + (h_i(t) - h_i(u)) /
-(1 - a_ii) alpha_i, so the operators rebuild a path from its h-values.  On
-rootdata weights alone, without orbit tables, this module is the
-brute-force counterpart to the closed forms acting on GLS data.
+A path is a finite list of breakpoints with a weight at each, interpolated
+linearly; pi(0) = 0 and pi(1) is its weight.  The breakpoint times are int
+numerators over T, their least common denominator, and h_i(t) =
+alpha_i^vee(pi(t)) at the breakpoints int numerators over one denominator, so
+the operators bisect, scan, interpolate and test corners on ints; ``points``
+gives (Fraction, Weight) pairs, built on first read.  The operators cut the
+path at exact solutions u < v of h_i(t) hitting integer levels (a cut off
+the grid refines T, and the result is reduced again), reflect the middle
+zone [u, v] about pi(u) and translate [v, 1] by +-alpha_i.  A reflection
+moves only the alpha_i coefficient: r_i maps pi(t) to pi(t) - (h_i(t) -
+h_i(u)) alpha_i (Littelmann, Ann. Math. 142, 1995, section 1), r_i^{-1} (i
+imaginary) to pi(t) + (h_i(t) - h_i(u)) / (1 - a_ii) alpha_i.  Cost: one dot
+product per breakpoint and index, kept on the path, then per operator call a
+scan and one ``add_root`` per moved point.  On rootdata weights alone,
+without orbit tables, this module is the brute-force counterpart to the
+closed forms acting on GLS data.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from math import gcd, lcm
+from typing import Optional, Sequence, Tuple
 
-from .rootdata import (InvariantViolation, Rational, Weight, WeightContext, add_root,
+from .rootdata import (InvariantViolation, Weight, WeightContext, add_root, combination,
                        format_weight)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiecewisePath:
-    """Exact path; points are normalized so equal functions compare equal.
+    """Exact path: ``_values[k]`` at time ``_nums[k] / T``, T = ``_nums[-1]``
+    the least common denominator, with collinear points dropped, so equal
+    functions compare equal.  Made by ``from_points`` or ``from_grid``.
     ``_f_memo`` keeps the result of ``_f_data`` per (context, index).  As a
     crystal element it carries the normal crystal structure of the path set:
     ``wt``, ``epsilon``, ``f``, ``e`` and ``key`` run the operators below."""
 
-    points: Tuple[Tuple[Fraction, Weight], ...]
+    _nums: Tuple[int, ...]
+    _values: Tuple[Weight, ...]
+    _points: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     _f_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @staticmethod
     def from_points(pts: Sequence[Tuple[Fraction, Weight]]) -> "PiecewisePath":
-        cleaned: List[Tuple[Fraction, Weight]] = []
-        for t, v in pts:
-            t = Fraction(t)
-            if cleaned and cleaned[-1][0] == t:
-                if cleaned[-1][1] != v:
-                    raise ValueError(f"conflicting values at t={t}")
-                continue
-            cleaned.append((t, v))
-        if len(cleaned) < 2:
-            raise ValueError("a path needs at least the two endpoints")
-        if cleaned[0][0] != 0 or cleaned[-1][0] != 1:
+        """The path through the (t, weight) points, t exact in [0, 1]."""
+        ts = [Fraction(t) for t, _ in pts]
+        if not ts or ts[0] != 0 or ts[-1] != 1:
             raise ValueError("parameter range must be [0, 1]")
-        if any(cleaned[k][0] >= cleaned[k + 1][0] for k in range(len(cleaned) - 1)):
-            raise ValueError("parameters must increase strictly")
-        if not cleaned[0][1].is_zero():
+        den = lcm(*(t.denominator for t in ts))
+        return PiecewisePath.from_grid([t.numerator * (den // t.denominator) for t in ts],
+                                       [v for _, v in pts])
+
+    @staticmethod
+    def from_grid(nums: Sequence[int], values: Sequence[Weight]) -> "PiecewisePath":
+        """The path with values[k] at time nums[k] / nums[-1]: a repeated time
+        must repeat its value, collinear points are dropped and the times are
+        reduced to their least common denominator."""
+        pts = []
+        for t, v in zip(nums, values):
+            if not pts or pts[-1][0] != t:
+                pts.append((t, v))
+            elif pts[-1][1] != v:
+                raise ValueError(f"conflicting values at t={t}/{nums[-1]}")
+        if len(pts) < 2 or pts[0][0] != 0 or any(p[0] >= q[0] for p, q in zip(pts, pts[1:])):
+            raise ValueError("times must increase strictly from 0")
+        if not pts[0][1].is_zero():
             raise ValueError("paths start at 0")
-        out = [cleaned[0]]
-        for k in range(1, len(cleaned) - 1):
-            if not _collinear(out[-1], cleaned[k], cleaned[k + 1]):
-                out.append(cleaned[k])
-        out.append(cleaned[-1])
-        return PiecewisePath(tuple(out))
+        out = pts[:1]
+        for k in range(1, len(pts) - 1):
+            if not _collinear(out[-1], pts[k], pts[k + 1]):
+                out.append(pts[k])
+        return _on_grid(out + pts[-1:])
+
+    @property
+    def points(self) -> Tuple[Tuple[Fraction, Weight], ...]:
+        """(t, pi(t)) at the breakpoints with Fraction times, built on first read."""
+        if self._points is None:
+            den = self._nums[-1]
+            object.__setattr__(self, "_points", tuple(
+                (Fraction(t, den), v) for t, v in zip(self._nums, self._values)))
+        return self._points
 
     @property
     def weight(self) -> Weight:
-        return self.points[-1][1]
+        return self._values[-1]
 
     def wt(self, ctx: WeightContext) -> Weight:
         return self.weight
@@ -83,14 +108,15 @@ class PiecewisePath:
         t = Fraction(t)
         if not 0 <= t <= 1:
             raise ValueError(f"parameter {t} outside [0, 1]")
-        return _value_at(*zip(*self.points), t)
+        x = t * self._nums[-1]
+        return _cut([s * x.denominator for s in self._nums], self._values, x.numerator)[-1]
 
     def trace(self) -> Tuple[Weight, ...]:
         """Corner values up to reparametrization: stalls dropped, co-directional
         segments merged.  Two paths are reparametrizations of each other iff
         their traces coincide."""
-        corners = [self.points[0][1]]
-        for _, v in self.points[1:]:
+        corners = [self._values[0]]
+        for v in self._values[1:]:
             if v == corners[-1]:
                 continue
             if len(corners) >= 2 and _positively_parallel(corners[-1] - corners[-2],
@@ -103,19 +129,37 @@ class PiecewisePath:
         return tuple(corners)
 
 
+def _on_grid(pts) -> PiecewisePath:
+    """The path through pts, (int time, weight) pairs already normalized but
+    for the common factor of their times, which is divided out."""
+    ts, vs = zip(*pts)
+    g = gcd(*ts)
+    return PiecewisePath(ts if g == 1 else tuple(t // g for t in ts), vs)
+
+
 def _collinear(p0, p1, p2) -> bool:
     """Whether the point p1 = (t1, v1) lies on the segment from p0 to p2 at
-    its speed: then p1 is no corner."""
+    its speed, (v1 - v0)(t2 - t1) = (v2 - v1)(t1 - t0): then p1 is no corner."""
     (t0, v0), (t1, v1), (t2, v2) = p0, p1, p2
-    return (v1 - v0) * (t2 - t1) == (v2 - v1) * (t1 - t0)
+    return combination((t2 - t1, t0 - t2, t1 - t0), (v0, v1, v2), 1).is_zero()
+
+
+def _cut(ts: Sequence[int], ws: Sequence[Weight], t: int):
+    """(k, a, b, d, pi(t)) for an int time t in [0, ts[-1]], k = bisect_left(ts, t):
+    a function f linear between the breakpoints ts, with the values ws, has
+    f(t) = (a f(ts[k - 1]) + b f(ts[k])) / d; a = 0 and d = 1 on a breakpoint."""
+    k = bisect_left(ts, t)
+    if ts[k] == t:
+        return k, 0, 1, 1, ws[k]
+    a, b, d = ts[k] - t, t - ts[k - 1], ts[k] - ts[k - 1]
+    return k, a, b, d, combination((a, b), ws[k - 1:k + 1], d)
 
 
 def _positively_parallel(d1: Weight, d2: Weight) -> bool:
     """Whether d2 = c*d1 for some rational c > 0 (both nonzero): c is the
-    ratio of their first nonzero coefficients."""
+    ratio c2 / c1 of their first nonzero coefficients."""
     (_, c1), (_, c2) = (next(chain(*d.sort_key())) for d in (d1, d2))
-    c = Fraction(c2, c1)
-    return c > 0 and d2 == c * d1
+    return c1 * c2 > 0 and c1 * d2 == c2 * d1
 
 
 def equal_up_to_reparametrization(p: PiecewisePath, q: PiecewisePath) -> bool:
@@ -126,16 +170,16 @@ def linear_path(ctx: WeightContext, lam: Weight) -> PiecewisePath:
     """The straight path t*lam (the constant path when lam = 0)."""
     if not ctx.is_in_P(lam):
         raise ValueError(f"endpoint {format_weight(lam)} is not in P")
-    return PiecewisePath.from_points([(Fraction(0), ctx.weight()), (Fraction(1), lam)])
+    return PiecewisePath.from_grid((0, 1), (ctx.weight(), lam))
 
 
 def trivial_path(ctx: WeightContext) -> PiecewisePath:
-    return PiecewisePath.from_points([(Fraction(0), ctx.weight()), (Fraction(1), ctx.weight())])
+    return linear_path(ctx, ctx.weight())
 
 
 # -- scanning piecewise-linear height profiles --------------------------
 #
-# All helpers work on parallel lists ts/hs of breakpoint times and values;
+# Both scans work on parallel lists ts/hs of breakpoint times and values;
 # between breakpoints the function is linear.  Solutions of h = target are
 # one exact Fraction(numerator, denominator) each, never found by tolerance,
 # on Fractions or ints (numerators over a common denominator) alike.
@@ -170,7 +214,9 @@ def first_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
         if t1 < start:
             continue
         if t0 < start:
-            h0, t0 = Fraction(h0 * (t1 - t0) + (h1 - h0) * (start - t0), t1 - t0), start
+            h0 = h1 if t1 == start else Fraction(h0 * (t1 - t0) + (h1 - h0) * (start - t0),
+                                                 t1 - t0)
+            t0 = start
         if h0 == target:
             return t0
         if (h0 - target) * (h1 - target) < 0:
@@ -178,33 +224,6 @@ def first_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
         if h1 == target:
             return t1
     return None
-
-
-def _value_at(ts: Sequence[Fraction], vs: Sequence, t: Fraction, k: Optional[int] = None):
-    """The value at t, ts[0] <= t <= ts[-1] (k = bisect_left(ts, t) if given), of the
-    function that is linear between the breakpoints ts; vs are numbers or weights."""
-    k = bisect_left(ts, t) if k is None else k
-    if ts[k] == t:
-        return vs[k]
-    return vs[k - 1] + (vs[k] - vs[k - 1]) * Fraction(t - ts[k - 1], ts[k] - ts[k - 1])
-
-
-def _values_on(ts, hs, lo, hi) -> list:
-    """h at lo, at hi and at the breakpoints strictly between: where a
-    piecewise-linear function takes its extrema on [lo, hi]."""
-    return [_value_at(ts, hs, lo), *hs[bisect_right(ts, lo):bisect_left(ts, hi)],
-            _value_at(ts, hs, hi)]
-
-
-def min_value_on(ts: Sequence[Fraction], hs: Sequence[Fraction],
-                 lo: Fraction, hi: Fraction) -> Fraction:
-    """Exact minimum of the piecewise-linear function on [lo, hi] (within [ts[0], ts[-1]])."""
-    return min(_values_on(ts, hs, lo, hi))
-
-
-def max_value_on(ts: Sequence[Fraction], hs: Sequence[Fraction],
-                 lo: Fraction, hi: Fraction) -> Fraction:
-    return max(_values_on(ts, hs, lo, hi))
 
 
 # -- h-profiles and the operators ---------------------------------------
@@ -232,70 +251,83 @@ class HProfile:
 
 
 def _f_data(ctx: WeightContext, i: int, pi: PiecewisePath):
-    """(ts, hs, m, f_plus, f_minus): the breakpoint times of pi, the values of
-    h_i there (both tuples), and the f-arguments; the e-data is left to
-    h_profile.  Kept on pi per (ctx, i)."""
+    """(hs, H, m, f_plus, f_minus): h_i(nums[k] / T) = hs[k] / H at the
+    breakpoints (hs a tuple of ints), the minimal level m and the
+    f-arguments in units of 1/T; the e-data is left to h_profile.  Kept on
+    pi per (ctx, i)."""
     data = pi._f_memo.get((ctx, i))
     if data is None:
-        ts, hs = tuple(t for t, _ in pi.points), tuple(ctx.pairing(i, v) for _, v in pi.points)
-        m = math.ceil(min(hs))
-        f_plus = last_time_at(ts, hs, m)
+        ts = pi._nums
+        hs, den = ctx.pairings(i, pi._values)
+        m = -(-min(hs) // den)
+        f_plus = last_time_at(ts, hs, m * den)
         if m > 0 or f_plus is None:  # h(0) = 0, so the level m <= 0 is reached
             raise InvariantViolation(f"h_{i} never reaches its minimal level {m}")
-        data = pi._f_memo[ctx, i] = (ts, hs, m, f_plus,
-                                     None if f_plus == 1 else first_time_at(ts, hs, m + 1, f_plus))
+        data = pi._f_memo[ctx, i] = (
+            hs, den, m, f_plus,
+            None if f_plus == ts[-1] else first_time_at(ts, hs, (m + 1) * den, f_plus))
     return data
 
 
 def h_profile(ctx: WeightContext, i: int, pi: PiecewisePath) -> HProfile:
-    ts, hs, m, f_plus, f_minus = _f_data(ctx, i, pi)
+    """The operator arguments of h_i on pi, with Fraction times."""
+    ts = pi._nums
+    hs, den, m, f_plus, f_minus = _f_data(ctx, i, pi)
     if ctx.matrix.is_real(i):
-        e_plus = first_time_at(ts, hs, Fraction(m), Fraction(0))
-        e_minus = None if e_plus == 0 else last_time_at(ts, hs, Fraction(m + 1), e_plus)
+        e_plus = first_time_at(ts, hs, m * den, 0)
+        e_minus = None if e_plus == 0 else last_time_at(ts, hs, (m + 1) * den, e_plus)
         e_defined = e_plus != 0
     else:
         a = ctx.matrix.entry(i, i)
-        e_minus = f_plus
-        e_plus = None
-        e_defined = False
-        if e_minus != 1 and max_value_on(ts, hs, e_minus, Fraction(1)) >= m + 1 - a:
-            e_plus = first_time_at(ts, hs, Fraction(m + 1 - a), e_minus)
+        e_minus, e_plus, e_defined = f_plus, None, False
+        # the extrema after e_minus and e_plus are at breakpoints: h(e_minus) = m
+        # lies below the level m + 1 - a, and h(e_plus) = m + 1 - a above m - a
+        if e_minus != ts[-1] and max(hs[bisect_right(ts, e_minus):]) >= (m + 1 - a) * den:
+            e_plus = first_time_at(ts, hs, (m + 1 - a) * den, e_minus)
             if e_plus is None:
                 raise InvariantViolation(f"h_{i} exceeds level {m + 1 - a} without reaching it")
-            e_defined = min_value_on(ts, hs, e_plus, Fraction(1)) > m - a
-    return HProfile(m, f_plus, f_minus, e_plus, e_minus, e_defined)
+            e_defined = all(h > (m - a) * den for h in hs[bisect_right(ts, e_plus):])
+    return HProfile(m, *(None if t is None else Fraction(t, ts[-1])
+                         for t in (f_plus, f_minus, e_plus, e_minus)), e_defined)
 
 
-def _three_zone(pi: PiecewisePath, ts: Sequence[Fraction], hs: Sequence[Rational], i: int,
-                u: Fraction, v: Fraction, scale: Rational, shift: int) -> PiecewisePath:
-    """Rebuild pi, with h_i = hs at its breakpoint times ts: unchanged on
-    [0,u]; on [u,v] each pi(t) moved by scale (h_i(t) - h_i(u)) alpha_i, that
-    is r_i about pi(u) for scale -1 and r_i^{-1} for 1/(1 - a_ii); shifted by
-    shift alpha_i on [v,1].  An affine map of a zone keeps the corners
-    inside it, so only the points at u and v are tested for a corner."""
-    lo, hi = bisect_left(ts, u), bisect_left(ts, v)
-    pts, ws, hu = pi.points, [w for _, w in pi.points], _value_at(ts, hs, u, lo)
-    if scale * (_value_at(ts, hs, v, hi) - hu) != shift:
+def _three_zone(pi: PiecewisePath, hs: Sequence[int], den: int, i: int,
+                u, v, div: int, shift: int) -> PiecewisePath:
+    """Rebuild pi, with h_i = hs / den at its breakpoints: unchanged on
+    [0,u]; on [u,v] each pi(t) moved by (h_i(t) - h_i(u)) / div alpha_i, that
+    is r_i about pi(u) for div = -1 and r_i^{-1} for div = 1 - a_ii; shifted
+    by shift alpha_i on [v,1].  u and v are times in units of 1/T, ints or
+    Fractions; a cut off the grid refines it.  An affine map of a zone keeps
+    the corners inside it, so only the points at u and v are tested for a
+    corner."""
+    q = lcm(u.denominator, v.denominator)
+    ts, ws = pi._nums if q == 1 else [t * q for t in pi._nums], pi._values
+    u, v = u.numerator * (q // u.denominator), v.numerator * (q // v.denominator)
+    (lo, au, bu, du, wu), (hi, av, bv, dv, wv) = _cut(ts, ws, u), _cut(ts, ws, v)
+    # h_i(u) = hu / (den du) and h_i(v) = hv / (den dv)
+    hu, hv = au * hs[lo - 1] + bu * hs[lo], av * hs[hi - 1] + bv * hs[hi]
+    if hv * du - hu * dv != shift * div * den * du * dv:
         raise InvariantViolation("zone junction mismatch")
-    tail = [(t, add_root(w, i, shift)) for t, w in pts[hi + (ts[hi] == v):]]
-    out = [*pts[:lo], (u, _value_at(ts, ws, u, lo)),
-           *((t, add_root(w, i, scale * (h - hu)))
-             for (t, w), h in zip(pts[lo:hi], hs[lo:hi]) if t > u),
-           (v, add_root(_value_at(ts, ws, v, hi), i, shift)), *tail]
+    rest = hi + (ts[hi] == v)
+    tail = [(t, add_root(w, i, shift)) for t, w in zip(ts[rest:], ws[rest:])]
+    out = [*zip(ts[:lo], ws[:lo]), (u, wu),
+           *((t, add_root(w, i, h * du - hu, den * du * div))
+             for t, w, h in zip(ts[lo:hi], ws[lo:hi], hs[lo:hi]) if t > u),
+           (v, add_root(wv, i, shift)), *tail]
     for k in (len(out) - len(tail) - 1, lo):  # the points at v and at u, in this order
         if 0 < k < len(out) - 1 and _collinear(out[k - 1], out[k], out[k + 1]):
             del out[k]
-    return PiecewisePath(tuple(out))
+    return _on_grid(out)
 
 
 def apply_f(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[PiecewisePath]:
     """Lowering operator: reflect by r_i between f_plus and f_minus, then
     shift by -alpha_i; absent exactly when h_i never leaves its minimum
     after f_plus."""
-    ts, hs, _, f_plus, f_minus = _f_data(ctx, i, pi)
-    if f_plus == 1:
+    hs, den, _, f_plus, f_minus = _f_data(ctx, i, pi)
+    if f_plus == pi._nums[-1]:
         return None
-    return _three_zone(pi, ts, hs, i, f_plus, f_minus, -1, -1)
+    return _three_zone(pi, hs, den, i, f_plus, f_minus, -1, -1)
 
 
 def apply_e(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[PiecewisePath]:
@@ -304,9 +336,10 @@ def apply_e(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[Piecewise
     prof = h_profile(ctx, i, pi)
     if not prof.e_defined:
         return None
-    scale = -1 if ctx.matrix.is_real(i) else Fraction(1, 1 - ctx.matrix.entry(i, i))
-    ts, hs = _f_data(ctx, i, pi)[:2]
-    return _three_zone(pi, ts, hs, i, prof.e_minus, prof.e_plus, scale, 1)
+    div = -1 if ctx.matrix.is_real(i) else 1 - ctx.matrix.entry(i, i)
+    hs, den = _f_data(ctx, i, pi)[:2]
+    end = pi._nums[-1]
+    return _three_zone(pi, hs, den, i, prof.e_minus * end, prof.e_plus * end, div, 1)
 
 
 def concatenate(pi1: PiecewisePath, pi2: PiecewisePath, s: Fraction,
@@ -320,33 +353,35 @@ def concatenate(pi1: PiecewisePath, pi2: PiecewisePath, s: Fraction,
         raise ValueError(f"junction parameter must lie in (0,1), got {s}")
     if not ctx.is_in_P(pi1.weight):
         raise ValueError(f"junction weight {format_weight(pi1.weight)} is not in P")
-    pts = [(t * s, v) for t, v in pi1.points]
-    shift = pi1.weight
-    pts += [(s + (1 - s) * t, shift + v) for t, v in pi2.points if t > 0]
-    return PiecewisePath.from_points(pts)
+    # times over q T1 T2 for s = p/q: t s on pi1, s + (1 - s) t on pi2
+    p, q, end1, end2 = s.numerator, s.denominator, pi1._nums[-1], pi2._nums[-1]
+    return PiecewisePath.from_grid(
+        [t * p * end2 for t in pi1._nums] + [(p * end2 + (q - p) * t) * end1
+                                             for t in pi2._nums[1:]],
+        [*pi1._values, *(pi1.weight + v for v in pi2._values[1:])])
 
 
 def is_integral(ctx: WeightContext, pi: PiecewisePath) -> bool:
     """The global minimum of every h_i is an integer."""
-    return all(min(_f_data(ctx, i, pi)[1]).denominator == 1 for i in ctx.matrix.indices)
+    return all(min(hs) % den == 0
+               for hs, den, *_ in (_f_data(ctx, i, pi) for i in ctx.matrix.indices))
 
 
 def is_monotone(ctx: WeightContext, pi: PiecewisePath, strict: bool = True) -> bool:
     """h_i increases on [f_plus, f_minus] and stays >= m+1 afterwards, for
     every index whose lowering operator is defined.  ``strict=False`` uses
     the weakened form appropriate for joined paths."""
+    ts = pi._nums
     for i in ctx.matrix.indices:
-        ts, hs, m, f_plus, f_minus = _f_data(ctx, i, pi)
-        if f_plus == 1:
+        hs, den, m, f_plus, f_minus = _f_data(ctx, i, pi)
+        if f_plus == ts[-1]:
             continue
         for k in range(1, len(ts)):
-            a, b = max(ts[k - 1], f_plus), min(ts[k], f_minus)
-            if a >= b:
-                continue
             rise = hs[k] - hs[k - 1]
-            if rise < 0 or (strict and rise == 0):
+            if max(ts[k - 1], f_plus) < min(ts[k], f_minus) and (rise < 0 or strict and rise == 0):
                 return False
-        if min_value_on(ts, hs, f_minus, Fraction(1)) < m + 1:
+        # h(f_minus) = m + 1, so the minimum after f_minus is at a breakpoint
+        if any(h < (m + 1) * den for h in hs[bisect_right(ts, f_minus):]):
             return False
     return True
 
@@ -356,4 +391,3 @@ def path_epsilon(ctx: WeightContext, i: int, pi: PiecewisePath):
     if ctx.matrix.is_real(i):
         return -_f_data(ctx, i, pi)[2]
     return 0
-

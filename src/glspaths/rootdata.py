@@ -258,16 +258,17 @@ def combination(coeffs: Iterable[int], weights: Sequence[Weight], den: int) -> W
                                                  for column in zip(*(w.nums for w in weights))))
 
 
-def add_root(w: Weight, i: int, c: Rational) -> Weight:
-    """w + c alpha_i: one numerator changes."""
+def add_root(w: Weight, i: int, c: Rational, d: int = 1) -> Weight:
+    """w + (c / d) alpha_i for a nonzero int d: one numerator changes."""
     if not c:
         return w
     c = exact(c)
-    den, nums, q = w.den, list(w.nums), c.denominator
+    p, q = (c.numerator, c.denominator * d) if d > 0 else (-c.numerator, -c.denominator * d)
+    den, nums = w.den, list(w.nums)
     if den % q:
         den = lcm(den, q)
         nums = [x * (den // w.den) for x in nums]
-    nums[len(w.names) + i - 1] += c.numerator * (den // q)
+    nums[len(w.names) + i - 1] += p * (den // q)
     return _reduced(w.names, den, tuple(nums))
 
 
@@ -365,6 +366,17 @@ class WeightContext:
         if not 1 <= i <= self.matrix.n:
             raise ValueError(f"index {i} out of range")
         return pair(self.coroots[i], w)
+
+    def pairings(self, i: int, ws: Sequence[Weight]) -> Tuple[Tuple[int, ...], int]:
+        """(hs, H) with alpha_i^vee(ws[k]) = hs[k] / H, H the least common denominator."""
+        if not 1 <= i <= self.matrix.n:
+            raise ValueError(f"index {i} out of range")
+        f, m = self.coroots[i], lcm(*(w.den for w in ws))
+        for w in ws:
+            _basis(f, w)
+        hs = [sum(map(mul, f.nums, w.nums)) * (m // w.den) for w in ws]
+        g = gcd(f.den * m, *hs)
+        return tuple(h // g for h in hs), f.den * m // g
 
     def reflect(self, i: int, w: Weight) -> Weight:
         """r_i(w) = w - alpha_i^vee(w) alpha_i."""

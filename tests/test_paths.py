@@ -1,19 +1,19 @@
 """Generic path operators: profiles, f/e, concatenation, integrality."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glspaths import (GLSPath, apply_e, apply_f, concatenate,
+from glspaths import (GLSPath, HProfile, apply_e, apply_f, concatenate,
                       context_with_base, enumerate_crystal,
                       equal_up_to_reparametrization, format_weight, h_profile,
                       is_integral, is_monotone, linear_path, trivial_path)
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY,
                              check_inversion_and_weight_shift,
                              check_operator_iteration, fixture_context)
-from glspaths.paths import (PiecewisePath, _f_data, _three_zone, first_time_at,
-                            last_time_at, max_value_on, min_value_on)
+from glspaths.paths import PiecewisePath, _f_data, _three_zone, first_time_at, last_time_at
 from glspaths.rootdata import InvariantViolation
 
 
@@ -159,20 +159,20 @@ def test_inversion_and_iteration_suites():
 def test_three_zone_rejects_a_wrong_shift():
     ctx, lam = ctx2()
     path = linear_path(ctx, lam)
-    ts, hs = _f_data(ctx, 1, path)[:2]
-    assert _three_zone(path, ts, hs, 1, F(0), F(1, 2), -1, -1) == apply_f(ctx, 1, path)
+    hs, den = _f_data(ctx, 1, path)[:2]  # times in units of 1/T, T = 1 here
+    assert _three_zone(path, hs, den, 1, 0, F(1, 2), -1, -1) == apply_f(ctx, 1, path)
     with pytest.raises(InvariantViolation):
-        _three_zone(path, ts, hs, 1, F(0), F(1, 2), -1, 1)
+        _three_zone(path, hs, den, 1, 0, F(1, 2), -1, 1)
 
 
 def test_f_data_is_kept_per_context_and_index():
     ctx_a, lam = ctx2(p=2)
     ctx_b, _ = ctx2(p=4)  # the same base weight lambda, paired differently
     path = linear_path(ctx_a, lam)
-    twin = PiecewisePath(path.points)
-    assert _f_data(ctx_a, 1, path)[:2] == ((0, 1), (0, 2))
-    assert _f_data(ctx_b, 1, path)[:2] == ((0, 1), (0, 4))
-    assert _f_data(ctx_a, 1, path)[:2] == ((0, 1), (0, 2))
+    twin = PiecewisePath.from_points(path.points)
+    assert _f_data(ctx_a, 1, path)[:2] == ((0, 2), 1)
+    assert _f_data(ctx_b, 1, path)[:2] == ((0, 4), 1)
+    assert _f_data(ctx_a, 1, path)[:2] == ((0, 2), 1)
     assert set(path._f_memo) == {(ctx_a, 1), (ctx_b, 1)} and not twin._f_memo
     assert _f_data(ctx_b, 1, path) is _f_data(ctx_b, 1, path)
     assert apply_f(ctx_a, 1, path) == reference_apply(ctx_a, 1, twin, "f")
@@ -181,13 +181,13 @@ def test_f_data_is_kept_per_context_and_index():
     # the memo is no part of the path's value
     assert path == twin and hash(path) == hash(twin) and repr(path) == repr(twin)
     assert len({path, twin}) == 1
-    ts, hs, *_ = _f_data(ctx_a, 1, path)
-    assert type(ts) is tuple and type(hs) is tuple
+    hs, den, *_ = _f_data(ctx_a, 1, path)
+    assert type(hs) is tuple and type(den) is int
     with pytest.raises(TypeError):
         hs[0] = 1
 
 
-# -- the extrema and the collinearity test against their reference forms ----
+# -- the scans and the collinearity test against their reference forms ----
 
 def per_segment_min(ts, hs, lo, hi):
     """Minimum on [lo, hi] from both clipped ends of every segment it meets."""
@@ -205,29 +205,6 @@ def per_segment_min(ts, hs, lo, hi):
 def rationals(lo, hi, den):
     """Fractions in [lo, hi] whose denominators divide den."""
     return st.builds(F, st.integers(lo * den, hi * den), st.just(den))
-
-
-@st.composite
-def profiles_and_windows(draw):
-    """Exact piecewise-linear data (ts, hs) and lo <= hi in [ts[0], ts[-1]],
-    each of them a breakpoint or a point inside a segment."""
-    inner = draw(st.lists(rationals(0, 1, 12), max_size=6))
-    ts = sorted(set(inner) | {F(0), F(1)})
-    hs = draw(st.lists(st.one_of(st.integers(-4, 4), rationals(-5, 5, 6)),
-                       min_size=len(ts), max_size=len(ts)))
-    place = st.one_of(st.sampled_from(ts), rationals(0, 1, 35))
-    lo, hi = sorted((draw(place), draw(place)))
-    if draw(st.booleans()):
-        hi = lo
-    return ts, hs, lo, hi
-
-
-@settings(max_examples=200, deadline=None)
-@given(profiles_and_windows())
-def test_extrema_agree_with_the_per_segment_form(data):
-    ts, hs, lo, hi = data
-    assert min_value_on(ts, hs, lo, hi) == per_segment_min(ts, hs, lo, hi)
-    assert max_value_on(ts, hs, lo, hi) == -per_segment_min(ts, [-h for h in hs], lo, hi)
 
 
 def three_step_last_time_at(ts, hs, target, upto=None):
@@ -299,6 +276,15 @@ def test_crossings_agree_with_the_three_step_form(data):
         assert got == want and type(got) is type(want)
 
 
+def test_first_time_at_from_a_breakpoint():
+    # start on the breakpoint 3 of int data: h there is hs[1], read, not interpolated
+    ts, hs = [0, 3, 6], [0, 4, 2]
+    for target, want in ((4, 3), (3, F(9, 2)), (2, 6), (5, None)):
+        got = first_time_at(ts, hs, target, 3)
+        assert got == want == three_step_first_time_at(ts, hs, target, 3)
+        assert type(got) is type(want)
+
+
 def weight_collinear_kept(pts):
     """The points the collinearity test of from_points keeps, decided on whole
     weights: (v1 - v0) * (t2 - t1) == (v2 - v1) * (t1 - t0) drops t1."""
@@ -346,11 +332,29 @@ def reference_three_zone(pi, u, v, middle, shift):
     return PiecewisePath.from_points(pts)
 
 
+def reference_h_profile(ctx, i, path):
+    """h_profile on Fraction times and h-values: the three-step scans, and
+    the extrema from both clipped ends of every segment."""
+    ts, hs = [t for t, _ in path.points], [ctx.pairing(i, v) for _, v in path.points]
+    m = math.ceil(min(hs))
+    f_plus = three_step_last_time_at(ts, hs, m)
+    f_minus = None if f_plus == 1 else three_step_first_time_at(ts, hs, m + 1, f_plus)
+    if ctx.matrix.is_real(i):
+        e_plus = three_step_first_time_at(ts, hs, m, F(0))
+        e_minus = None if e_plus == 0 else three_step_last_time_at(ts, hs, m + 1, e_plus)
+        return HProfile(m, f_plus, f_minus, e_plus, e_minus, e_plus != 0)
+    a = ctx.matrix.entry(i, i)
+    e_plus, e_defined = None, False
+    if f_plus != 1 and -per_segment_min(ts, [-h for h in hs], f_plus, F(1)) >= m + 1 - a:
+        e_plus = three_step_first_time_at(ts, hs, m + 1 - a, f_plus)
+        e_defined = per_segment_min(ts, hs, e_plus, F(1)) > m - a
+    return HProfile(m, f_plus, f_minus, e_plus, f_plus, e_defined)
+
+
 def reference_apply(ctx, i, path, op):
     """apply_f (op "f") or apply_e (op "e") by ctx.reflect/reflect_inverse
-    and from_points, run on a copy of the path without its memo."""
-    path = PiecewisePath(path.points)
-    prof = h_profile(ctx, i, path)
+    and from_points, on the arguments of reference_h_profile."""
+    prof = reference_h_profile(ctx, i, path)
     if op == "f":
         return None if prof.f_plus == 1 else reference_three_zone(
             path, prof.f_plus, prof.f_minus, lambda w: ctx.reflect(i, w), -ctx.alpha(i))
@@ -441,3 +445,49 @@ def test_boundary_cases_of_the_rebuild(entries, points, op, cases):
     result = (apply_f if op == "f" else apply_e)(ctx, 1, path)
     assert result is not None and result == reference_apply(ctx, 1, path, op)
     assert zone_cases(ctx, 1, path, op, result) == cases
+
+
+# -- the integer form against the Fraction references on bent paths -----------
+
+# rank 1 real and imaginary (a_11 = -1, 0, -2), rank 2 with one of each
+BENT_CONTEXTS = [context_with_base(entries, pairings) for entries, pairings in (
+    ([[2]], [2]), ([[-1]], [2]), ([[0]], [1]), ([[-2]], [3]),
+    ([[2, -1], [-1, -2]], [1, 1]), ([[2, -1], [-2, -2]], [2, 1]))]
+
+
+@st.composite
+def bent_paths(draw):
+    """A context and a path through rational vertices at times with
+    denominators 2-27, ending at a weight with integral pairings."""
+    ctx, lam = draw(st.sampled_from(BENT_CONTEXTS))
+    times = set()
+    for _ in range(draw(st.integers(0, 3))):
+        q = draw(st.integers(2, 27))
+        times.add(F(draw(st.integers(1, q - 1)), q))
+    # whole coefficients too, so that h_i meets integer levels at breakpoints
+    coefficient = st.one_of(st.integers(-3, 3), st.builds(F, st.integers(-6, 6), st.integers(1, 4)))
+    roots = ctx.matrix.indices
+    pts = [(F(0), ctx.weight())]
+    pts += [(t, ctx.weight({"lambda": draw(coefficient)},
+                           {j: draw(coefficient) for j in roots})) for t in sorted(times)]
+    pts.append((F(1), ctx.weight({"lambda": draw(st.integers(0, 3))},
+                                 {j: draw(st.integers(-2, 3)) for j in roots})))
+    return ctx, PiecewisePath.from_points(pts)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(bent_paths())
+def test_operators_on_the_integer_grid_match_the_fraction_references(data):
+    # budget: about 1 s; each path and its f-images are checked at every index
+    ctx, path = data
+    for i in ctx.matrix.indices:
+        for cur in (path, apply_f(ctx, i, path)):
+            if cur is None:
+                continue
+            prof, want = h_profile(ctx, i, cur), reference_h_profile(ctx, i, cur)
+            assert prof == want and list(map(type, vars(prof).values())) == list(
+                map(type, vars(want).values())), (cur, i)
+            for op, operator in (("f", apply_f), ("e", apply_e)):
+                got = operator(ctx, i, cur)
+                assert got == reference_apply(ctx, i, cur, op), (cur, i, op)
+                assert got is None or got.points == reference_apply(ctx, i, cur, op).points

@@ -54,6 +54,33 @@ def test_the_path_oracle_uses_nothing_of_the_gls_side():
     assert "orbit_table" not in text
 
 
+# the functions of paths.py that turn times into Fractions or back: the
+# public entry points, the points view, the crossings of the two scans and
+# the HProfile fields
+FRACTION_BOUNDARY = {"from_points", "points", "value_at", "concatenate",
+                     "last_time_at", "first_time_at", "h_profile"}
+
+
+def _fraction_calls(node, owner=None):
+    """(function, line) of every call of Fraction under node, named by its
+    innermost enclosing function (None at module level)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction":
+        yield owner, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _fraction_calls(child, owner)
+
+
+def test_the_path_operators_run_on_ints():
+    # the ambient operators bisect, scan, interpolate and test corners on
+    # int time numerators; a Fraction is made only at the boundary
+    tree = ast.parse((SOURCE / "paths.py").read_text(encoding="utf-8"))
+    calls = list(_fraction_calls(tree))
+    assert {owner for owner, _ in calls} <= FRACTION_BOUNDARY, calls
+    assert {owner for owner, _ in calls} == FRACTION_BOUNDARY  # the list stays current
+
+
 def test_crystal_elements_dispatch_by_method_not_by_type():
     # every crystal element answers wt/epsilon/f/e/key itself, so the crystal
     # layer never branches on the type of an element
@@ -122,7 +149,7 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         passed |= {(name, kw.arg) for kw in call.keywords}
         passed |= {(name, k) for k in range(len(call.args))}
     unused = [f"{name}({param})"
-              for tree in _trees(SOURCE / f"{module}.py" for module in KERNEL)
+              for tree in _trees(SOURCE / f"{module}.py" for module in KERNEL + ("checks", "cli"))
               for name, param, k in _defaulted_parameters(tree)
               if (name, param) not in passed and (name, k) not in passed]
     assert unused == []
