@@ -14,12 +14,12 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .gls import CrystalGraph, enumerate_crystal
-from .rootdata import InvariantViolation, Weight, WeightContext, format_weight
+from .rootdata import InvariantViolation, Weight, WeightContext, format_weight, offset_vector
 
 Exponent = Tuple[int, ...]
 
 
-class NonIntegralOffset(RuntimeError):
+class NonIntegralOffset(InvariantViolation):
     """A Weyl-orbit offset failed to be a nonnegative integer vector."""
 
 
@@ -115,14 +115,14 @@ def series_text(series: CharacterSeries, label: Optional[str] = None) -> str:
 
 def char_of_graph(graph: CrystalGraph) -> CharacterSeries:
     """Multiplicity count of node weights, relative to the root weight."""
-    n = graph.ctx.matrix.n
+    root = graph.weights[0]
     out: Dict[Exponent, int] = {}
-    for idx in range(len(graph)):
-        vec = graph.offset_of(idx)
+    for wt in graph.weights:
+        vec = offset_vector(root, wt)
         if any(v.denominator != 1 for v in vec):
-            raise NonIntegralOffset(f"node {idx} offset {vec}")
+            raise NonIntegralOffset(f"node of weight {format_weight(wt)}: offset {vec}")
         out[vec] = out.get(vec, 0) + 1
-    return CharacterSeries.from_dict(graph.root.wt, n, graph.depth, out)
+    return CharacterSeries.from_dict(root, graph.ctx.matrix.n, graph.depth, out)
 
 
 @dataclass(frozen=True)

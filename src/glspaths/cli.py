@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (bad matrix, weight outside P+,
-malformed input, usage), 2 comparison failure (compare-char or tensor-iso
-mismatch, suite violation is 1) or a broken internal invariant
-(``InvariantViolation``, or ``NotAGLSPath``, which no command's input can
-cause: every command starts from straight paths of weights in P+), 3 I/O
-error.  All outputs are deterministic: identical inputs give byte-identical
-results.
+malformed input, usage), a binf count of weight-zero nodes other than 1 or
+a binf axiom violation, or a suite violation, 2 comparison failure
+(compare-char or tensor-iso mismatch) or a broken internal invariant
+(``InvariantViolation``, ``NonIntegralOffset`` among them, or
+``NotAGLSPath``, which no command's input can cause: every command starts
+from straight paths of weights in P+), 3 I/O error.  All outputs are
+deterministic: identical inputs give byte-identical results.
 """
 
 from __future__ import annotations
@@ -97,9 +98,8 @@ def _cmd_enumerate(args) -> int:
     ctx = _context(args)
     lam = ctx.base("lambda")
     graph = enumerate_crystal(ctx, lam, args.depth)
-    frontier = sum(1 for node in graph.nodes if node.frontier)
-    _emit(f"nodes {len(graph)} edges {len(graph.f_edges)} frontier {frontier}\n",
-          args.output)
+    frontier = graph.depths.count(args.depth)  # from the BFS: no node table
+    _emit(f"nodes {len(graph)} edges {len(graph.edges)} frontier {frontier}\n", args.output)
     if args.dot_output:
         _emit(export_dot(graph), args.dot_output)
     return 0

@@ -284,22 +284,49 @@ class CrystalNode:
 class CrystalGraph:
     """Edge-labeled f-closure of a single element, truncated by weight depth.
 
-    Nodes are ordered by (depth, canonical key); e-edges are the reverses
-    of f-edges, built on first use.  ``frontier`` marks nodes whose children
-    were cut by the truncation, so that a missing edge there is never read as f = 0.
+    The BFS leaves ``elements`` in discovery order, root first, with their
+    ``depths`` and raw ``edges``; ``weights`` and the node table are built
+    on first read.  Nodes are ordered by (depth, canonical key); e-edges are
+    the reverses of f-edges, built on first use.  ``frontier`` marks nodes
+    whose children were cut by the truncation, so that a missing edge there
+    is never read as f = 0.
     """
 
-    def __init__(self, ctx: WeightContext, depth: int, nodes: List[CrystalNode],
-                 f_edges: Dict[Tuple[int, int], int]):
-        self.ctx = ctx
-        self.depth = depth
-        self.nodes = nodes
-        self.f_edges = f_edges
-
-    e_edges = cached_property(lambda self: {(d, i): s for (s, i), d in self.f_edges.items()})
+    def __init__(self, ctx: WeightContext, depth: int, elements: List, depths: List[int],
+                 edges: Dict[Tuple[int, int], int], wt_func: Callable,
+                 eps_func: Callable, key_func: Callable):
+        self.ctx, self.depth = ctx, depth
+        self.elements, self.depths, self.edges = elements, depths, edges
+        self.wt_func, self.eps_func, self.key_func = wt_func, eps_func, key_func
 
     def __len__(self):
-        return len(self.nodes)
+        return len(self.elements)
+
+    @cached_property
+    def weights(self) -> List[Weight]:
+        """``wt_func`` of each element, in discovery order."""
+        return [self.wt_func(self.ctx, el) for el in self.elements]
+
+    @cached_property
+    def _table(self) -> Tuple[List[CrystalNode], Dict[Tuple[int, int], int]]:
+        """The nodes in (depth, key) order with eps and phi_i = eps_i +
+        alpha_i^vee(wt), and the f-edges renumbered to match."""
+        ctx, depths, weights, n = self.ctx, self.depths, self.weights, self.ctx.matrix.n
+        keys = [self.key_func(el) for el in self.elements]
+        order = sorted(range(len(keys)), key=lambda k: (depths[k], keys[k]))
+        position = [0] * len(order)
+        nodes = []
+        for idx, k in enumerate(order):
+            position[k] = idx
+            el, d, wt = self.elements[k], depths[k], weights[k]
+            eps = tuple(self.eps_func(ctx, i, el) for i in range(1, n + 1))
+            phi = tuple(e + ctx.pairing(i, wt) for i, e in enumerate(eps, 1))
+            nodes.append(CrystalNode(el, keys[k], wt, d, d == self.depth, eps, phi))
+        return nodes, {(position[s], i): position[d] for (s, i), d in self.edges.items()}
+
+    nodes = property(lambda self: self._table[0])
+    f_edges = property(lambda self: self._table[1])
+    e_edges = cached_property(lambda self: {(d, i): s for (s, i), d in self.f_edges.items()})
 
     @cached_property
     def index(self) -> Dict[object, int]:
@@ -326,11 +353,11 @@ def build_crystal_graph(ctx: WeightContext, root_element, depth: int,
     """Breadth-first f-closure; each f-step raises the weight depth by one,
     so BFS layers coincide with depth layers.  Elements are numbered as
     found and merged by equality, which inside one graph agrees with
-    equality of keys; the result is ordered by (depth, key), so the order in
-    which a layer is expanded does not matter.
+    equality of keys; the node table is ordered by (depth, key), so the
+    order in which a layer is expanded does not matter.
 
     ``wt_func(ctx, el)`` returns the weight of el and ``eps_func(ctx, i, el)``
-    epsilon_i; phi_i is epsilon_i + alpha_i^vee(wt)."""
+    epsilon_i; the graph calls them, and ``key_func``, only when read."""
     n = ctx.matrix.n
     elements, depths = [root_element], [0]
     found = {root_element: 0}
@@ -352,19 +379,7 @@ def build_crystal_graph(ctx: WeightContext, root_element, depth: int,
         if not nxt:
             break
         layer = nxt
-    keys = [key_func(el) for el in elements]
-    order = sorted(range(len(elements)), key=lambda k: (depths[k], keys[k]))
-    position = [0] * len(order)
-    nodes = []
-    for idx, k in enumerate(order):
-        position[k] = idx
-        el, d = elements[k], depths[k]
-        wt = wt_func(ctx, el)
-        eps = tuple(eps_func(ctx, i, el) for i in range(1, n + 1))
-        phi = tuple(e + ctx.pairing(i, wt) for i, e in enumerate(eps, 1))
-        nodes.append(CrystalNode(el, keys[k], wt, d, d == depth, eps, phi))
-    f_edges = {(position[src], i): position[dst] for (src, i), dst in edges.items()}
-    return CrystalGraph(ctx, depth, nodes, f_edges)
+    return CrystalGraph(ctx, depth, elements, depths, edges, wt_func, eps_func, key_func)
 
 
 def enumerate_crystal(ctx: WeightContext, lam: Weight, depth: int) -> CrystalGraph:

@@ -2,9 +2,11 @@
 
 import pytest
 
-from glspaths import (CharacterSeries, char_of_graph, compare_characters,
+from glspaths import (CharacterSeries, GLSPath, char_of_graph, compare_characters,
                       context_with_base, divide, enumerate_crystal, multiply,
                       orthogonal_subsets, series_text, wkb_series)
+from glspaths import gls
+from glspaths.checks import TWO_IMAGINARY, fixture_context
 
 # the base of the series built by hand: the zero weight of a rank-one context
 ZERO = context_with_base([[2]], [0])[0].weight()
@@ -30,6 +32,30 @@ def test_truncation_in_multiplication():
     a = series(base, 1, 2, {(1,): 1})
     b = series(base, 1, 2, {(2,): 1})
     assert multiply(a, b).terms == ()
+
+
+def test_the_character_reads_only_node_weights(monkeypatch):
+    # neither the character nor the comparison builds the node table: no
+    # key_func and no eps_func call, and one wt_func call per node
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    calls = {"key": 0, "eps": 0, "wt": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    graph = gls.build_crystal_graph(ctx, GLSPath.linear(lam), 5, gls.gls_f,
+                                    counted("wt", lambda c, pi: pi.weight()),
+                                    counted("eps", gls.gls_epsilon), counted("key", GLSPath.key))
+    series = char_of_graph(graph)
+    assert calls == {"key": 0, "eps": 0, "wt": len(graph)}
+    assert series == char_of_graph(enumerate_crystal(ctx, lam, 5))
+    monkeypatch.setattr(gls, "gls_epsilon", counted("eps", gls.gls_epsilon))
+    monkeypatch.setattr(GLSPath, "key", counted("key", GLSPath.key))
+    assert compare_characters(ctx, lam, 5).equal
+    assert calls["key"] == calls["eps"] == 0
 
 
 def test_char_of_graph_examples():

@@ -2,9 +2,9 @@
 
 import pytest
 
-from glspaths import cli
-from glspaths.character import CharacterComparison, CharacterSeries
-from glspaths.gls import NotAGLSPath
+from glspaths import cli, gls
+from glspaths.character import CharacterComparison, CharacterSeries, NonIntegralOffset
+from glspaths.gls import GLSPath, NotAGLSPath
 from glspaths.rootdata import InvariantViolation, context_with_base
 
 
@@ -58,6 +58,25 @@ def test_enumerate_and_dot(matrices, tmp_path, capsys):
     assert capsys.readouterr().out == "nodes 3 edges 2 frontier 0\n"
     text = dot.read_text()
     assert text.count("->") == 2 and 'label="1"' in text
+
+
+def test_enumerate_counts_come_from_the_bfs(matrices, monkeypatch, capsys):
+    # without --export-dot no node table is built: no eps and no key call,
+    # and the line is the one the node table gives
+    calls = []
+    for owner, name in ((gls, "gls_epsilon"), (GLSPath, "key")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, f=original: calls.append(a) or f(*a))
+    for name, lam, depth in (("im", "2", 3), ("sl2", "2", 4), ("mixed", "1 1", 4)):
+        assert cli.run(["enumerate", "-m", str(matrices[name]), "-l", lam, "-d", str(depth)]) == 0
+        assert calls == []
+        ctx = cli.load_context(str(matrices[name]), True, {"lambda": tuple(map(int, lam.split()))})
+        graph = gls.enumerate_crystal(ctx, ctx.base("lambda"), depth)
+        frontier = sum(node.frontier for node in graph.nodes)
+        assert capsys.readouterr().out == (
+            f"nodes {len(graph.nodes)} edges {len(graph.f_edges)} frontier {frontier}\n")
+        assert calls and frontier == graph.depths.count(depth)
+        calls.clear()
 
 
 def test_char_and_compare(matrices, capsys):
@@ -130,3 +149,12 @@ def test_not_a_gls_path_exit_code(matrices, monkeypatch, capsys):
     monkeypatch.setattr(cli, "enumerate_crystal", broken)
     assert cli.run(["enumerate", "-m", str(matrices["im"]), "-l", "2", "-d", "3"]) == 2
     assert "invariant violated: path is not integral" in capsys.readouterr().err
+
+
+def test_non_integral_offset_exit_code(matrices, monkeypatch, capsys):
+    # a broken invariant of the character: exit code 2, not a traceback
+    def broken(*args, **kwargs):
+        raise NonIntegralOffset("node of weight lambda-1/2*a1: offset (1/2,)")
+    monkeypatch.setattr(cli, "compare_characters", broken)
+    assert cli.run(["compare-char", "-m", str(matrices["im"]), "-l", "2", "-d", "3"]) == 2
+    assert "invariant violated: node of weight" in capsys.readouterr().err

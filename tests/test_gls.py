@@ -399,6 +399,28 @@ def test_epsilon_follows_the_context_of_each_call():
     assert differ >= 2
 
 
+def test_the_node_table_does_not_depend_on_what_is_read_first():
+    # the eight bundled fixtures at depth 5: reading weights before the node
+    # table gives the table that reading it first gives, and the table
+    # reuses the weights: wt_func runs once per node either way
+    for fx in FIXTURES + (TWO_IMAGINARY,):
+        tables = []
+        for weights_first in (False, True):
+            ctx, lam = fixture_context(fx)
+            calls = []
+            graph = build_crystal_graph(ctx, GLSPath.linear(lam), 5, gls_f,
+                                        lambda c, pi: calls.append(pi) or pi.weight(),
+                                        gls_epsilon, GLSPath.key)
+            assert "_table" not in vars(graph) and calls == []
+            if weights_first:
+                assert graph.weights[0] == lam and len(calls) == len(graph)
+            tables.append(([(n.key, n.wt, n.eps, n.phi, n.frontier) for n in graph.nodes],
+                           graph.f_edges, export_dot(graph)))
+            assert len(calls) == len(graph) == len(graph.nodes)
+            assert sorted(map(id, graph.weights)) == sorted(id(n.wt) for n in graph.nodes)
+        assert tables[0] == tables[1], fx[0]
+
+
 def test_e_edges_are_the_reversed_f_edges_built_on_first_use():
     ctx, lam = fixture_context(TWO_IMAGINARY)
     graph = enumerate_crystal(ctx, lam, 5)
