@@ -9,7 +9,6 @@ reproduce on rendered paths (the oracle-equivalence property).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -19,9 +18,9 @@ from operator import eq, floordiv, lt, mul, sub
 from typing import Callable, Dict, List, Optional, Tuple
 
 # apply_e is not called here; perfbench/test_perfbench.py checks that gls binds it
-from .paths import PiecewisePath, apply_e, first_time_at, last_time_at
+from .paths import PiecewisePath, apply_e
 from .rootdata import (InvariantViolation, OrbitTable, Weight, WeightContext, combination,
-                       format_weight, offset_vector)
+                       format_weight, offset_vector, partial_sums)
 from .torbit import AChain, find_a_chain
 
 
@@ -86,7 +85,10 @@ class GLSPath:
         return self._weight
 
     def render(self) -> PiecewisePath:
-        return _render(self._nums, self.weights)
+        """pi(a_k) as running sums over D.  Adjacent weights differ and ``_nums``
+        are coprime, so no break is collinear: the path needs no ``from_grid``."""
+        nums = self._nums
+        return PiecewisePath(nums, partial_sums(map(sub, nums[1:], nums), self.weights, nums[-1]))
 
     def wt(self, ctx: WeightContext) -> Weight:
         return self.weight()
@@ -109,20 +111,15 @@ class GLSPath:
         return f"GLSPath(({ws}; {bs}))"
 
 
-def _render(nums, weights) -> PiecewisePath:
-    """The path with slope weights[k] on [nums[k], nums[k + 1]] / D, D =
-    nums[-1]: its value at each break summed as numerators over D, divided once."""
-    steps = list(map(sub, nums[1:], nums))
-    return PiecewisePath.from_grid(nums, [weights[0] * 0, *(
-        combination(steps[:k], weights[:k], nums[-1]) for k in range(1, len(nums)))])
-
-
 # -- the closed-form operators on integer data ------------------------------
 #
 # The operators see a path as (orbit table, weight ids, D, break numerators
 # over D), D the least common denominator of the breaks, so h_i at the breaks
-# is a numerator over D too and the work stays in ints.  Paths they return are
-# built from this form; other paths get their ids on first use.
+# is a numerator over D too.  Each operator is one integer surgery (Littelmann,
+# Ann. Math. 142, 1995): r_i between a break at the minimal level m of h_i,
+# where a piecewise-linear minimum sits, and the nearest time on one side at a
+# higher level, a break or an exact crossing x / q that alone grows D.  Paths
+# the operators return are built from this form; others get ids on first use.
 
 
 def _integer_form(ctx: WeightContext, pi: GLSPath):
@@ -147,88 +144,80 @@ def _h_profile(ctx: WeightContext, i: int, pi: GLSPath):
     return table, ids, den, nums, hs, levels.setdefault(i, min(hs) // den)
 
 
-def _reflected(shape: Weight, table: OrbitTable, i: int, ids, den: int, nums,
-               u, v, inverse: bool = False) -> GLSPath:
-    """The path with r_i (r_i^{-1} if inverse) applied on [u, v] (times in
-    units of 1/D, which become breaks), with equal neighbours merged."""
-    q = lcm(u.denominator, v.denominator)
-    u, v = u.numerator * (q // u.denominator), v.numerator * (q // v.denominator)
-    ends, ids = [b * q for b in nums[1:]], list(ids)
-    for t in (u, v):  # cut the segment that holds t in its interior
-        k = bisect_left(ends, t)
-        if 0 < t < ends[k]:
-            ends.insert(k, t)
-            ids.insert(k, ids[k])
-    lo, hi = bisect_right(ends, u), bisect_right(ends, v)
+def _surgery(shape: Weight, i: int, profile, rise: int, step: int,
+             inverse: bool = False) -> Optional[GLSPath]:
+    """r_i (r_i^{-1} if inverse) applied from the last (step = 1) or first
+    (step = -1) break k at the level m to the nearest time on the side of step
+    where h_i reaches m + rise, equal neighbours merged; None if k ends the
+    path on that side.  If h_i stays below: NotAGLSPath, or None if inverse,
+    which also kills on a drop to m + rise - 1 after the zone (imaginary e_i)."""
+    table, ids, den, nums, hs, m = profile
+    low, level, last = m * den, (m + rise) * den, len(hs) - 1
+    k = last - hs[::-1].index(low) if step > 0 else hs.index(low)
+    if k == (last if step > 0 else 0):
+        return None
+    j = k + step
+    while 0 <= j <= last and hs[j] < level:
+        j += step
+    reached = 0 <= j <= last
+    if inverse and (not reached or min(hs[j:]) <= level - den):
+        return None
+    if not reached:
+        raise NotAGLSPath(f"h_{i} stays below m+1 beyond its minimum; not a GLS path")
+    ids, nums = list(ids), list(nums)
+    if hs[j] != level:  # h_i crosses the level at x / q inside the segment c
+        a, c = j - step, min(j, j - step)
+        x, q = nums[a] * (hs[j] - level) + nums[j] * (level - hs[a]), hs[j] - hs[a]
+        g = gcd(x, q)
+        nums = [t * (q // g) for t in nums] if q > g else nums
+        nums.insert(c + 1, x // g)
+        ids.insert(c, ids[c])
+        k, j = k + (step < 0), c + 1
+    lo, hi = (k, j) if step > 0 else (j, k)
     ids[lo:hi] = [table.reflect(i, w, inverse) for w in ids[lo:hi]]
-    out_ids, out_nums = [], [0]
-    for w, t in zip(ids, ends):
-        if out_ids and out_ids[-1] == w:
-            out_nums[-1] = t
-        else:
-            out_ids.append(w)
-            out_nums.append(t)
-    return _from_integer_form(shape, table, out_ids, den * q, out_nums)
+    merged = [b for b in (hi, lo) if 0 < b < len(ids) and ids[b - 1] == ids[b]]
+    for b in merged:  # right junction first, so that lo stays in place
+        del ids[b], nums[b]
+    # a new break x / q keeps the numerators coprime; a dropped one may not
+    return _from_integer_form(shape, table, ids, nums[-1], nums, reduced=not merged)
 
 
-def _from_integer_form(shape: Weight, table: OrbitTable, ids, den: int, nums) -> GLSPath:
+def _from_integer_form(shape: Weight, table: OrbitTable, ids, den: int, nums,
+                       reduced: bool = False) -> GLSPath:
     """The path with weights table.weights[ids] and breaks nums / den, made
     without the Fraction checks of the constructor: the same invariants are
-    checked on the ints, and den is reduced to the least common denominator."""
+    checked on the ints, and den is reduced to the least common denominator
+    unless the caller knows the numerators to be coprime."""
     if (len(nums) != len(ids) + 1 or nums[0] != 0 or nums[-1] != den
             or not all(map(lt, nums, nums[1:])) or any(map(eq, ids, ids[1:]))):
         raise InvariantViolation(f"integer path data breaks an invariant: {ids}, {nums} / {den}")
     pi = object.__new__(GLSPath)  # breaks left unset: see GLSPath.__getattr__
     _set(pi, "shape", shape)
     _set(pi, "weights", tuple(map(table.weights.__getitem__, ids)))
-    _set(pi, "_nums", tuple(map(floordiv, nums, repeat(gcd(*nums)))))
+    _set(pi, "_nums", tuple(nums) if reduced else tuple(map(floordiv, nums, repeat(gcd(*nums)))))
     _set(pi, "_ids", (table, tuple(ids), {}))
     _set(pi, "_weight", None)
     return pi
 
 
 def gls_f(ctx: WeightContext, i: int, pi: GLSPath) -> Optional[GLSPath]:
-    """Closed-form lowering operator on GLS data.
-
-    With f_plus = a_t and a_{p-1} < f_minus <= a_p, the weights with
-    indices t+1..p are reflected by r_i and the break f_minus is inserted;
-    the imaginary case is the special case t = 0.
-    """
-    table, ids, den, nums, hs, m = _h_profile(ctx, i, pi)
-    f_plus = last_time_at(nums, hs, m * den)
-    if f_plus == den:
-        return None
-    f_minus = first_time_at(nums, hs, (m + 1) * den, f_plus)
-    if f_minus is None:
-        raise NotAGLSPath(f"h_{i} stays below m+1 after f_plus; not a GLS path")
-    return _reflected(pi.shape, table, i, ids, den, nums, f_plus, f_minus)
+    """Lowering operator: with f_plus = a_t the last break at the minimum m and
+    a_{p-1} < f_minus <= a_p the first later time at m+1, the weights t+1..p
+    are reflected by r_i and the break f_minus is inserted (t may be 0)."""
+    return _surgery(pi.shape, i, _h_profile(ctx, i, pi), 1, 1)
 
 
 def gls_e(ctx: WeightContext, i: int, pi: GLSPath) -> Optional[GLSPath]:
-    """Raising operator inside the GLS crystal.
-
-    Real indices have a closed form mirroring gls_f.  For an imaginary
-    index the raising is defined by membership: r_i^{-1} maps the weights
-    from e_minus (last time at the minimum m) to e_plus (first later time at
-    m+1-a_ii; none, or a later drop to m-a_ii, kills it), and the result is
-    kept only if it verifies as a GLS path of the same shape.
-    """
-    table, ids, den, nums, hs, m = _h_profile(ctx, i, pi)
+    """Raising operator: for a real index r_i from e_minus (last earlier time
+    at m+1) to e_plus (first break at the minimum m).  For an imaginary one it
+    is defined by membership: r_i^{-1} from e_minus (last break at m) to e_plus
+    (first later time at m+1-a_ii; none, or a later drop to m-a_ii, kills it),
+    kept only if the result verifies as a GLS path of the same shape."""
+    profile = _h_profile(ctx, i, pi)
     if ctx.matrix.is_real(i):
-        e_plus = first_time_at(nums, hs, m * den, 0)
-        if e_plus == 0:
-            return None
-        e_minus = last_time_at(nums, hs, (m + 1) * den, e_plus)
-        if e_minus is None:
-            raise NotAGLSPath(f"h_{i} stays below m+1 before e_plus; not a GLS path")
-        return _reflected(pi.shape, table, i, ids, den, nums, e_minus, e_plus)
-    a = ctx.matrix.entry(i, i)
-    e_minus = last_time_at(nums, hs, m * den)
-    e_plus = first_time_at(nums, hs, (m + 1 - a) * den, e_minus)
-    if e_plus is None or any(h <= (m - a) * den for t, h in zip(nums, hs) if t > e_plus):
-        return None
-    candidate = _reflected(pi.shape, table, i, ids, den, nums, e_minus, e_plus, inverse=True)
-    return candidate if verify_gls(ctx, candidate) else None
+        return _surgery(pi.shape, i, profile, 1, -1)
+    candidate = _surgery(pi.shape, i, profile, 1 - ctx.matrix.entry(i, i), 1, inverse=True)
+    return candidate if candidate is not None and verify_gls(ctx, candidate) else None
 
 
 def gls_epsilon(ctx: WeightContext, i: int, pi: GLSPath):
@@ -458,5 +447,6 @@ def properly_join(ctx: WeightContext, pi: GLSPath, pi_prime: GLSPath,
         raise JoinRejected(1, (format_weight(last), format_weight(x)))
     breaks = [*pi.breaks[:-1], s, s_prime, *pi_prime.breaks[1:]]
     den = lcm(*(b.denominator for b in breaks))
-    return _render([b.numerator * (den // b.denominator) for b in breaks],
-                   [*pi.weights, pi.shape * 0, *pi_prime.weights])
+    nums = [b.numerator * (den // b.denominator) for b in breaks]
+    return PiecewisePath.from_grid(nums, partial_sums(
+        map(sub, nums[1:], nums), [*pi.weights, pi.shape * 0, *pi_prime.weights], den))

@@ -35,7 +35,8 @@ from .rootdata import (InvariantViolation, Weight, WeightContext, add_root, comb
 class PiecewisePath:
     """Exact path: ``_values[k]`` at time ``_nums[k] / T``, T = ``_nums[-1]``
     the least common denominator, with collinear points dropped, so equal
-    functions compare equal.  Made by ``from_points`` or ``from_grid``.
+    functions compare equal.  Made by ``from_points`` or ``from_grid``, or
+    by ``GLSPath.render`` from data already in this form.
     ``_f_memo`` keeps the result of ``_f_data`` per (context, index).  As a
     crystal element it carries the normal crystal structure of the path set:
     ``wt``, ``epsilon``, ``f``, ``e`` and ``key`` run the operators below."""
@@ -231,16 +232,14 @@ def first_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
 
 @dataclass(frozen=True)
 class HProfile:
-    """The four operator arguments of h_i along a path.
+    """The four operator arguments of h_i along a path, with Fraction times.
 
-    ``m`` is the minimal integer attained by h_i.  ``f_plus`` is the last
-    time h hits m, ``f_minus`` the first time >= f_plus hitting m+1 (absent
-    iff f_plus = 1).  The e-arguments follow the real or the imaginary
-    convention of the index; ``e_defined`` records whether the raising
-    operator applies at all (for an imaginary index this folds in the three
-    kill conditions, evaluated in the order: f_plus = 1, level m+1-a_ii
-    never reached after f_plus, drop to m-a_ii after e_plus).
-    """
+    ``m`` is the minimal integer attained by h_i, ``f_plus`` the last time h
+    hits m, ``f_minus`` the first time >= f_plus hitting m+1 (absent iff
+    f_plus = 1).  The e-arguments follow the real or the imaginary convention
+    of the index; ``e_defined`` records whether the raising operator applies
+    (for an imaginary index after the kills, in the order: f_plus = 1, level
+    m+1-a_ii never reached after f_plus, drop to m-a_ii after e_plus)."""
 
     m: int
     f_plus: Fraction
@@ -253,7 +252,7 @@ class HProfile:
 def _f_data(ctx: WeightContext, i: int, pi: PiecewisePath):
     """(hs, H, m, f_plus, f_minus): h_i(nums[k] / T) = hs[k] / H at the
     breakpoints (hs a tuple of ints), the minimal level m and the
-    f-arguments in units of 1/T; the e-data is left to h_profile.  Kept on
+    f-arguments in units of 1/T; the e-data is left to _e_data.  Kept on
     pi per (ctx, i)."""
     data = pi._f_memo.get((ctx, i))
     if data is None:
@@ -263,31 +262,31 @@ def _f_data(ctx: WeightContext, i: int, pi: PiecewisePath):
         f_plus = last_time_at(ts, hs, m * den)
         if m > 0 or f_plus is None:  # h(0) = 0, so the level m <= 0 is reached
             raise InvariantViolation(f"h_{i} never reaches its minimal level {m}")
-        data = pi._f_memo[ctx, i] = (
-            hs, den, m, f_plus,
-            None if f_plus == ts[-1] else first_time_at(ts, hs, (m + 1) * den, f_plus))
+        data = pi._f_memo[ctx, i] = (  # f_minus is None if f_plus = 1
+            hs, den, m, f_plus, first_time_at(ts, hs, (m + 1) * den, f_plus))
     return data
+
+
+def _e_data(ctx: WeightContext, i: int, pi: PiecewisePath):
+    """(e_plus, e_minus, e_defined) of HProfile in units of 1/T, from ``_f_data``."""
+    ts = pi._nums
+    hs, den, m, f_plus, _ = _f_data(ctx, i, pi)
+    if ctx.matrix.is_real(i):
+        e_plus = first_time_at(ts, hs, m * den, 0)
+        return (e_plus, None if e_plus == 0 else last_time_at(ts, hs, (m + 1) * den, e_plus),
+                e_plus != 0)
+    a = ctx.matrix.entry(i, i)
+    e_plus = first_time_at(ts, hs, (m + 1 - a) * den, f_plus)  # None if f_plus = 1
+    # h(e_plus) = m + 1 - a lies above m - a, so the minimum after it is at a breakpoint
+    return e_plus, f_plus, e_plus is not None and all(
+        h > (m - a) * den for h in hs[bisect_right(ts, e_plus):])
 
 
 def h_profile(ctx: WeightContext, i: int, pi: PiecewisePath) -> HProfile:
     """The operator arguments of h_i on pi, with Fraction times."""
-    ts = pi._nums
-    hs, den, m, f_plus, f_minus = _f_data(ctx, i, pi)
-    if ctx.matrix.is_real(i):
-        e_plus = first_time_at(ts, hs, m * den, 0)
-        e_minus = None if e_plus == 0 else last_time_at(ts, hs, (m + 1) * den, e_plus)
-        e_defined = e_plus != 0
-    else:
-        a = ctx.matrix.entry(i, i)
-        e_minus, e_plus, e_defined = f_plus, None, False
-        # the extrema after e_minus and e_plus are at breakpoints: h(e_minus) = m
-        # lies below the level m + 1 - a, and h(e_plus) = m + 1 - a above m - a
-        if e_minus != ts[-1] and max(hs[bisect_right(ts, e_minus):]) >= (m + 1 - a) * den:
-            e_plus = first_time_at(ts, hs, (m + 1 - a) * den, e_minus)
-            if e_plus is None:
-                raise InvariantViolation(f"h_{i} exceeds level {m + 1 - a} without reaching it")
-            e_defined = all(h > (m - a) * den for h in hs[bisect_right(ts, e_plus):])
-    return HProfile(m, *(None if t is None else Fraction(t, ts[-1])
+    _, _, m, f_plus, f_minus = _f_data(ctx, i, pi)
+    e_plus, e_minus, e_defined = _e_data(ctx, i, pi)
+    return HProfile(m, *(None if t is None else Fraction(t, pi._nums[-1])
                          for t in (f_plus, f_minus, e_plus, e_minus)), e_defined)
 
 
@@ -333,13 +332,12 @@ def apply_f(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[Piecewise
 def apply_e(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[PiecewisePath]:
     """Raising operator: reflect between e_minus and e_plus, by r_i for a real
     index and by r_i^{-1} for an imaginary one, then shift by +alpha_i."""
-    prof = h_profile(ctx, i, pi)
-    if not prof.e_defined:
+    e_plus, e_minus, e_defined = _e_data(ctx, i, pi)
+    if not e_defined:
         return None
     div = -1 if ctx.matrix.is_real(i) else 1 - ctx.matrix.entry(i, i)
     hs, den = _f_data(ctx, i, pi)[:2]
-    end = pi._nums[-1]
-    return _three_zone(pi, hs, den, i, prof.e_minus * end, prof.e_plus * end, div, 1)
+    return _three_zone(pi, hs, den, i, e_minus, e_plus, div, 1)
 
 
 def concatenate(pi1: PiecewisePath, pi2: PiecewisePath, s: Fraction,

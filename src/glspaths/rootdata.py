@@ -258,6 +258,18 @@ def combination(coeffs: Iterable[int], weights: Sequence[Weight], den: int) -> W
                                                  for column in zip(*(w.nums for w in weights))))
 
 
+def partial_sums(coeffs: Iterable[int], weights: Sequence[Weight], den: int) -> Tuple[Weight, ...]:
+    """(sum_{j < k} coeffs[j] weights[j] / den for k = 0..len(weights)) over
+    one basis: running numerator sums, each reduced once."""
+    first, m = weights[0], lcm(*(w.den for w in weights))
+    acc, out = (0,) * len(first.nums), [first * 0]
+    for c, w in zip(coeffs, weights):
+        c *= m // w.den
+        acc = tuple(x + c * y for x, y in zip(acc, w.nums))
+        out.append(_reduced(_basis(first, w), den * m, acc))
+    return tuple(out)
+
+
 def add_root(w: Weight, i: int, c: Rational, d: int = 1) -> Weight:
     """w + (c / d) alpha_i for a nonzero int d: one numerator changes."""
     if not c:

@@ -1,6 +1,8 @@
 """GLS paths: closed-form operators, membership, enumeration, joining."""
 
 import inspect
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
@@ -14,8 +16,9 @@ from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_gls_membership,
                              check_highest_weight_unique,
                              check_non_strictness_witness,
                              check_oracle_equivalence, fixture_context)
-from glspaths.gls import _from_integer_form, build_crystal_graph, gls_epsilon
-from glspaths.rootdata import InvariantViolation
+from glspaths.gls import _from_integer_form, _h_profile, build_crystal_graph, gls_epsilon
+from glspaths.paths import PiecewisePath, first_time_at, last_time_at
+from glspaths.rootdata import InvariantViolation, combination
 
 
 def ctx1(p=2, k=1):
@@ -429,3 +432,188 @@ def test_e_edges_are_the_reversed_f_edges_built_on_first_use():
     assert len(graph.e_edges) == len(graph.f_edges) > 0
     for (src, i), dst in graph.f_edges.items():
         assert graph.e_image(dst, i) == src
+
+
+# -- the integer surgery against the scan route it replaced ----------------
+
+def scan_reflected(shape, table, i, ids, den, nums, u, v, inverse=False):
+    """The former operator core: r_i (r_i^{-1} if inverse) on [u, v], times
+    in units of 1/D (ints or Fractions) cut into the breaks by bisection,
+    equal neighbours merged in one pass, the grid reduced at the end."""
+    q = math.lcm(u.denominator, v.denominator)
+    u, v = u.numerator * (q // u.denominator), v.numerator * (q // v.denominator)
+    ends, ids = [b * q for b in nums[1:]], list(ids)
+    for t in (u, v):  # cut the segment that holds t in its interior
+        k = bisect_left(ends, t)
+        if 0 < t < ends[k]:
+            ends.insert(k, t)
+            ids.insert(k, ids[k])
+    lo, hi = bisect_right(ends, u), bisect_right(ends, v)
+    ids[lo:hi] = [table.reflect(i, w, inverse) for w in ids[lo:hi]]
+    out_ids, out_nums = [], [0]
+    for w, t in zip(ids, ends):
+        if out_ids and out_ids[-1] == w:
+            out_nums[-1] = t
+        else:
+            out_ids.append(w)
+            out_nums.append(t)
+    return _from_integer_form(shape, table, out_ids, den * q, out_nums)
+
+
+def scan_f(ctx, i, pi):
+    """gls_f with its zone found by the generic scans of paths.py."""
+    table, ids, den, nums, hs, m = _h_profile(ctx, i, pi)
+    f_plus = last_time_at(nums, hs, m * den)
+    if f_plus == den:
+        return None
+    f_minus = first_time_at(nums, hs, (m + 1) * den, f_plus)
+    if f_minus is None:
+        raise NotAGLSPath("h stays below m+1 after f_plus")
+    return scan_reflected(pi.shape, table, i, ids, den, nums, f_plus, f_minus)
+
+
+def scan_e(ctx, i, pi):
+    """gls_e with its zone found by the generic scans of paths.py."""
+    table, ids, den, nums, hs, m = _h_profile(ctx, i, pi)
+    if ctx.matrix.is_real(i):
+        e_plus = first_time_at(nums, hs, m * den, 0)
+        if e_plus == 0:
+            return None
+        e_minus = last_time_at(nums, hs, (m + 1) * den, e_plus)
+        if e_minus is None:
+            raise NotAGLSPath("h stays below m+1 before e_plus")
+        return scan_reflected(pi.shape, table, i, ids, den, nums, e_minus, e_plus)
+    a = ctx.matrix.entry(i, i)
+    e_minus = last_time_at(nums, hs, m * den)
+    e_plus = first_time_at(nums, hs, (m + 1 - a) * den, e_minus)
+    if e_plus is None or any(h <= (m - a) * den for t, h in zip(nums, hs) if t > e_plus):
+        return None
+    candidate = scan_reflected(pi.shape, table, i, ids, den, nums, e_minus, e_plus, inverse=True)
+    return candidate if verify_gls(ctx, candidate) else None
+
+
+def outcome(op, ctx, i, pi):
+    """(weights, break numerators) of op's result, None, or the exception type."""
+    try:
+        res = op(ctx, i, pi)
+    except (NotAGLSPath, InvariantViolation) as exc:
+        return type(exc)
+    return None if res is None else (res.weights, res._nums)
+
+
+@pytest.mark.parametrize("fixtures, depth", [(FIXTURES + (TWO_IMAGINARY,), 5),
+                                             ((TWO_IMAGINARY,), 7)],
+                         ids=["bundled-d5", "two_imaginary-d7"])
+def test_surgery_matches_the_scan_route(fixtures, depth):
+    # every (node, i) of the truncations, and every node's f- and e-images
+    seen = {"f": 0, "e": 0, "grown": 0, "merged": 0}
+    for fx in fixtures:
+        ctx, lam = fixture_context(fx)
+        for node in enumerate_crystal(ctx, lam, depth).nodes:
+            pi = node.element
+            for i in ctx.matrix.indices:
+                for name, op, ref in (("f", gls_f, scan_f), ("e", gls_e, scan_e)):
+                    got = outcome(op, ctx, i, pi)
+                    assert got == outcome(ref, ctx, i, pi), (fx[0], pi, i, name)
+                    if got is not None:
+                        seen[name] += 1
+                        seen["grown"] += got[1][-1] > pi._nums[-1]
+                        seen["merged"] += len(got[0]) < len(pi.weights)
+    assert all(seen.values()), seen
+
+
+def test_surgery_cases():
+    # sl2 with lambda(h) = 4, so r = lambda - 4 alpha; the first paths are no
+    # GLS paths, but the operators act on their data all the same
+    ctx, lam = context_with_base([[2]], [4])
+    r = ctx.reflect(1, lam)
+
+    def path(weights, *breaks):
+        return GLSPath(lam, weights, (F(0), *breaks, F(1)))
+
+    cases = [
+        # h: 0, -1, 0, -1/2, 1: the zone [1/4, 1/2] ends on a break and
+        # merges at both junctions
+        (gls_f, path((r, lam, r, lam), F(1, 4), F(1, 2), F(5, 8)), path((r, lam), F(5, 8))),
+        # the mirror image for e: the zone [1/4, 1/2] runs back from e_plus
+        (gls_e, path((r, lam, r, lam), F(1, 8), F(1, 4), F(1, 2)), path((r, lam), F(1, 8))),
+        # an interior crossing at 1/4 grows D from 1 to 4
+        (gls_f, GLSPath.linear(lam), path((r, lam), F(1, 4))),
+        # an interior crossing at 1/2 merges at the anchor junction
+        (gls_f, path((r, lam), F(1, 4)), path((r, lam), F(1, 2))),
+        # e_plus = 1 on the end of the path; the crossing at 3/4 is interior
+        (gls_e, path((lam, r), F(1, 8)), path((lam, r, lam), F(1, 8), F(3, 4))),
+    ]
+    for op, pi, expected in cases:
+        got = op(ctx, 1, pi)
+        assert got == expected and got._nums == expected._nums, (op.__name__, pi)
+        assert outcome(op, ctx, 1, pi) == outcome(scan_f if op is gls_f else scan_e, ctx, 1, pi)
+    assert gls_f(ctx, 1, GLSPath.linear(lam))._nums == (0, 1, 4)
+    # a new break and a dropped one in one call: D = 6 becomes 15, over the
+    # grid 30 that the crossing 1/5 needs, reduced once the break 1/2 is gone
+    cm, lm = fixture_context(FIXTURES[5])
+
+    def down(a1, a2):
+        return lm - cm.weight(roots={1: a1, 2: a2})
+
+    pi = GLSPath(lm, (down(5, 4), down(2, 1), down(0, 1)), (F(0), F(1, 3), F(1, 2), F(1)))
+    raised = gls_e(cm, 1, pi)
+    assert raised == GLSPath(lm, (down(5, 4), down(0, 4), down(0, 1)),
+                             (F(0), F(1, 5), F(1, 3), F(1)))
+    assert raised._nums == (0, 3, 5, 15) and outcome(scan_e, cm, 1, pi) == outcome(gls_e, cm, 1, pi)
+
+
+def test_surgery_at_an_imaginary_index_from_t_zero():
+    # [[-1]] with lambda(h) = 2: h_1 only rises, so m = 0 is reached at t = 0
+    # alone and the zone of f_1 and of e_1 starts there
+    ctx, lam = ctx1()
+    r = ctx.reflect(1, lam)
+    lowered = gls_f(ctx, 1, GLSPath.linear(lam))
+    assert lowered == GLSPath(lam, (r, lam), (F(0), F(1, 2), F(1)))
+    # e_1: r^{-1} on [0, 1/2], where h_1 reaches m + 1 - a_11 = 2 on a break;
+    # the raised weight merges with lambda at the far junction
+    assert gls_e(ctx, 1, lowered) == GLSPath.linear(lam)
+    # with lambda(h) = 1, h_1 rises from 0 to m + 1 - a_11 = 2 along the
+    # straight path r lambda: the zone is the whole path
+    c1, l1 = ctx1(p=1)
+    straight = GLSPath(l1, (c1.reflect(1, l1),), (F(0), F(1)))
+    assert gls_e(c1, 1, straight) == GLSPath.linear(l1)
+    for c, pi in ((ctx, GLSPath.linear(lam)), (ctx, lowered), (c1, straight)):
+        for op, ref in ((gls_f, scan_f), (gls_e, scan_e)):
+            assert outcome(op, c, 1, pi) == outcome(ref, c, 1, pi)
+
+
+def test_both_not_a_gls_path_raises():
+    # sl2 with lambda(h) = 1/2: the minimum 0 is an integer, but h_1 never
+    # reaches 1 after f_plus = 0 (the surgery's raise); with -lambda the
+    # minimum -1/2 is no integer (the profile's raise, before any surgery)
+    ctx, lam = context_with_base([[2]], [F(1, 2)])
+    for pi, ops in ((GLSPath.linear(lam), (gls_f, scan_f)),
+                    (GLSPath.linear(-lam), (gls_f, scan_f, gls_e, scan_e))):
+        for op in ops:
+            with pytest.raises(NotAGLSPath):
+                op(ctx, 1, pi)
+    # for a real e_i the level m + 1 <= 0 = h_i(0) is always reached before
+    # e_plus, so only the lowering operator can raise the surgery's error
+    assert gls_e(ctx, 1, GLSPath.linear(lam)) is None
+
+
+def reference_render(pi):
+    """The former render: each prefix value by its own combination, then
+    from_grid with its collinearity scan."""
+    nums, weights = pi._nums, pi.weights
+    steps = [b - a for a, b in zip(nums, nums[1:])]
+    return PiecewisePath.from_grid(nums, [weights[0] * 0, *(
+        combination(steps[:k], weights[:k], nums[-1]) for k in range(1, len(nums)))])
+
+
+def test_render_is_the_from_grid_construction():
+    checked = 0
+    for fx in FIXTURES + (TWO_IMAGINARY,):
+        ctx, lam = fixture_context(fx)
+        for node in enumerate_crystal(ctx, lam, 4).nodes:
+            got, want = node.element.render(), reference_render(node.element)
+            assert got == want and got._nums == want._nums and got._values == want._values
+            assert got.weight == node.wt
+            checked += 1
+    assert checked > 100

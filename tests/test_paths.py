@@ -13,7 +13,8 @@ from glspaths import (GLSPath, HProfile, apply_e, apply_f, concatenate,
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY,
                              check_inversion_and_weight_shift,
                              check_operator_iteration, fixture_context)
-from glspaths.paths import PiecewisePath, _f_data, _three_zone, first_time_at, last_time_at
+from glspaths.paths import (PiecewisePath, _e_data, _f_data, _three_zone, first_time_at,
+                            last_time_at)
 from glspaths.rootdata import InvariantViolation
 
 
@@ -473,6 +474,25 @@ def bent_paths(draw):
     pts.append((F(1), ctx.weight({"lambda": draw(st.integers(0, 3))},
                                  {j: draw(st.integers(-2, 3)) for j in roots})))
     return ctx, PiecewisePath.from_points(pts)
+
+
+def test_apply_e_reads_the_int_e_data(monkeypatch):
+    # _e_data holds h_profile's e-arguments in units of 1/T, and apply_e
+    # takes its zone from it without a call of h_profile
+    cases = []
+    for fx in FIXTURES + (TWO_IMAGINARY,):
+        ctx, lam = fixture_context(fx)
+        for node in enumerate_crystal(ctx, lam, 4).nodes:
+            for i in ctx.matrix.indices:
+                path = node.element.render()
+                prof, (e_plus, e_minus, e_defined) = h_profile(ctx, i, path), _e_data(ctx, i, path)
+                times = [None if t is None else F(t, path._nums[-1]) for t in (e_plus, e_minus)]
+                assert times == [prof.e_plus, prof.e_minus] and e_defined == prof.e_defined
+                cases.append((ctx, i, node.element, reference_apply(ctx, i, path, "e")))
+    monkeypatch.setattr("glspaths.paths.h_profile", None)
+    raised = [(apply_e(ctx, i, pi.render()), want) for ctx, i, pi, want in cases]
+    assert all(got == want for got, want in raised)
+    assert sum(want is not None for _, want in raised) > 50
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

@@ -81,6 +81,22 @@ def test_the_path_operators_run_on_ints():
     assert {owner for owner, _ in calls} == FRACTION_BOUNDARY  # the list stays current
 
 
+# the functions of gls.py that make Fractions: the breaks built on first
+# read, the straight path, the 1-chain level and the joining entry point
+GLS_FRACTION_BOUNDARY = {"__getattr__", "linear", "verify_gls", "properly_join"}
+
+
+def test_the_gls_operators_run_on_ints():
+    # the closed-form operators find their zone and build their result on
+    # int break numerators, without the Fraction crossings of paths.py
+    tree = ast.parse((SOURCE / "gls.py").read_text(encoding="utf-8"))
+    calls = list(_fraction_calls(tree))
+    assert {owner for owner, _ in calls} == GLS_FRACTION_BOUNDARY, calls
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & {"first_time_at", "last_time_at"}
+
+
 def test_crystal_elements_dispatch_by_method_not_by_type():
     # every crystal element answers wt/epsilon/f/e/key itself, so the crystal
     # layer never branches on the type of an element
