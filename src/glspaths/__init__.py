@@ -8,8 +8,8 @@ from .rootdata import (BorcherdsCartanMatrix, MatrixError, AxisViolation,
 from .torbit import (AChain, OrbitRoot, apply_word, dist, find_a_chain,
                      minimal_words, orbit, positive_wpi_roots)
 from .paths import (HProfile, PiecewisePath, apply_e, apply_f, concatenate,
-                    equal_up_to_reparametrization, h_profile, is_integral,
-                    is_monotone, linear_path, trivial_path)
+                    h_profile, is_integral, is_monotone, linear_path,
+                    trivial_path)
 from .gls import (CrystalGraph, GLSPath, JoinRejected, NotAGLSPath,
                   enumerate_crystal, export_dot, gls_e, gls_f, properly_join,
                   verify_gls)
@@ -17,8 +17,8 @@ from .crystals import (NEG_INF, BJWord, DepthMismatch, ElementaryElement,
                        GeneratorSequence, TensorElement, bj_apply, bj_word,
                        generate_from, hw_crystal_isomorphic, validate_axioms,
                        validate_category_B, validate_normality)
-from .character import (CharacterSeries, NonIntegralOffset, OrthogonalSet,
-                        char_of_graph, compare_characters, divide, multiply,
+from .character import (CharacterSeries, NonIntegralOffset, char_of_graph,
+                        compare_characters, divide, multiply,
                         orthogonal_subsets, series_text, wkb_series)
 
 __version__ = "0.1.0"

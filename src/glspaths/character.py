@@ -42,9 +42,6 @@ class CharacterSeries:
     def term_dict(self) -> Dict[Exponent, int]:
         return dict(self.terms)
 
-    def coefficient(self, c: Exponent) -> int:
-        return self.term_dict().get(tuple(c), 0)
-
     def __len__(self):
         return len(self.terms)
 
@@ -125,26 +122,11 @@ def char_of_graph(graph: CrystalGraph) -> CharacterSeries:
     return CharacterSeries.from_dict(root, graph.ctx.matrix.n, graph.depth, out)
 
 
-@dataclass(frozen=True)
-class OrthogonalSet:
-    """A set of pairwise orthogonal imaginary indices (distinct pairs)."""
-
-    indices: Tuple[int, ...]
-
-    def __len__(self):
-        return len(self.indices)
-
-    def sum_vector(self, n: int) -> Exponent:
-        return tuple(1 if i in self.indices else 0 for i in range(1, n + 1))
-
-    def sum_weight(self, ctx: WeightContext) -> Weight:
-        return ctx.weight(roots=dict.fromkeys(self.indices, 1))
-
-
 def orthogonal_subsets(ctx: WeightContext, restrict_to_lambda: Optional[Weight],
-                       depth: int) -> List[OrthogonalSet]:
-    """All orthogonal sets of imaginary simple roots of size <= depth,
-    optionally restricted to roots orthogonal to a dominant weight."""
+                       depth: int) -> List[Tuple[int, ...]]:
+    """All orthogonal sets of imaginary simple roots of size <= depth, as
+    sorted index tuples, optionally restricted to roots orthogonal to a
+    dominant weight."""
     candidates = sorted(ctx.matrix.imaginary_indices)
     if restrict_to_lambda is not None:
         candidates = [i for i in candidates if ctx.pairing(i, restrict_to_lambda) == 0]
@@ -153,7 +135,7 @@ def orthogonal_subsets(ctx: WeightContext, restrict_to_lambda: Optional[Weight],
         for combo in combinations(candidates, size):
             if all(ctx.matrix.entry(i, j) == 0
                    for i, j in combinations(combo, 2)):
-                out.append(OrthogonalSet(combo))
+                out.append(combo)
     return out
 
 
@@ -201,8 +183,8 @@ def _wkb_side(ctx: WeightContext, anchor: Weight, restrict: Optional[Weight],
     n = ctx.matrix.n
     out: Dict[Exponent, int] = {}
     for fset in orthogonal_subsets(ctx, restrict, depth):
-        shift = fset.sum_vector(n)
-        start = anchor - fset.sum_weight(ctx)
+        shift = tuple(1 if i in fset else 0 for i in range(1, n + 1))
+        start = anchor - ctx.weight(roots=dict.fromkeys(fset, 1))
         sign = (-1) ** len(fset)
         _signed_orbit_terms(ctx, start, depth, shift, out, sign)
     return CharacterSeries.from_dict(anchor, n, depth, out)

@@ -262,7 +262,6 @@ def verify_gls(ctx: WeightContext, pi: GLSPath) -> GLSVerification:
 @dataclass
 class CrystalNode:
     element: object
-    key: object
     wt: Weight
     depth: int
     frontier: bool
@@ -273,12 +272,12 @@ class CrystalNode:
 class CrystalGraph:
     """Edge-labeled f-closure of a single element, truncated by weight depth.
 
-    The BFS leaves ``elements`` in discovery order, root first, with their
-    ``depths`` and raw ``edges``; ``weights`` and the node table are built
-    on first read.  Nodes are ordered by (depth, canonical key); e-edges are
-    the reverses of f-edges, built on first use.  ``frontier`` marks nodes
-    whose children were cut by the truncation, so that a missing edge there
-    is never read as f = 0.
+    Node k is ``elements[k]``, numbered as the BFS found it: root first,
+    then layer by layer, so depths never decrease.  ``edges`` maps (k, i)
+    to the number of f_i of node k and is also ``f_edges``; e-edges are its
+    reverses.  ``weights``, ``nodes``, ``e_edges`` and ``index`` are built
+    on first read.  ``frontier`` marks nodes whose children were cut by the
+    truncation, so that a missing edge there is never read as f = 0.
     """
 
     def __init__(self, ctx: WeightContext, depth: int, elements: List, depths: List[int],
@@ -297,43 +296,36 @@ class CrystalGraph:
         return [self.wt_func(self.ctx, el) for el in self.elements]
 
     @cached_property
-    def _table(self) -> Tuple[List[CrystalNode], Dict[Tuple[int, int], int]]:
-        """The nodes in (depth, key) order with eps and phi_i = eps_i +
-        alpha_i^vee(wt), and the f-edges renumbered to match."""
-        ctx, depths, weights, n = self.ctx, self.depths, self.weights, self.ctx.matrix.n
-        keys = [self.key_func(el) for el in self.elements]
-        order = sorted(range(len(keys)), key=lambda k: (depths[k], keys[k]))
-        position = [0] * len(order)
+    def nodes(self) -> List[CrystalNode]:
+        """Node k with its weight, eps and phi_i = eps_i + alpha_i^vee(wt)."""
+        ctx, n = self.ctx, self.ctx.matrix.n
         nodes = []
-        for idx, k in enumerate(order):
-            position[k] = idx
-            el, d, wt = self.elements[k], depths[k], weights[k]
+        for el, wt, d in zip(self.elements, self.weights, self.depths):
             eps = tuple(self.eps_func(ctx, i, el) for i in range(1, n + 1))
             phi = tuple(e + ctx.pairing(i, wt) for i, e in enumerate(eps, 1))
-            nodes.append(CrystalNode(el, keys[k], wt, d, d == self.depth, eps, phi))
-        return nodes, {(position[s], i): position[d] for (s, i), d in self.edges.items()}
+            nodes.append(CrystalNode(el, wt, d, d == self.depth, eps, phi))
+        return nodes
 
-    nodes = property(lambda self: self._table[0])
-    f_edges = property(lambda self: self._table[1])
-    e_edges = cached_property(lambda self: {(d, i): s for (s, i), d in self.f_edges.items()})
+    f_edges = property(lambda self: self.edges)
+    e_edges = cached_property(lambda self: {(d, i): s for (s, i), d in self.edges.items()})
 
     @cached_property
     def index(self) -> Dict[object, int]:
-        """Node position by key."""
-        return {node.key: k for k, node in enumerate(self.nodes)}
+        """Node number by ``key_func``."""
+        return {self.key_func(el): k for k, el in enumerate(self.elements)}
 
     @property
     def root(self) -> CrystalNode:
         return self.nodes[0]
 
     def f_image(self, idx: int, i: int) -> Optional[int]:
-        return self.f_edges.get((idx, i))
+        return self.edges.get((idx, i))
 
     def e_image(self, idx: int, i: int) -> Optional[int]:
         return self.e_edges.get((idx, i))
 
     def offset_of(self, idx: int) -> Tuple[Fraction, ...]:
-        return offset_vector(self.root.wt, self.nodes[idx].wt)
+        return offset_vector(self.weights[0], self.weights[idx])
 
 
 def build_crystal_graph(ctx: WeightContext, root_element, depth: int,
@@ -341,12 +333,13 @@ def build_crystal_graph(ctx: WeightContext, root_element, depth: int,
                         eps_func: Callable, key_func: Callable) -> CrystalGraph:
     """Breadth-first f-closure; each f-step raises the weight depth by one,
     so BFS layers coincide with depth layers.  Elements are numbered as
-    found and merged by equality, which inside one graph agrees with
-    equality of keys; the node table is ordered by (depth, key), so the
-    order in which a layer is expanded does not matter.
+    found, layer by layer and within a layer by parent and then index i,
+    and merged by equality, which inside one graph agrees with equality of
+    keys.  That numbering is the graph's only one.
 
     ``wt_func(ctx, el)`` returns the weight of el and ``eps_func(ctx, i, el)``
-    epsilon_i; the graph calls them, and ``key_func``, only when read."""
+    epsilon_i; the graph calls them, and ``key_func``, only when read:
+    ``key_func`` through ``index`` and ``export_dot`` alone."""
     n = ctx.matrix.n
     elements, depths = [root_element], [0]
     found = {root_element: 0}
@@ -386,16 +379,24 @@ def enumerate_crystal(ctx: WeightContext, lam: Weight, depth: int) -> CrystalGra
 
 
 def export_dot(graph: CrystalGraph) -> str:
-    """Deterministic DOT rendering; nodes carry weights and GLS break points."""
+    """Deterministic DOT rendering; nodes carry weights and GLS break points.
+    Nodes and edges are numbered in (depth, key) order, so the text does not
+    depend on the order of discovery; this is the one reader of that order,
+    and it reads no eps or phi."""
+    depths, keys = graph.depths, [graph.key_func(el) for el in graph.elements]
+    order = sorted(range(len(graph)), key=lambda k: (depths[k], keys[k]))
+    position = {k: idx for idx, k in enumerate(order)}
     lines = ["digraph crystal {", "  rankdir=TB;"]
-    for idx, node in enumerate(graph.nodes):
-        label = f"wt={format_weight(node.wt)}"
-        if isinstance(node.element, GLSPath):
-            label += "\\nbreaks=" + ",".join(str(b) for b in node.element.breaks)
-        if node.frontier:
+    for idx, k in enumerate(order):
+        el = graph.elements[k]
+        label = f"wt={format_weight(graph.weights[k])}"
+        if isinstance(el, GLSPath):
+            label += "\\nbreaks=" + ",".join(str(b) for b in el.breaks)
+        if depths[k] == graph.depth:
             label += "\\n(frontier)"
         lines.append(f'  n{idx} [label="{label}"];')
-    for (src, i), dst in sorted(graph.f_edges.items()):
+    for (src, i), dst in sorted(((position[s], i), position[d])
+                                for (s, i), d in graph.edges.items()):
         lines.append(f'  n{src} -> n{dst} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

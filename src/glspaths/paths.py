@@ -23,7 +23,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import Optional, Sequence, Tuple
 
@@ -112,23 +111,6 @@ class PiecewisePath:
         x = t * self._nums[-1]
         return _cut([s * x.denominator for s in self._nums], self._values, x.numerator)[-1]
 
-    def trace(self) -> Tuple[Weight, ...]:
-        """Corner values up to reparametrization: stalls dropped, co-directional
-        segments merged.  Two paths are reparametrizations of each other iff
-        their traces coincide."""
-        corners = [self._values[0]]
-        for v in self._values[1:]:
-            if v == corners[-1]:
-                continue
-            if len(corners) >= 2 and _positively_parallel(corners[-1] - corners[-2],
-                                                          v - corners[-1]):
-                corners[-1] = v
-            else:
-                corners.append(v)
-        if len(corners) == 1:
-            corners.append(corners[0])
-        return tuple(corners)
-
 
 def _on_grid(pts) -> PiecewisePath:
     """The path through pts, (int time, weight) pairs already normalized but
@@ -154,17 +136,6 @@ def _cut(ts: Sequence[int], ws: Sequence[Weight], t: int):
         return k, 0, 1, 1, ws[k]
     a, b, d = ts[k] - t, t - ts[k - 1], ts[k] - ts[k - 1]
     return k, a, b, d, combination((a, b), ws[k - 1:k + 1], d)
-
-
-def _positively_parallel(d1: Weight, d2: Weight) -> bool:
-    """Whether d2 = c*d1 for some rational c > 0 (both nonzero): c is the
-    ratio c2 / c1 of their first nonzero coefficients."""
-    (_, c1), (_, c2) = (next(chain(*d.sort_key())) for d in (d1, d2))
-    return c1 * c2 > 0 and c1 * d2 == c2 * d1
-
-
-def equal_up_to_reparametrization(p: PiecewisePath, q: PiecewisePath) -> bool:
-    return p.trace() == q.trace()
 
 
 def linear_path(ctx: WeightContext, lam: Weight) -> PiecewisePath:

@@ -402,10 +402,6 @@ class WeightContext:
 
     # -- membership predicates ----------------------------------------------
 
-    def is_dominant(self, w: Weight) -> bool:
-        """Nonnegative pairing against every real coroot (imaginary ones ignored)."""
-        return all(self.pairing(i, w) >= 0 for i in sorted(self.matrix.real_indices))
-
     def is_in_P(self, w: Weight) -> bool:
         """Integral pairings everywhere, integer coefficients over integral bases."""
         if any(self.pairing(i, w).denominator != 1 for i in self.matrix.indices):

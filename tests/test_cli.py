@@ -31,6 +31,20 @@ def test_validate(matrices, capsys):
     assert "AsymmetricZero(1,2)" in capsys.readouterr().err
 
 
+def test_reject_zero_diag(tmp_path, capsys):
+    # zero diagonal entries are accepted by default; the flag refuses them
+    # and nothing else
+    zero = tmp_path / "zero.mat"
+    zero.write_text("1\n0\n")
+    assert cli.run(["validate", "--reject-zero-diag", "-m", str(zero)]) == 1
+    assert "AxisViolation(1,1)" in capsys.readouterr().err
+    for flags, matrix in ((["--reject-zero-diag"], "-1"), ([], "0")):
+        path = tmp_path / "ok.mat"
+        path.write_text(f"1\n{matrix}\n")
+        assert cli.run(["validate", *flags, "-m", str(path)]) == 0
+        assert capsys.readouterr().out == "ok: rank 1, real {-}, imaginary {1}\n"
+
+
 def test_missing_file_is_io_error(matrices, capsys):
     assert cli.run(["validate", "-m", str(matrices["im"]) + ".absent"]) == 3
 

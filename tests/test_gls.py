@@ -10,8 +10,9 @@ import pytest
 
 from glspaths import (GLSPath, JoinRejected, NotAGLSPath, apply_e, apply_f,
                       concatenate, context_with_base, enumerate_crystal,
-                      export_dot, gls_e, gls_f, linear_path, properly_join,
-                      verify_gls)
+                      export_dot, gls_e, gls_f, hw_crystal_isomorphic,
+                      linear_path, properly_join, validate_axioms, verify_gls)
+from glspaths import checks, crystals, gls
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_gls_membership,
                              check_highest_weight_unique,
                              check_non_strictness_witness,
@@ -308,10 +309,9 @@ def test_operator_made_paths_equal_and_hash_as_constructed_ones():
         (c1, l1), (c2, l2) = fixture_context(fx), fixture_context(fx)
         g1, g2 = enumerate_crystal(c1, l1, 6), enumerate_crystal(c2, l2, 6)
         assert len(g1) == len(g2)
-        for a, b in zip(g1.nodes, g2.nodes):
-            p, q = a.element, b.element
+        for p, q in zip(g1.elements, g2.elements):
             fresh = GLSPath(p.shape, p.weights, p.breaks)
-            assert p == fresh == q and a.key == b.key
+            assert p == fresh == q and p.key() == q.key()
             assert hash(p) == hash(fresh) == hash(q)
             checked += 1
     assert checked > 400
@@ -414,14 +414,47 @@ def test_the_node_table_does_not_depend_on_what_is_read_first():
             graph = build_crystal_graph(ctx, GLSPath.linear(lam), 5, gls_f,
                                         lambda c, pi: calls.append(pi) or pi.weight(),
                                         gls_epsilon, GLSPath.key)
-            assert "_table" not in vars(graph) and calls == []
+            assert "nodes" not in vars(graph) and calls == []
             if weights_first:
                 assert graph.weights[0] == lam and len(calls) == len(graph)
-            tables.append(([(n.key, n.wt, n.eps, n.phi, n.frontier) for n in graph.nodes],
-                           graph.f_edges, export_dot(graph)))
+            tables.append(([(n.element.key(), n.wt, n.eps, n.phi, n.frontier)
+                            for n in graph.nodes], graph.f_edges, export_dot(graph)))
             assert len(calls) == len(graph) == len(graph.nodes)
-            assert sorted(map(id, graph.weights)) == sorted(id(n.wt) for n in graph.nodes)
+            assert list(map(id, graph.weights)) == [id(n.wt) for n in graph.nodes]
         assert tables[0] == tables[1], fx[0]
+
+
+def test_one_numbering_and_key_calls_only_for_dot(monkeypatch):
+    # the eight bundled fixtures at depth 5 and every graph the suite builds:
+    # node k is element k, the f-edges are the BFS edges themselves, and
+    # key_func runs only in export_dot, once per node, never for the node
+    # table, the axioms or the isomorphism test
+    builds = []
+
+    def recording(*args, **kwargs):
+        builds.append(inspect.signature(build_crystal_graph).bind(*args, **kwargs).args)
+        return build_crystal_graph(*args, **kwargs)
+
+    monkeypatch.setattr(gls, "build_crystal_graph", recording)
+    monkeypatch.setattr(crystals, "build_crystal_graph", recording)
+    assert all(not violations for _, violations in checks.run_suite(seed=0))
+    assert {type(args[1]).__name__ for args in builds} == {
+        "GLSPath", "PiecewisePath", "TensorElement", "BJWord"}
+    for fx in FIXTURES + (TWO_IMAGINARY,):
+        ctx, lam = fixture_context(fx)
+        builds.append((ctx, GLSPath.linear(lam), 5, gls_f, lambda c, pi: pi.weight(),
+                       gls_epsilon, GLSPath.key))
+    for ctx, root, depth, f_func, wt_func, eps_func, key_func in builds:
+        calls = []
+        graph = build_crystal_graph(ctx, root, depth, f_func, wt_func, eps_func,
+                                    lambda el: calls.append(el) or key_func(el))
+        assert graph.f_edges is graph.edges
+        assert len(graph.nodes) == len(graph)
+        assert all(node.element is el for node, el in zip(graph.nodes, graph.elements))
+        validate_axioms(ctx, graph)
+        assert hw_crystal_isomorphic(graph, graph) and calls == []
+        export_dot(graph)
+        assert len(calls) == len(graph)
 
 
 def test_e_edges_are_the_reversed_f_edges_built_on_first_use():
