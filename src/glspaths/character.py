@@ -9,18 +9,15 @@ divides the truncations exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .gls import CrystalGraph, enumerate_crystal
-from .rootdata import InvariantViolation, Weight, WeightContext, format_weight, offset_vector
+from .rootdata import InvariantViolation, NonIntegralOffset, Weight, WeightContext, format_weight
 
 Exponent = Tuple[int, ...]
-
-
-class NonIntegralOffset(InvariantViolation):
-    """A Weyl-orbit offset failed to be a nonnegative integer vector."""
 
 
 @dataclass(frozen=True)
@@ -111,15 +108,15 @@ def series_text(series: CharacterSeries, label: Optional[str] = None) -> str:
 
 
 def char_of_graph(graph: CrystalGraph) -> CharacterSeries:
-    """Multiplicity count of node weights, relative to the root weight."""
-    root = graph.weights[0]
-    out: Dict[Exponent, int] = {}
-    for wt in graph.weights:
-        vec = offset_vector(root, wt)
-        if any(v.denominator != 1 for v in vec):
-            raise NonIntegralOffset(f"node of weight {format_weight(wt)}: offset {vec}")
-        out[vec] = out.get(vec, 0) + 1
-    return CharacterSeries.from_dict(root, graph.ctx.matrix.n, graph.depth, out)
+    """Multiplicity count of the depth vectors of a graph of GLS paths, relative
+    to the root weight, the one weight built.  Each vector must equal wt(root) -
+    wt(node) from the node's own path data; else NonIntegralOffset names the node."""
+    ctx, root = graph.ctx, graph.wt_func(graph.ctx, graph.elements[0])
+    for k, (el, vec) in enumerate(zip(graph.elements, graph.exponents)):
+        if el.offset(root) != vec:
+            raise NonIntegralOffset(f"node {k} {el!r}: offset {el.offset(root)} from its path, "
+                                    f"depth vector {vec} from the graph")
+    return CharacterSeries.from_dict(root, ctx.matrix.n, graph.depth, Counter(graph.exponents))
 
 
 def orthogonal_subsets(ctx: WeightContext, restrict_to_lambda: Optional[Weight],

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 # apply_e is not called here; perfbench/test_perfbench.py checks that gls binds it
 from .paths import PiecewisePath, apply_e
 from .rootdata import (InvariantViolation, OrbitTable, Weight, WeightContext, combination,
-                       format_weight, offset_vector, partial_sums)
+                       format_weight, offset_vector, partial_sums, root_offset)
 from .torbit import AChain, find_a_chain
 
 
@@ -83,6 +83,11 @@ class GLSPath:
             nums = self._nums
             _set(self, "_weight", combination(map(sub, nums[1:], nums), self.weights, nums[-1]))
         return self._weight
+
+    def offset(self, top: Weight) -> Tuple[int, ...]:
+        """top - weight() as an int root vector, with no Weight built."""
+        nums = self._nums
+        return root_offset(top, map(sub, nums[1:], nums), self.weights, nums[-1])
 
     def render(self) -> PiecewisePath:
         """pi(a_k) as running sums over D.  Adjacent weights differ and ``_nums``
@@ -275,8 +280,8 @@ class CrystalGraph:
     Node k is ``elements[k]``, numbered as the BFS found it: root first,
     then layer by layer, so depths never decrease.  ``edges`` maps (k, i)
     to the number of f_i of node k and is also ``f_edges``; e-edges are its
-    reverses.  ``weights``, ``nodes``, ``e_edges`` and ``index`` are built
-    on first read.  ``frontier`` marks nodes whose children were cut by the
+    reverses.  ``weights``, ``exponents``, ``nodes``, ``e_edges`` and ``index``
+    are built on first read.  ``frontier`` marks nodes whose children were cut by the
     truncation, so that a missing edge there is never read as f = 0.
     """
 
@@ -306,6 +311,15 @@ class CrystalGraph:
             nodes.append(CrystalNode(el, wt, d, d == self.depth, eps, phi))
         return nodes
 
+    @cached_property
+    def exponents(self) -> List[Tuple[int, ...]]:
+        """Node k's depth vector: that of its discovery parent, plus e_i."""
+        out = [(0,) * self.ctx.matrix.n]
+        for (src, i), dst in self.edges.items():
+            if dst == len(out):  # in insertion order, the edge that found dst
+                out.append(out[src][:i - 1] + (out[src][i - 1] + 1,) + out[src][i:])
+        return out
+
     f_edges = property(lambda self: self.edges)
     e_edges = cached_property(lambda self: {(d, i): s for (s, i), d in self.edges.items()})
 
@@ -313,10 +327,6 @@ class CrystalGraph:
     def index(self) -> Dict[object, int]:
         """Node number by ``key_func``."""
         return {self.key_func(el): k for k, el in enumerate(self.elements)}
-
-    @property
-    def root(self) -> CrystalNode:
-        return self.nodes[0]
 
     def f_image(self, idx: int, i: int) -> Optional[int]:
         return self.edges.get((idx, i))

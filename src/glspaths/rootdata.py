@@ -59,6 +59,10 @@ class InvariantViolation(RuntimeError):
     """A computed value breaks an invariant the mathematics guarantees."""
 
 
+class NonIntegralOffset(InvariantViolation):
+    """A root offset failed to be the expected integer vector."""
+
+
 def exact(x: Rational) -> Rational:
     """x in the canonical exact form: an int when integral, else a Fraction."""
     try:
@@ -248,14 +252,33 @@ def pair(f: Weight, w: Weight) -> Rational:
     return _over(sum(map(mul, f.nums, w.nums)), f.den * w.den)
 
 
+def _column_sums(coeffs: Iterable[int], weights: Sequence[Weight], den: int):
+    """(basis, den * m, numerators over m of sum_k coeffs[k] weights[k]), m the dens' lcm."""
+    first, m = weights[0], 1
+    for w in weights:
+        if w.names is not first.names:
+            _basis(first, w)
+        if w.den != 1:
+            m = lcm(m, w.den)
+    coeffs = list(coeffs) if m == 1 else [c * (m // w.den) for c, w in zip(coeffs, weights)]
+    return first.names, den * m, [sum(map(mul, coeffs, column))
+                                  for column in zip(*[w.nums for w in weights])]
+
+
 def combination(coeffs: Iterable[int], weights: Sequence[Weight], den: int) -> Weight:
     """sum_k coeffs[k] weights[k] / den for int coefficients, over one basis."""
-    first, m = weights[0], lcm(*(w.den for w in weights))
-    for w in weights:
-        _basis(first, w)
-    scaled = [c * (m // w.den) for c, w in zip(coeffs, weights)]
-    return _reduced(first.names, den * m, tuple(sum(map(mul, scaled, column))
-                                                 for column in zip(*(w.nums for w in weights))))
+    names, den, sums = _column_sums(coeffs, weights, den)
+    return _reduced(names, den, tuple(sums))
+
+
+def root_offset(top: Weight, coeffs: Iterable[int], weights: Sequence[Weight],
+                den: int) -> Tuple[int, ...]:
+    """top - sum_k coeffs[k] weights[k] / den as ints c_i of alpha_i, with no Weight
+    built; NonIntegralOffset if the base parts do not cancel or a c_i is fractional."""
+    names, q, sums = _column_sums([*coeffs, -den], [*weights, top], -den)  # sums / q = top - sum
+    if any(sums[:len(names)]) or any(x % q for x in sums[len(names):]):
+        raise NonIntegralOffset(f"{format_weight(top)} - sum: {[_over(x, q) for x in sums]}")
+    return tuple(x // q for x in sums[len(names):])
 
 
 def partial_sums(coeffs: Iterable[int], weights: Sequence[Weight], den: int) -> Tuple[Weight, ...]:

@@ -19,6 +19,10 @@ from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_ambient_axioms,
                              fixture_context)
 from glspaths.crystals import GeneratorSequence
 
+# rank 3 with every off-diagonal entry nonzero and a_12 a_23 a_31 != a_21 a_32 a_13
+NON_SYMMETRIZABLE = ([[2, -1, -1], [-2, 2, -1], [-1, -1, -2]],
+                     [[2, -1, -2], [-1, -1, -1], [-1, -1, -2]])
+
 # matrices of criterion 3: (entries, pairing vector, depth)
 CHARACTER_CASES = (
     [([[2]], [p], 6) for p in (1, 2, 3)]
@@ -27,6 +31,8 @@ CHARACTER_CASES = (
     + [([[2, -1], [-2, -2]], lam, 3) for lam in ([1, 1], [2, 0])]
     # break denominators above 2 on most of its 30 nodes
     + [([[2, -1, -1], [-1, -2, 0], [-1, 0, -1]], [2, 1, 3], 3)]
+    # the paper's headline setting: matrices that are not symmetrizable
+    + [(entries, lam, 6) for entries in NON_SYMMETRIZABLE for lam in ([1, 1, 1], [2, 0, 1])]
 )
 
 # the same weights split into two dominant parts for criterion 4
@@ -39,6 +45,35 @@ SPLIT_CASES = (
        ([[2, -1], [-2, -2]], [1, 0], [0, 1]),
        ([[2, -1], [-2, -2]], [1, 0], [1, 0])]
 )
+
+
+def is_symmetrizable(entries):
+    """Whether d_i > 0 with d_i a_ij = d_j a_ji exist: fix d = 1 on one index of
+    each component of the nonzero off-diagonal pattern, propagate d_j = d_i
+    a_ij / a_ji (positive, as both entries are negative) and look for a clash."""
+    n, d = len(entries), [None] * len(entries)
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start], stack = F(1), [start]
+        while stack:
+            i = stack.pop()
+            for j in (j for j in range(n) if j != i and entries[i][j]):
+                want = d[i] * F(entries[i][j], entries[j][i])
+                if d[j] is None:
+                    d[j] = want
+                    stack.append(j)
+                elif d[j] != want:
+                    return False
+    return True
+
+
+def test_which_character_matrices_are_symmetrizable():
+    assert not any(is_symmetrizable(entries) for entries in NON_SYMMETRIZABLE)
+    others = [entries for entries, _, _ in CHARACTER_CASES if entries not in NON_SYMMETRIZABLE]
+    assert all(is_symmetrizable(entries) for entries in others) and len(others) == 14
+    # a full 3-cycle alone does not decide it: d = (2, 1, 2) symmetrizes this one
+    assert is_symmetrizable([[2, -1, -1], [-2, 2, -2], [-1, -1, 2]])
 
 
 class Budget:

@@ -1,11 +1,14 @@
 """Series arithmetic, crystal characters, and the closed character formula."""
 
+import re
+
 import pytest
 
 from glspaths import (CharacterSeries, GLSPath, char_of_graph, compare_characters,
                       context_with_base, divide, enumerate_crystal, multiply,
                       orthogonal_subsets, series_text, wkb_series)
-from glspaths import gls
+from glspaths import gls, rootdata
+from glspaths.character import NonIntegralOffset
 from glspaths.checks import TWO_IMAGINARY, fixture_context
 
 # the base of the series built by hand: the zero weight of a rank-one context
@@ -36,7 +39,8 @@ def test_truncation_in_multiplication():
 
 def test_the_character_reads_only_node_weights(monkeypatch):
     # neither the character nor the comparison builds the node table: no
-    # key_func and no eps_func call, and one wt_func call per node
+    # key_func and no eps_func call, and one wt_func call, for the root; the
+    # other nodes are counted by their depth vectors
     ctx, lam = fixture_context(TWO_IMAGINARY)
     calls = {"key": 0, "eps": 0, "wt": 0}
 
@@ -50,12 +54,56 @@ def test_the_character_reads_only_node_weights(monkeypatch):
                                     counted("wt", lambda c, pi: pi.weight()),
                                     counted("eps", gls.gls_epsilon), counted("key", GLSPath.key))
     series = char_of_graph(graph)
-    assert calls == {"key": 0, "eps": 0, "wt": len(graph)}
+    assert calls == {"key": 0, "eps": 0, "wt": 1}
+    assert "weights" not in vars(graph)
     assert series == char_of_graph(enumerate_crystal(ctx, lam, 5))
     monkeypatch.setattr(gls, "gls_epsilon", counted("eps", gls.gls_epsilon))
     monkeypatch.setattr(GLSPath, "key", counted("key", GLSPath.key))
     assert compare_characters(ctx, lam, 5).equal
     assert calls["key"] == calls["eps"] == 0
+
+
+def test_a_node_whose_path_disagrees_with_its_depth_vector_is_named():
+    # two nodes swapped: each path now sits at the other's depth vector
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    graph = enumerate_crystal(ctx, lam, 4)
+    k = next(k for k in range(2, len(graph)) if graph.exponents[k] != graph.exponents[1])
+    graph.elements[1], graph.elements[k] = graph.elements[k], graph.elements[1]
+    message = f"offset {graph.exponents[k]} from its path, depth vector {graph.exponents[1]}"
+    with pytest.raises(NonIntegralOffset, match=r"node 1 .*" + re.escape(message)):
+        char_of_graph(graph)
+
+
+def test_a_path_of_the_wrong_weight_is_caught_on_its_discovery_edge(monkeypatch):
+    # f_1 of the straight path answers with f_2 of it: the path found on the
+    # edge 0 -1-> 1 has weight lambda - alpha_2, not lambda - alpha_1
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    real_f, root = gls.gls_f, GLSPath.linear(lam)
+    monkeypatch.setattr(gls, "gls_f",
+                        lambda c, i, pi: real_f(c, 2 if (i, pi) == (1, root) else i, pi))
+    with pytest.raises(NonIntegralOffset,
+                       match=r"node 1 .*offset \(0, 1, 0\) .*depth vector \(1, 0, 0\)"):
+        compare_characters(ctx, lam, 3)
+
+
+def test_the_character_builds_no_weight_per_node(monkeypatch):
+    # as many Weight objects at depth 6 as at depth 5: the root's, not one a node
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    init, built = rootdata.Weight.__init__, []
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    sizes = []
+    for depth in (5, 6):
+        graph = enumerate_crystal(ctx, lam, depth)
+        with monkeypatch.context() as patch:
+            patch.setattr(rootdata.Weight, "__init__", counted)
+            char_of_graph(graph)
+        sizes.append((len(graph), len(built)))
+        built.clear()
+    assert sizes[0][0] < sizes[1][0] and sizes[0][1] == sizes[1][1] == 1
 
 
 def test_char_of_graph_examples():

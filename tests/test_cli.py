@@ -165,6 +165,27 @@ def test_not_a_gls_path_exit_code(matrices, monkeypatch, capsys):
     assert "invariant violated: path is not integral" in capsys.readouterr().err
 
 
+def test_compare_char_exits_2_on_a_path_of_the_wrong_weight(tmp_path, monkeypatch, capsys):
+    # real input: f_1 of the straight path answers with f_2 of it, so the path
+    # found on the edge 0 -1-> 1 has weight lambda - alpha_2, not lambda - alpha_1
+    matrix = tmp_path / "two_imaginary.mat"
+    matrix.write_text("3\n2 -1 -1\n-1 -2 0\n-1 0 -1\n")
+    args = ["compare-char", "-m", str(matrix), "-l", "1 1 1", "-d", "3"]
+    assert cli.run(args) == 0
+    real_f = gls.gls_f
+
+    def wrong(ctx, i, pi):
+        return real_f(ctx, 2 if i == 1 and len(pi.weights) == 1 and pi.weights[0] == pi.shape
+                      else i, pi)
+
+    monkeypatch.setattr(gls, "gls_f", wrong)
+    capsys.readouterr()
+    assert cli.run(args) == 2
+    err = capsys.readouterr().err
+    assert "invariant violated: node 1 " in err
+    assert "offset (0, 1, 0) from its path, depth vector (1, 0, 0)" in err
+
+
 def test_non_integral_offset_exit_code(matrices, monkeypatch, capsys):
     # a broken invariant of the character: exit code 2, not a traceback
     def broken(*args, **kwargs):

@@ -19,7 +19,7 @@ from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_gls_membership,
                              check_oracle_equivalence, fixture_context)
 from glspaths.gls import _from_integer_form, _h_profile, build_crystal_graph, gls_epsilon
 from glspaths.paths import PiecewisePath, first_time_at, last_time_at
-from glspaths.rootdata import InvariantViolation, combination
+from glspaths.rootdata import InvariantViolation, combination, offset_vector
 
 
 def ctx1(p=2, k=1):
@@ -455,6 +455,31 @@ def test_one_numbering_and_key_calls_only_for_dot(monkeypatch):
         assert hw_crystal_isomorphic(graph, graph) and calls == []
         export_dot(graph)
         assert len(calls) == len(graph)
+
+
+def test_exponents_are_the_root_offsets_of_the_weights(monkeypatch):
+    # a node's depth vector, read off its discovery edge, is wt(root) - wt(node),
+    # on every graph the suite generates (tensor pairs, B_J(infinity) words,
+    # ambient paths), the eight bundled fixtures at depth 6 and the benchmark's
+    # instance, two_imaginary with lambda = 111 at depth 9
+    graphs = []
+
+    def recording(*args, **kwargs):
+        graphs.append(build_crystal_graph(*args, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr(crystals, "build_crystal_graph", recording)
+    assert all(not violations for _, violations in checks.run_suite(seed=0))
+    assert {type(graph.elements[0]).__name__ for graph in graphs} == {
+        "TensorElement", "BJWord", "PiecewisePath"}
+    for fx in FIXTURES + (TWO_IMAGINARY,):
+        graphs.append(enumerate_crystal(*fixture_context(fx), 6))
+    graphs.append(enumerate_crystal(*fixture_context(TWO_IMAGINARY), 9))
+    assert len(graphs[-1]) == 3045
+    for graph in graphs:
+        root = graph.weights[0]
+        assert graph.exponents == [offset_vector(root, wt) for wt in graph.weights]
+        assert all(type(c) is int for vec in graph.exponents for c in vec)
 
 
 def test_e_edges_are_the_reversed_f_edges_built_on_first_use():
