@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import combinations, product
+from typing import Dict, List, Optional, Tuple
 
-from .gls import CrystalGraph, enumerate_crystal
+from .gls import CrystalGraph
 from .rootdata import InvariantViolation, NonIntegralOffset, Weight, WeightContext, format_weight
 
 Exponent = Tuple[int, ...]
@@ -57,21 +57,6 @@ def multiply(a: CharacterSeries, b: CharacterSeries) -> CharacterSeries:
     return CharacterSeries.from_dict(a.base + b.base, a.n, depth, out)
 
 
-def _exponents_upto(n: int, depth: int) -> Iterable[Exponent]:
-    """All exponent vectors with total degree <= depth, by (degree, lex)."""
-
-    def parts(total, slots):
-        if slots == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for tail in parts(total - head, slots - 1):
-                yield (head,) + tail
-
-    for total in range(depth + 1):
-        yield from sorted(parts(total, n))
-
-
 def divide(num: CharacterSeries, den: CharacterSeries) -> CharacterSeries:
     """Exact division of truncations; the denominator's constant term must be
     a unit (+-1)."""
@@ -85,14 +70,15 @@ def divide(num: CharacterSeries, den: CharacterSeries) -> CharacterSeries:
         raise ValueError(f"denominator constant term {unit} is not a unit")
     nterms = num.term_dict()
     q: Dict[Exponent, int] = {}
-    for c in _exponents_upto(n, depth):
+    # lex order puts every c - d with d <= c before c
+    for c in product(range(depth + 1), repeat=n):
+        if sum(c) > depth:
+            continue
         acc = nterms.get(c, 0)
         for d, vd in dterms.items():
             if d == (0,) * n or any(x > y for x, y in zip(d, c)):
                 continue
             acc -= vd * q.get(tuple(y - x for x, y in zip(d, c)), 0)
-        if acc % unit:
-            raise ValueError("inexact series division")
         q[c] = acc // unit
     return CharacterSeries.from_dict(num.base - den.base, n, depth, q)
 
@@ -212,10 +198,11 @@ class CharacterComparison:
     formula: CharacterSeries
 
 
-def compare_characters(ctx: WeightContext, lam: Weight, depth: int) -> CharacterComparison:
-    """Crystal character against the closed formula, term by term."""
-    crystal = char_of_graph(enumerate_crystal(ctx, lam, depth))
-    formula = wkb_series(ctx, lam, depth)
+def compare_characters(ctx: WeightContext, graph: CrystalGraph) -> CharacterComparison:
+    """The character of a GLS crystal graph against the closed formula for
+    its root weight at its depth, term by term."""
+    crystal = char_of_graph(graph)
+    formula = wkb_series(ctx, crystal.base, graph.depth)
     a, b = crystal.term_dict(), formula.term_dict()
     diffs = []
     for c in sorted(set(a) | set(b)):

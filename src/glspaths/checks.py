@@ -3,7 +3,9 @@
 Each check returns a list of violation strings (empty means pass) so the
 suites can be exercised both by pytest and by the CLI without duplicating
 the mathematics.  Checks are exhaustive over small truncations; the few
-randomized samples draw from an explicit seeded generator.
+randomized samples draw from an explicit seeded generator.  A check on a
+GLS crystal takes the graph it checks and builds none: ``run_suite`` builds
+each fixture's crystal once and hands the same graph to every such check.
 """
 
 from __future__ import annotations
@@ -105,12 +107,12 @@ def check_coroot_signs(ctx, rng) -> List[str]:
     return out
 
 
-def check_orbit_properties(ctx, lam, depth=5) -> List[str]:
+def check_orbit_properties(ctx, lam) -> List[str]:
     """Orbit containment in lam - Q+, dominance behaviour of imaginary
     reflections, the shape of reduced expressions of dominant elements, and
     the stabilizer description, for words of length at most 4."""
     out = []
-    orb = orbit(ctx, lam, depth)
+    orb = orbit(ctx, lam, 4)
     for mu in orb:
         off = offset_vector(lam, mu)
         if any(c < 0 for c in off):
@@ -134,11 +136,12 @@ def check_orbit_properties(ctx, lam, depth=5) -> List[str]:
     return out
 
 
-def check_dist_lemmas(ctx, lam, depth=5) -> List[str]:
+def check_dist_lemmas(ctx, lam) -> List[str]:
     """Monotonicity and commutation of dist under simple reflections, and
-    monotonicity of imaginary pairings along the chain order."""
+    monotonicity of imaginary pairings along the chain order, on the orbit
+    to depth 6."""
     out = []
-    orb = sorted(orbit(ctx, lam, depth), key=Weight.sort_key)
+    orb = sorted(orbit(ctx, lam, 6), key=Weight.sort_key)
     pairs = []
     for mu in orb:
         for nu in orb:
@@ -176,13 +179,12 @@ def _rendered_nodes(graph) -> List[Tuple[GLSPath, PiecewisePath]]:
     return [(node.element, node.element.render()) for node in graph.nodes]
 
 
-def check_operator_iteration(ctx, lam, iterations=8) -> List[str]:
-    """Lowering iteration to depth 3: for an imaginary index the minimum level
-    and its last attainment time are preserved and f never dies (checked to
-    the given power); for a real index the minimum drops by one each step
-    and the string length matches phi."""
+def check_operator_iteration(ctx, graph) -> List[str]:
+    """Lowering iteration from every node: for an imaginary index the minimum
+    level and its last attainment time are preserved and f never dies
+    (checked to the eighth power); for a real index the minimum drops by one
+    each step and the string length matches phi."""
     out = []
-    graph = enumerate_crystal(ctx, lam, 3)
     for el, path in _rendered_nodes(graph):
         for i in ctx.matrix.indices:
             prof = h_profile(ctx, i, path)
@@ -190,7 +192,7 @@ def check_operator_iteration(ctx, lam, iterations=8) -> List[str]:
                 if prof.f_plus == 1:
                     continue
                 cur, last_minus = path, prof.f_minus
-                for _ in range(iterations):
+                for _ in range(8):
                     cur = apply_f(ctx, i, cur)
                     if cur is None:
                         out.append(f"imaginary f_{i} died while iterating")
@@ -227,10 +229,9 @@ def check_operator_iteration(ctx, lam, iterations=8) -> List[str]:
     return out
 
 
-def check_inversion_and_weight_shift(ctx, lam) -> List[str]:
-    """To depth 3, f and e are mutually inverse and shift weights by alpha_i."""
+def check_inversion_and_weight_shift(ctx, graph) -> List[str]:
+    """On every node, f and e are mutually inverse and shift weights by alpha_i."""
     out = []
-    graph = enumerate_crystal(ctx, lam, 3)
     for _, path in _rendered_nodes(graph):
         for i in ctx.matrix.indices:
             down = apply_f(ctx, i, path)
@@ -248,11 +249,10 @@ def check_inversion_and_weight_shift(ctx, lam) -> List[str]:
     return out
 
 
-def check_oracle_equivalence(ctx, lam, depth) -> List[str]:
+def check_oracle_equivalence(ctx, graph) -> List[str]:
     """Closed-form operators against the generic ones on rendered paths;
     raising through the graph's reverse edges against standalone raising."""
     out = []
-    graph = enumerate_crystal(ctx, lam, depth)
     for idx, node in enumerate(graph.nodes):
         el: GLSPath = node.element
         path = el.render()
@@ -263,15 +263,14 @@ def check_oracle_equivalence(ctx, lam, depth) -> List[str]:
                 out.append(f"node {idx}, f_{i}: closed/generic disagree on vanishing")
             elif closed is not None and closed.render() != generic:
                 out.append(f"node {idx}, f_{i}: closed form differs from generic")
+            standalone = gls_e(ctx, i, el)
             if ctx.matrix.is_real(i):
-                closed_e = gls_e(ctx, i, el)
                 generic_e = apply_e(ctx, i, path)
-                if (closed_e is None) != (generic_e is None):
+                if (standalone is None) != (generic_e is None):
                     out.append(f"node {idx}, e_{i}: closed/generic disagree")
-                elif closed_e is not None and closed_e.render() != generic_e:
+                elif standalone is not None and standalone.render() != generic_e:
                     out.append(f"node {idx}, e_{i}: closed form differs from generic")
             parent = graph.e_image(idx, i)
-            standalone = gls_e(ctx, i, el)
             if parent is None:
                 if not node.frontier and standalone is not None and \
                         standalone.key() in graph.index:
@@ -284,10 +283,10 @@ def check_oracle_equivalence(ctx, lam, depth) -> List[str]:
     return out
 
 
-def check_gls_membership(ctx, lam, depth) -> List[str]:
-    """Every enumerated path verifies its chains and is integral and monotone."""
+def check_gls_membership(ctx, graph) -> List[str]:
+    """Every enumerated path verifies its chains, is integral and monotone,
+    and has its weight in shape - Q+."""
     out = []
-    graph = enumerate_crystal(ctx, lam, depth)
     for idx, node in enumerate(graph.nodes):
         el: GLSPath = node.element
         cert = verify_gls(ctx, el)
@@ -298,15 +297,14 @@ def check_gls_membership(ctx, lam, depth) -> List[str]:
             out.append(f"node {idx} not integral")
         if not is_monotone(ctx, path):
             out.append(f"node {idx} not monotone")
-        if any(c < 0 for c in offset_vector(lam, node.wt)):
+        if any(c < 0 for c in offset_vector(el.shape, node.wt)):
             out.append(f"node {idx} weight escapes lam - Q+")
     return out
 
 
-def check_highest_weight_unique(ctx, lam, depth) -> List[str]:
+def check_highest_weight_unique(ctx, graph) -> List[str]:
     """The straight path is the only element killed by every raising operator."""
     out = []
-    graph = enumerate_crystal(ctx, lam, depth)
     for idx, node in enumerate(graph.nodes):
         killed = all(gls_e(ctx, i, node.element) is None for i in ctx.matrix.indices)
         if killed != (idx == 0):
@@ -366,19 +364,16 @@ def check_concatenation_tensor_compat(ctx, lam, mu) -> List[str]:
     return out
 
 
-def check_tensor_closure(ctx, lam, mu, depth=3) -> List[str]:
-    """Tensor products of the crystals stay in category B and stay normal
-    for real indices."""
+def check_tensor_closure(ctx, lam, mu) -> List[str]:
+    """Tensor products of the crystals, to depth 2, stay in category B and
+    stay normal for real indices."""
     root = TensorElement(GLSPath.linear(lam), GLSPath.linear(mu))
-    graph = generate_from(ctx, root, depth)
-    out = validate_axioms(ctx, graph)
-    out += validate_category_B(ctx, graph)
-    out += validate_normality(ctx, graph)
-    return out
+    return check_crystal_axioms(ctx, generate_from(ctx, root, 2))
 
 
-def check_bj_properties(ctx, seq: GeneratorSequence, depth=4, prefix=6) -> List[str]:
-    """B_J(infinity): the zero word is the unique weight-zero element, the
+def check_bj_properties(ctx, seq: GeneratorSequence, depth=4) -> List[str]:
+    """B_J(infinity): among the words on the first six places of total degree
+    at most depth, the zero word is the unique weight-zero element, the
     f-closure satisfies the crystal axioms, and two lowering operators at
     distinct imaginary indices only collide when they commute."""
     out = []
@@ -387,7 +382,7 @@ def check_bj_properties(ctx, seq: GeneratorSequence, depth=4, prefix=6) -> List[
 
     def rec(k, left, acc):
         nonlocal zero_count
-        if k > prefix:
+        if k > 6:
             words.append(bj_word(seq, acc))
             return
         for m in range(left + 1):
@@ -460,10 +455,10 @@ def check_embedding_theorem(ctx, i, lam, mu) -> List[str]:
     return out
 
 
-def check_binfty_stability(ctx, depth=3) -> List[str]:
-    """Truncations of the limit crystal do not depend on the anchoring
-    dominant weight once its pairings exceed the depth."""
-    n = ctx.matrix.n
+def check_binfty_stability(ctx) -> List[str]:
+    """Truncations of the limit crystal to depth 2 do not depend on the
+    anchoring dominant weight once its pairings exceed the depth."""
+    n, depth = ctx.matrix.n, 2
     big1 = [depth + 1] * n
     big2 = [depth + 3] * n
     ctx1, lam1 = context_with_base([list(r) for r in ctx.matrix.entries], big1)
@@ -475,10 +470,9 @@ def check_binfty_stability(ctx, depth=3) -> List[str]:
     return []
 
 
-def check_non_strictness_witness(ctx, lam) -> List[str]:
-    """Somewhere in the crystal to depth 3 the ambient raising operator is
-    defined while the crystal-internal one vanishes (imaginary index)."""
-    graph = enumerate_crystal(ctx, lam, 3)
+def check_non_strictness_witness(ctx, graph) -> List[str]:
+    """Somewhere in the crystal the ambient raising operator is defined
+    while the crystal-internal one vanishes (imaginary index)."""
     for node in graph.nodes:
         for i in sorted(ctx.matrix.imaginary_indices):
             ambient = apply_e(ctx, i, node.element.render())
@@ -496,28 +490,29 @@ def run_suite(seed: int = 0):
         ctx, lam = fixture_context(fx)
         yield f"{name}: reflections", check_reflections(ctx, lam, rng)
         yield f"{name}: coroot signs", check_coroot_signs(ctx, rng)
-        yield f"{name}: orbit", check_orbit_properties(ctx, lam, depth=4)
-        yield f"{name}: dist lemmas", check_dist_lemmas(ctx, lam, depth=6)
-        yield f"{name}: operator iteration", check_operator_iteration(ctx, lam)
-        yield f"{name}: inversion", check_inversion_and_weight_shift(ctx, lam)
-        yield f"{name}: oracle equivalence", check_oracle_equivalence(ctx, lam, 3)
-        yield f"{name}: membership", check_gls_membership(ctx, lam, 3)
-        yield f"{name}: highest weight", check_highest_weight_unique(ctx, lam, 3)
+        yield f"{name}: orbit", check_orbit_properties(ctx, lam)
+        yield f"{name}: dist lemmas", check_dist_lemmas(ctx, lam)
         graph = enumerate_crystal(ctx, lam, 3)
+        yield f"{name}: operator iteration", check_operator_iteration(ctx, graph)
+        yield f"{name}: inversion", check_inversion_and_weight_shift(ctx, graph)
+        yield f"{name}: oracle equivalence", check_oracle_equivalence(ctx, graph)
+        yield f"{name}: membership", check_gls_membership(ctx, graph)
+        yield f"{name}: highest weight", check_highest_weight_unique(ctx, graph)
         yield f"{name}: axioms", check_crystal_axioms(ctx, graph)
         yield f"{name}: ambient axioms", check_ambient_axioms(ctx, lam)
-        yield f"{name}: tensor closure", check_tensor_closure(ctx, lam, lam, depth=2)
+        yield f"{name}: tensor closure", check_tensor_closure(ctx, lam, lam)
         yield f"{name}: concatenation", check_concatenation_tensor_compat(ctx, lam, lam)
         yield (f"{name}: character",
-               [] if compare_characters(ctx, lam, 3).equal
+               [] if compare_characters(ctx, graph).equal
                else ["character mismatch"])
     ctx, lam = fixture_context(TWO_IMAGINARY)
     seq = GeneratorSequence(3, (), (1, 2, 3))
-    yield "two_imaginary: B_J properties", check_bj_properties(ctx, seq, depth=3, prefix=6)
-    yield "two_imaginary: limit stability", check_binfty_stability(ctx, depth=2)
+    yield "two_imaginary: B_J properties", check_bj_properties(ctx, seq, depth=3)
+    yield "two_imaginary: limit stability", check_binfty_stability(ctx)
     emb1, lam1 = context_with_base([[2, -1], [-1, -2]], [0, 2], extra_bases={"mu": [3, 0]})
     yield "embedding i=1", check_embedding_theorem(emb1, 1, lam1, emb1.base("mu"))
     emb2, lam2 = context_with_base([[2, -1], [-1, -2]], [9, 0], extra_bases={"mu": [0, 3]})
     yield "embedding i=2", check_embedding_theorem(emb2, 2, lam2, emb2.base("mu"))
     ctxw, lamw = context_with_base([[-1]], [2])
-    yield "non-strictness witness", check_non_strictness_witness(ctxw, lamw)
+    yield "non-strictness witness", check_non_strictness_witness(
+        ctxw, enumerate_crystal(ctxw, lamw, 3))

@@ -122,8 +122,8 @@ def _cmd_char(args) -> int:
 
 def _cmd_compare_char(args) -> int:
     ctx = _context(args)
-    lam = ctx.base("lambda")
-    report = compare_characters(ctx, lam, args.depth)
+    graph = enumerate_crystal(ctx, ctx.base("lambda"), args.depth)
+    report = compare_characters(ctx, graph)
     if report.equal:
         _emit(f"equal, {len(report.crystal)} terms\n", args.output)
         return 0

@@ -145,7 +145,7 @@ def test_criterion_3_character_theorem():
     with Budget(3, 30.0):
         for entries, pairings, depth in CHARACTER_CASES:
             ctx, lam = context_with_base(entries, pairings)
-            report = compare_characters(ctx, lam, depth)
+            report = compare_characters(ctx, enumerate_crystal(ctx, lam, depth))
             assert report.equal, (entries, pairings, report.differences)
 
 
@@ -189,7 +189,8 @@ def test_criterion_6_oracle_equivalence():
     with Budget(6, 60.0):
         for entries, pairings, depth in CHARACTER_CASES:
             ctx, lam = context_with_base(entries, pairings)
-            assert check_oracle_equivalence(ctx, lam, depth) == [], (entries, pairings)
+            graph = enumerate_crystal(ctx, lam, depth)
+            assert check_oracle_equivalence(ctx, graph) == [], (entries, pairings)
 
 
 def test_criterion_7_invariant_suites():
@@ -202,12 +203,12 @@ def test_criterion_7_invariant_suites():
             graph = enumerate_crystal(ctx, lam, 3)
             assert check_crystal_axioms(ctx, graph) == [], fx[0]
             assert check_ambient_axioms(ctx, lam) == [], fx[0]
-            assert check_gls_membership(ctx, lam, 3) == [], fx[0]
-            assert check_inversion_and_weight_shift(ctx, lam) == [], fx[0]
-            assert check_operator_iteration(ctx, lam, iterations=8) == [], fx[0]
+            assert check_gls_membership(ctx, graph) == [], fx[0]
+            assert check_inversion_and_weight_shift(ctx, graph) == [], fx[0]
+            assert check_operator_iteration(ctx, graph) == [], fx[0]
         ctx, _ = fixture_context(TWO_IMAGINARY)
         seq = GeneratorSequence(3, (), (1, 2, 3))
-        assert check_bj_properties(ctx, seq, depth=4, prefix=6) == []
+        assert check_bj_properties(ctx, seq, depth=4) == []
         emb1, lam1 = context_with_base([[2, -1], [-1, -2]], [0, 2],
                                        extra_bases={"mu": [3, 0]})
         assert check_embedding_theorem(emb1, 1, lam1, emb1.base("mu")) == []

@@ -157,7 +157,7 @@ def test_hw_crystal_isomorphic_examples():
 def test_tensor_closure_and_concatenation_suites():
     for entries, pairings in ([[-1]], [1]), ([[2, -1], [-1, -2]], [1, 1]):
         ctx, lam = context_with_base(entries, pairings)
-        assert check_tensor_closure(ctx, lam, lam, depth=2) == []
+        assert check_tensor_closure(ctx, lam, lam) == []
         assert check_concatenation_tensor_compat(ctx, lam, lam) == []
         assert check_ambient_axioms(ctx, lam) == []
 
@@ -165,7 +165,7 @@ def test_tensor_closure_and_concatenation_suites():
 def test_bj_properties_suite():
     ctx, _ = fixture_context(TWO_IMAGINARY)
     seq = GeneratorSequence(3, (), (1, 2, 3))
-    assert check_bj_properties(ctx, seq, depth=4, prefix=6) == []
+    assert check_bj_properties(ctx, seq, depth=4) == []
 
 
 def test_two_lowerings_must_commute():
@@ -191,7 +191,7 @@ def test_embedding_theorem_samples():
 
 def test_limit_crystal_stability():
     ctx, _ = context_with_base([[2, -1], [-1, -2]], [1, 1])
-    assert check_binfty_stability(ctx, depth=2) == []
+    assert check_binfty_stability(ctx) == []
 
 
 def test_ambient_closure_matches_gls_closure():

@@ -180,14 +180,15 @@ def test_enumerate_sl2():
 
 def test_enumerate_matches_oracle():
     ctx, lam = context_with_base([[2, -1], [-1, -2]], [1, 1])
-    assert check_oracle_equivalence(ctx, lam, 3) == []
-    assert check_gls_membership(ctx, lam, 3) == []
-    assert check_highest_weight_unique(ctx, lam, 3) == []
+    graph = enumerate_crystal(ctx, lam, 3)
+    assert check_oracle_equivalence(ctx, graph) == []
+    assert check_gls_membership(ctx, graph) == []
+    assert check_highest_weight_unique(ctx, graph) == []
 
 
 def test_non_strictness_witness():
     ctx, lam = ctx1(p=2)
-    assert check_non_strictness_witness(ctx, lam) == []
+    assert check_non_strictness_witness(ctx, enumerate_crystal(ctx, lam, 3)) == []
 
 
 def test_export_dot_shape():
@@ -455,6 +456,21 @@ def test_one_numbering_and_key_calls_only_for_dot(monkeypatch):
         assert hw_crystal_isomorphic(graph, graph) and calls == []
         export_dot(graph)
         assert len(calls) == len(graph)
+
+
+def test_the_suite_builds_each_gls_crystal_once(monkeypatch):
+    # one crystal per fixture, read by every GLS check, the axioms and the
+    # character, plus the non-strictness witness and the two anchors of the
+    # limit-stability check; enumerate_crystal is the only caller of gls's binding
+    builds = []
+
+    def recording(*args, **kwargs):
+        builds.append(args[2])
+        return build_crystal_graph(*args, **kwargs)
+
+    monkeypatch.setattr(gls, "build_crystal_graph", recording)
+    assert all(not violations for _, violations in checks.run_suite(seed=0))
+    assert len(builds) == len(FIXTURES) + 3 == 10
 
 
 def test_exponents_are_the_root_offsets_of_the_weights(monkeypatch):

@@ -1,9 +1,10 @@
 """CLI outputs compared byte for byte with files recorded under tests/golden/.
 
-The recorded files hold DOT graphs whose breaks have denominators up to 10
-and a truncated character; any drift in node order, break points, weights
-or terms fails here.  To record them again after an intended change, run
-the command of each case with ``-o tests/golden/<file>``.
+The recorded files hold DOT graphs whose breaks have denominators up to 10,
+a truncated character and the report of ``glspaths suite --seed 0``; any
+drift in node order, break points, weights, terms or checks fails here.  To
+record them again after an intended change, run the command of each case
+with ``-o tests/golden/<file>``, and redirect the suite's standard output.
 """
 
 from pathlib import Path
@@ -32,3 +33,8 @@ def test_cli_output_matches_golden_file(argv, expected, tmp_path):
     out = tmp_path / expected
     assert cli.run(argv + ["-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / expected).read_bytes()
+
+
+def test_suite_output_matches_golden_file(capsys):
+    assert cli.run(["suite", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "suite_seed0.txt").read_text(encoding="utf-8")

@@ -152,8 +152,9 @@ def test_gls_paths_are_integral_and_monotone():
 def test_inversion_and_iteration_suites():
     for entries, pairings in ([[-1]], [2]), ([[0]], [1]), ([[2, -1], [-1, -2]], [1, 1]):
         ctx, lam = context_with_base(entries, pairings)
-        assert check_inversion_and_weight_shift(ctx, lam) == []
-        assert check_operator_iteration(ctx, lam) == []
+        graph = enumerate_crystal(ctx, lam, 3)
+        assert check_inversion_and_weight_shift(ctx, graph) == []
+        assert check_operator_iteration(ctx, graph) == []
 
 
 def test_three_zone_rejects_a_wrong_shift():

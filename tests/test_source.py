@@ -135,9 +135,19 @@ def _trees(paths):
     return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
 
 
+def _literal(node):
+    """The value of a literal expression, or a fresh object (equal to no
+    other value) for an expression that is not a literal."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return object()
+
+
 def _defaulted_parameters(tree):
-    """(name, parameter, position or None) of every defaulted parameter;
-    a method's position excludes self, and __init__ is named by its class."""
+    """(name, parameter, position or None, default value) of every defaulted
+    parameter; a method's position excludes self, and __init__ is named by its
+    class."""
     found = []
     for owner in ast.walk(tree):
         body = owner.body if isinstance(owner, (ast.Module, ast.ClassDef)) else []
@@ -149,26 +159,34 @@ def _defaulted_parameters(tree):
             skip = 1 if isinstance(owner, ast.ClassDef) and not any(
                 _decorator_name(d) == "staticmethod" for d in node.decorator_list) else 0
             first = len(positional) - len(node.args.defaults)
-            found += [(name, arg.arg, k - skip) for k, arg in enumerate(positional) if k >= first]
-            found += [(name, arg.arg, None) for arg, default
+            found += [(name, arg.arg, k - skip, _literal(default)) for k, (arg, default)
+                      in enumerate(zip(positional[first:], node.args.defaults), start=first)]
+            found += [(name, arg.arg, None, _literal(default)) for arg, default
                       in zip(node.args.kwonlyargs, node.args.kw_defaults) if default]
     return found
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
-    # a default that no call in the package or the tests overrides is an
-    # option with one value in use: fold it into the code instead
+    # a default is an option: the calls in the package and the tests must
+    # use it with at least two values, a call that omits it counting as
+    # passing the default and a non-literal argument as a value of its own;
+    # an option with one value in use is folded into the code instead
     trees = _trees(SOURCE.glob("*.py")) + _trees(Path(__file__).parent.glob("*.py"))
-    passed = set()
+    calls = {}
     for call in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
-        name = _decorator_name(call)
-        passed |= {(name, kw.arg) for kw in call.keywords}
-        passed |= {(name, k) for k in range(len(call.args))}
-    unused = [f"{name}({param})"
-              for tree in _trees(SOURCE / f"{module}.py" for module in KERNEL + ("checks", "cli"))
-              for name, param, k in _defaulted_parameters(tree)
-              if (name, param) not in passed and (name, k) not in passed]
-    assert unused == []
+        calls.setdefault(_decorator_name(call), []).append(call)
+    one_valued = []
+    for tree in _trees(SOURCE / f"{module}.py" for module in KERNEL + ("checks", "cli")):
+        for name, param, k, default in _defaulted_parameters(tree):
+            values = []
+            for call in calls.get(name, []):
+                given = [kw.value for kw in call.keywords if kw.arg == param]
+                if k is not None and k < len(call.args):
+                    given.append(call.args[k])
+                values.append(_literal(given[0]) if given else default)
+            if not any(v != values[0] for v in values[1:]):
+                one_valued.append(f"{name}({param})")
+    assert one_valued == []
 
 
 def _bound_names(tree):

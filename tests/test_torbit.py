@@ -144,13 +144,13 @@ def test_caches_are_per_context():
 def test_orbit_properties_suite():
     for entries, pairings in ([[-1]], [2]), ([[2, -1], [-1, -2]], [1, 1]):
         ctx, lam = context_with_base(entries, pairings)
-        assert check_orbit_properties(ctx, lam, depth=4) == []
+        assert check_orbit_properties(ctx, lam) == []
 
 
 def test_dist_lemmas_suite():
     for entries, pairings in ([[-1]], [2]), ([[2, -1], [-1, -2]], [1, 1]):
         ctx, lam = context_with_base(entries, pairings)
-        assert check_dist_lemmas(ctx, lam, depth=6) == []
+        assert check_dist_lemmas(ctx, lam) == []
 
 
 # rank 3, a_12 a_23 a_31 != a_21 a_32 a_13; the second has an infinite Weyl group
