@@ -198,11 +198,11 @@ class CharacterComparison:
     formula: CharacterSeries
 
 
-def compare_characters(ctx: WeightContext, graph: CrystalGraph) -> CharacterComparison:
+def compare_characters(graph: CrystalGraph) -> CharacterComparison:
     """The character of a GLS crystal graph against the closed formula for
     its root weight at its depth, term by term."""
     crystal = char_of_graph(graph)
-    formula = wkb_series(ctx, crystal.base, graph.depth)
+    formula = wkb_series(graph.ctx, crystal.base, graph.depth)
     a, b = crystal.term_dict(), formula.term_dict()
     diffs = []
     for c in sorted(set(a) | set(b)):

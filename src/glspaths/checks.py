@@ -4,8 +4,10 @@ Each check returns a list of violation strings (empty means pass) so the
 suites can be exercised both by pytest and by the CLI without duplicating
 the mathematics.  Checks are exhaustive over small truncations; the few
 randomized samples draw from an explicit seeded generator.  A check on a
-GLS crystal takes the graph it checks and builds none: ``run_suite`` builds
-each fixture's crystal once and hands the same graph to every such check.
+GLS crystal takes the graph it checks, builds none and reads its context
+as ``graph.ctx``, so it cannot be handed a mismatched one: ``run_suite``
+builds each fixture's crystal once and hands the same graph to every such
+check.
 """
 
 from __future__ import annotations
@@ -179,12 +181,12 @@ def _rendered_nodes(graph) -> List[Tuple[GLSPath, PiecewisePath]]:
     return [(node.element, node.element.render()) for node in graph.nodes]
 
 
-def check_operator_iteration(ctx, graph) -> List[str]:
+def check_operator_iteration(graph) -> List[str]:
     """Lowering iteration from every node: for an imaginary index the minimum
     level and its last attainment time are preserved and f never dies
     (checked to the eighth power); for a real index the minimum drops by one
     each step and the string length matches phi."""
-    out = []
+    ctx, out = graph.ctx, []
     for el, path in _rendered_nodes(graph):
         for i in ctx.matrix.indices:
             prof = h_profile(ctx, i, path)
@@ -229,9 +231,9 @@ def check_operator_iteration(ctx, graph) -> List[str]:
     return out
 
 
-def check_inversion_and_weight_shift(ctx, graph) -> List[str]:
+def check_inversion_and_weight_shift(graph) -> List[str]:
     """On every node, f and e are mutually inverse and shift weights by alpha_i."""
-    out = []
+    ctx, out = graph.ctx, []
     for _, path in _rendered_nodes(graph):
         for i in ctx.matrix.indices:
             down = apply_f(ctx, i, path)
@@ -249,10 +251,10 @@ def check_inversion_and_weight_shift(ctx, graph) -> List[str]:
     return out
 
 
-def check_oracle_equivalence(ctx, graph) -> List[str]:
+def check_oracle_equivalence(graph) -> List[str]:
     """Closed-form operators against the generic ones on rendered paths;
     raising through the graph's reverse edges against standalone raising."""
-    out = []
+    ctx, out = graph.ctx, []
     for idx, node in enumerate(graph.nodes):
         el: GLSPath = node.element
         path = el.render()
@@ -283,10 +285,10 @@ def check_oracle_equivalence(ctx, graph) -> List[str]:
     return out
 
 
-def check_gls_membership(ctx, graph) -> List[str]:
+def check_gls_membership(graph) -> List[str]:
     """Every enumerated path verifies its chains, is integral and monotone,
     and has its weight in shape - Q+."""
-    out = []
+    ctx, out = graph.ctx, []
     for idx, node in enumerate(graph.nodes):
         el: GLSPath = node.element
         cert = verify_gls(ctx, el)
@@ -302,9 +304,9 @@ def check_gls_membership(ctx, graph) -> List[str]:
     return out
 
 
-def check_highest_weight_unique(ctx, graph) -> List[str]:
+def check_highest_weight_unique(graph) -> List[str]:
     """The straight path is the only element killed by every raising operator."""
-    out = []
+    ctx, out = graph.ctx, []
     for idx, node in enumerate(graph.nodes):
         killed = all(gls_e(ctx, i, node.element) is None for i in ctx.matrix.indices)
         if killed != (idx == 0):
@@ -312,26 +314,22 @@ def check_highest_weight_unique(ctx, graph) -> List[str]:
     return out
 
 
-def check_crystal_axioms(ctx, graph) -> List[str]:
-    out = validate_axioms(ctx, graph)
-    out += validate_category_B(ctx, graph)
-    out += validate_normality(ctx, graph)
-    return out
+def check_crystal_axioms(graph) -> List[str]:
+    return validate_axioms(graph) + validate_category_B(graph) + validate_normality(graph)
 
 
 def check_ambient_axioms(ctx, lam) -> List[str]:
     """Crystal axioms on the closure to depth 2 inside the ambient path set."""
     graph = generate_from(ctx, GLSPath.linear(lam).render(), 2)
-    out = validate_axioms(ctx, graph)
-    out += validate_normality(ctx, graph)
-    return out
+    return validate_axioms(graph) + validate_normality(graph)
 
 
-def check_concatenation_tensor_compat(ctx, lam, mu) -> List[str]:
-    """Operators on a concatenation agree with the tensor rules applied to
-    the ambient crystal structures of the halves, to depth 2."""
+def check_concatenation_tensor_compat(ctx, lam) -> List[str]:
+    """Operators on the concatenation pi_lam * pi_lam agree with the tensor
+    rules applied to the ambient crystal structures of the halves, to depth 2."""
     out = []
-    root = TensorElement(GLSPath.linear(lam).render(), GLSPath.linear(mu).render())
+    straight = GLSPath.linear(lam).render()
+    root = TensorElement(straight, straight)
     graph = generate_from(ctx, root, 2)
     half = Fraction(1, 2)
     for idx, node in enumerate(graph.nodes):
@@ -364,11 +362,11 @@ def check_concatenation_tensor_compat(ctx, lam, mu) -> List[str]:
     return out
 
 
-def check_tensor_closure(ctx, lam, mu) -> List[str]:
-    """Tensor products of the crystals, to depth 2, stay in category B and
-    stay normal for real indices."""
-    root = TensorElement(GLSPath.linear(lam), GLSPath.linear(mu))
-    return check_crystal_axioms(ctx, generate_from(ctx, root, 2))
+def check_tensor_closure(ctx, lam) -> List[str]:
+    """The tensor square pi_lam (x) pi_lam, to depth 2, stays in category B
+    and stays normal for real indices."""
+    root = TensorElement(GLSPath.linear(lam), GLSPath.linear(lam))
+    return check_crystal_axioms(generate_from(ctx, root, 2))
 
 
 def check_bj_properties(ctx, seq: GeneratorSequence, depth=4) -> List[str]:
@@ -381,7 +379,6 @@ def check_bj_properties(ctx, seq: GeneratorSequence, depth=4) -> List[str]:
     words = []
 
     def rec(k, left, acc):
-        nonlocal zero_count
         if k > 6:
             words.append(bj_word(seq, acc))
             return
@@ -395,7 +392,7 @@ def check_bj_properties(ctx, seq: GeneratorSequence, depth=4) -> List[str]:
     if zero_count != 1:
         out.append(f"{zero_count} weight-zero elements in the truncation")
     graph = generate_from(ctx, bj_word(seq, []), depth)
-    out += validate_axioms(ctx, graph)
+    out += validate_axioms(graph)
     images: Dict[Tuple[int, tuple], List[Tuple[int, BJWord]]] = {}
     imag = sorted(ctx.matrix.imaginary_indices)
     for w in words:
@@ -470,9 +467,10 @@ def check_binfty_stability(ctx) -> List[str]:
     return []
 
 
-def check_non_strictness_witness(ctx, graph) -> List[str]:
+def check_non_strictness_witness(graph) -> List[str]:
     """Somewhere in the crystal the ambient raising operator is defined
     while the crystal-internal one vanishes (imaginary index)."""
+    ctx = graph.ctx
     for node in graph.nodes:
         for i in sorted(ctx.matrix.imaginary_indices):
             ambient = apply_e(ctx, i, node.element.render())
@@ -493,17 +491,17 @@ def run_suite(seed: int = 0):
         yield f"{name}: orbit", check_orbit_properties(ctx, lam)
         yield f"{name}: dist lemmas", check_dist_lemmas(ctx, lam)
         graph = enumerate_crystal(ctx, lam, 3)
-        yield f"{name}: operator iteration", check_operator_iteration(ctx, graph)
-        yield f"{name}: inversion", check_inversion_and_weight_shift(ctx, graph)
-        yield f"{name}: oracle equivalence", check_oracle_equivalence(ctx, graph)
-        yield f"{name}: membership", check_gls_membership(ctx, graph)
-        yield f"{name}: highest weight", check_highest_weight_unique(ctx, graph)
-        yield f"{name}: axioms", check_crystal_axioms(ctx, graph)
+        yield f"{name}: operator iteration", check_operator_iteration(graph)
+        yield f"{name}: inversion", check_inversion_and_weight_shift(graph)
+        yield f"{name}: oracle equivalence", check_oracle_equivalence(graph)
+        yield f"{name}: membership", check_gls_membership(graph)
+        yield f"{name}: highest weight", check_highest_weight_unique(graph)
+        yield f"{name}: axioms", check_crystal_axioms(graph)
         yield f"{name}: ambient axioms", check_ambient_axioms(ctx, lam)
-        yield f"{name}: tensor closure", check_tensor_closure(ctx, lam, lam)
-        yield f"{name}: concatenation", check_concatenation_tensor_compat(ctx, lam, lam)
+        yield f"{name}: tensor closure", check_tensor_closure(ctx, lam)
+        yield f"{name}: concatenation", check_concatenation_tensor_compat(ctx, lam)
         yield (f"{name}: character",
-               [] if compare_characters(ctx, graph).equal
+               [] if compare_characters(graph).equal
                else ["character mismatch"])
     ctx, lam = fixture_context(TWO_IMAGINARY)
     seq = GeneratorSequence(3, (), (1, 2, 3))
@@ -515,4 +513,4 @@ def run_suite(seed: int = 0):
     yield "embedding i=2", check_embedding_theorem(emb2, 2, lam2, emb2.base("mu"))
     ctxw, lamw = context_with_base([[-1]], [2])
     yield "non-strictness witness", check_non_strictness_witness(
-        ctxw, enumerate_crystal(ctxw, lamw, 3))
+        enumerate_crystal(ctxw, lamw, 3))

@@ -99,7 +99,7 @@ def _cmd_enumerate(args) -> int:
     lam = ctx.base("lambda")
     graph = enumerate_crystal(ctx, lam, args.depth)
     frontier = graph.depths.count(args.depth)  # from the BFS: no node table
-    _emit(f"nodes {len(graph)} edges {len(graph.edges)} frontier {frontier}\n", args.output)
+    _emit(f"nodes {len(graph)} edges {len(graph.f_edges)} frontier {frontier}\n", args.output)
     if args.dot_output:
         _emit(export_dot(graph), args.dot_output)
     return 0
@@ -123,7 +123,7 @@ def _cmd_char(args) -> int:
 def _cmd_compare_char(args) -> int:
     ctx = _context(args)
     graph = enumerate_crystal(ctx, ctx.base("lambda"), args.depth)
-    report = compare_characters(ctx, graph)
+    report = compare_characters(graph)
     if report.equal:
         _emit(f"equal, {len(report.crystal)} terms\n", args.output)
         return 0
@@ -156,7 +156,7 @@ def _cmd_binf(args) -> int:
     seq = GeneratorSequence(n, args.preperiod, period)
     graph = generate_from(ctx, bj_word(seq, []), args.depth)
     zeros = sum(1 for node in graph.nodes if node.wt.is_zero())
-    violations = validate_axioms(ctx, graph)
+    violations = validate_axioms(graph)
     lines = [f"nodes {len(graph)} edges {len(graph.f_edges)} "
              f"weight-zero {zeros} axiom-violations {len(violations)}"]
     for v in violations:

@@ -311,10 +311,10 @@ def generate_from(ctx: WeightContext, element, depth: int) -> CrystalGraph:
     )
 
 
-def validate_axioms(ctx: WeightContext, graph: CrystalGraph) -> List[str]:
+def validate_axioms(graph: CrystalGraph) -> List[str]:
     """Check the crystal axioms on every node and edge of a truncated graph."""
+    ctx, out = graph.ctx, []
     n = ctx.matrix.n
-    out = []
     incoming: Dict[Tuple[int, int], List[int]] = {}
     for (src, i), dst in graph.f_edges.items():
         incoming.setdefault((dst, i), []).append(src)
@@ -347,10 +347,10 @@ def validate_axioms(ctx: WeightContext, graph: CrystalGraph) -> List[str]:
     return out
 
 
-def validate_category_B(ctx: WeightContext, graph: CrystalGraph) -> List[str]:
+def validate_category_B(graph: CrystalGraph) -> List[str]:
     """Imaginary indices: nonnegative weight pairing, eps = 0, and f defined
     exactly when phi > 0 (the latter only on non-frontier nodes)."""
-    out = []
+    ctx, out = graph.ctx, []
     for idx, node in enumerate(graph.nodes):
         for i in sorted(ctx.matrix.imaginary_indices):
             if ctx.pairing(i, node.wt) < 0:
@@ -365,13 +365,13 @@ def validate_category_B(ctx: WeightContext, graph: CrystalGraph) -> List[str]:
     return out
 
 
-def validate_normality(ctx: WeightContext, graph: CrystalGraph) -> List[str]:
+def validate_normality(graph: CrystalGraph) -> List[str]:
     """For real indices: eps counts the e-string exactly (strings upward are
     never truncated) and phi counts the f-string on strings that stay clear
     of the frontier."""
     out = []
     for idx, node in enumerate(graph.nodes):
-        for i in sorted(ctx.matrix.real_indices):
+        for i in sorted(graph.ctx.matrix.real_indices):
             k, cur = 0, idx
             while graph.e_image(cur, i) is not None:
                 cur = graph.e_image(cur, i)

@@ -278,18 +278,19 @@ class CrystalGraph:
     """Edge-labeled f-closure of a single element, truncated by weight depth.
 
     Node k is ``elements[k]``, numbered as the BFS found it: root first,
-    then layer by layer, so depths never decrease.  ``edges`` maps (k, i)
-    to the number of f_i of node k and is also ``f_edges``; e-edges are its
-    reverses.  ``weights``, ``exponents``, ``nodes``, ``e_edges`` and ``index``
-    are built on first read.  ``frontier`` marks nodes whose children were cut by the
-    truncation, so that a missing edge there is never read as f = 0.
+    then layer by layer, so depths never decrease.  ``f_edges`` maps (k, i)
+    to the number of f_i of node k; ``e_edges`` holds its reverses.
+    ``weights``, ``exponents``, ``nodes``, ``e_edges`` and ``index`` are
+    built on first read.  ``frontier`` marks nodes whose children were cut
+    by the truncation, so that a missing edge there is never read as f = 0.
+    ``ctx`` is the one context every reader of the graph uses.
     """
 
     def __init__(self, ctx: WeightContext, depth: int, elements: List, depths: List[int],
-                 edges: Dict[Tuple[int, int], int], wt_func: Callable,
+                 f_edges: Dict[Tuple[int, int], int], wt_func: Callable,
                  eps_func: Callable, key_func: Callable):
         self.ctx, self.depth = ctx, depth
-        self.elements, self.depths, self.edges = elements, depths, edges
+        self.elements, self.depths, self.f_edges = elements, depths, f_edges
         self.wt_func, self.eps_func, self.key_func = wt_func, eps_func, key_func
 
     def __len__(self):
@@ -315,13 +316,12 @@ class CrystalGraph:
     def exponents(self) -> List[Tuple[int, ...]]:
         """Node k's depth vector: that of its discovery parent, plus e_i."""
         out = [(0,) * self.ctx.matrix.n]
-        for (src, i), dst in self.edges.items():
+        for (src, i), dst in self.f_edges.items():
             if dst == len(out):  # in insertion order, the edge that found dst
                 out.append(out[src][:i - 1] + (out[src][i - 1] + 1,) + out[src][i:])
         return out
 
-    f_edges = property(lambda self: self.edges)
-    e_edges = cached_property(lambda self: {(d, i): s for (s, i), d in self.edges.items()})
+    e_edges = cached_property(lambda self: {(d, i): s for (s, i), d in self.f_edges.items()})
 
     @cached_property
     def index(self) -> Dict[object, int]:
@@ -329,7 +329,7 @@ class CrystalGraph:
         return {self.key_func(el): k for k, el in enumerate(self.elements)}
 
     def f_image(self, idx: int, i: int) -> Optional[int]:
-        return self.edges.get((idx, i))
+        return self.f_edges.get((idx, i))
 
     def e_image(self, idx: int, i: int) -> Optional[int]:
         return self.e_edges.get((idx, i))
@@ -406,7 +406,7 @@ def export_dot(graph: CrystalGraph) -> str:
             label += "\\n(frontier)"
         lines.append(f'  n{idx} [label="{label}"];')
     for (src, i), dst in sorted(((position[s], i), position[d])
-                                for (s, i), d in graph.edges.items()):
+                                for (s, i), d in graph.f_edges.items()):
         lines.append(f'  n{src} -> n{dst} [label="{i}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -42,7 +42,6 @@ class PiecewisePath:
 
     _nums: Tuple[int, ...]
     _values: Tuple[Weight, ...]
-    _points: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
     _f_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @staticmethod
@@ -78,12 +77,9 @@ class PiecewisePath:
 
     @property
     def points(self) -> Tuple[Tuple[Fraction, Weight], ...]:
-        """(t, pi(t)) at the breakpoints with Fraction times, built on first read."""
-        if self._points is None:
-            den = self._nums[-1]
-            object.__setattr__(self, "_points", tuple(
-                (Fraction(t, den), v) for t, v in zip(self._nums, self._values)))
-        return self._points
+        """(t, pi(t)) at the breakpoints with Fraction times."""
+        den = self._nums[-1]
+        return tuple((Fraction(t, den), v) for t, v in zip(self._nums, self._values))
 
     @property
     def weight(self) -> Weight:

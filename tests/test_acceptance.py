@@ -145,7 +145,7 @@ def test_criterion_3_character_theorem():
     with Budget(3, 30.0):
         for entries, pairings, depth in CHARACTER_CASES:
             ctx, lam = context_with_base(entries, pairings)
-            report = compare_characters(ctx, enumerate_crystal(ctx, lam, depth))
+            report = compare_characters(enumerate_crystal(ctx, lam, depth))
             assert report.equal, (entries, pairings, report.differences)
 
 
@@ -190,7 +190,7 @@ def test_criterion_6_oracle_equivalence():
         for entries, pairings, depth in CHARACTER_CASES:
             ctx, lam = context_with_base(entries, pairings)
             graph = enumerate_crystal(ctx, lam, depth)
-            assert check_oracle_equivalence(ctx, graph) == [], (entries, pairings)
+            assert check_oracle_equivalence(graph) == [], (entries, pairings)
 
 
 def test_criterion_7_invariant_suites():
@@ -201,11 +201,11 @@ def test_criterion_7_invariant_suites():
         for fx in FIXTURES:
             ctx, lam = fixture_context(fx)
             graph = enumerate_crystal(ctx, lam, 3)
-            assert check_crystal_axioms(ctx, graph) == [], fx[0]
+            assert check_crystal_axioms(graph) == [], fx[0]
             assert check_ambient_axioms(ctx, lam) == [], fx[0]
-            assert check_gls_membership(ctx, graph) == [], fx[0]
-            assert check_inversion_and_weight_shift(ctx, graph) == [], fx[0]
-            assert check_operator_iteration(ctx, graph) == [], fx[0]
+            assert check_gls_membership(graph) == [], fx[0]
+            assert check_inversion_and_weight_shift(graph) == [], fx[0]
+            assert check_operator_iteration(graph) == [], fx[0]
         ctx, _ = fixture_context(TWO_IMAGINARY)
         seq = GeneratorSequence(3, (), (1, 2, 3))
         assert check_bj_properties(ctx, seq, depth=4) == []

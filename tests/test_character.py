@@ -59,7 +59,7 @@ def test_the_character_reads_only_node_weights(monkeypatch):
     assert series == char_of_graph(enumerate_crystal(ctx, lam, 5))
     monkeypatch.setattr(gls, "gls_epsilon", counted("eps", gls.gls_epsilon))
     monkeypatch.setattr(GLSPath, "key", counted("key", GLSPath.key))
-    assert compare_characters(ctx, enumerate_crystal(ctx, lam, 5)).equal
+    assert compare_characters(enumerate_crystal(ctx, lam, 5)).equal
     assert calls["key"] == calls["eps"] == 0
 
 
@@ -83,7 +83,7 @@ def test_a_path_of_the_wrong_weight_is_caught_on_its_discovery_edge(monkeypatch)
                         lambda c, i, pi: real_f(c, 2 if (i, pi) == (1, root) else i, pi))
     with pytest.raises(NonIntegralOffset,
                        match=r"node 1 .*offset \(0, 1, 0\) .*depth vector \(1, 0, 0\)"):
-        compare_characters(ctx, enumerate_crystal(ctx, lam, 3))
+        compare_characters(enumerate_crystal(ctx, lam, 3))
 
 
 def test_the_character_builds_no_weight_per_node(monkeypatch):
@@ -148,11 +148,11 @@ def test_wkb_base_is_lambda():
 
 def test_compare_characters_examples():
     ctx, lam = context_with_base([[-1]], [2])
-    assert compare_characters(ctx, enumerate_crystal(ctx, lam, 3)).equal
+    assert compare_characters(enumerate_crystal(ctx, lam, 3)).equal
     c2, l2 = context_with_base([[2]], [2])
-    assert compare_characters(c2, enumerate_crystal(c2, l2, 4)).equal
+    assert compare_characters(enumerate_crystal(c2, l2, 4)).equal
     c3, l3 = context_with_base([[2, -1], [-1, -2]], [1, 1])
-    report = compare_characters(c3, enumerate_crystal(c3, l3, 3))
+    report = compare_characters(enumerate_crystal(c3, l3, 3))
     assert report.equal and report.differences == ()
     assert report.crystal.term_dict() == report.formula.term_dict()
 
@@ -188,14 +188,14 @@ def test_compare_characters_orthogonal_imaginary_pairs():
     for pairings, depth in (([1, 0, 0], 4), ([0, 1, 0], 4), ([0, 0, 0], 4),
                             ([2, 0, 1], 3)):
         ctx, lam = context_with_base(M, pairings)
-        report = compare_characters(ctx, enumerate_crystal(ctx, lam, depth))
+        report = compare_characters(enumerate_crystal(ctx, lam, depth))
         assert report.equal, (pairings, report.differences)
     purely = [[-2, 0], [0, -3]]
     for pairings in ([0, 0], [1, 2]):
         ctx, lam = context_with_base(purely, pairings)
-        assert compare_characters(ctx, enumerate_crystal(ctx, lam, 4)).equal
+        assert compare_characters(enumerate_crystal(ctx, lam, 4)).equal
     ctx0, lam0 = context_with_base([[0]], [0])
-    assert compare_characters(ctx0, enumerate_crystal(ctx0, lam0, 4)).equal
+    assert compare_characters(enumerate_crystal(ctx0, lam0, 4)).equal
 
 
 def test_character_times_denominator_is_numerator():

@@ -127,12 +127,12 @@ def test_generate_from_bj_depth_one():
 def test_validators_pass_and_catch():
     ctx, lam = context_with_base([[-1]], [2])
     graph = enumerate_crystal(ctx, lam, 3)
-    assert validate_axioms(ctx, graph) == []
-    assert validate_category_B(ctx, graph) == []
-    assert validate_normality(ctx, graph) == []
+    assert validate_axioms(graph) == []
+    assert validate_category_B(graph) == []
+    assert validate_normality(graph) == []
     # corrupt one epsilon: rule 1 and rule 3 must notice
     graph.nodes[1].eps = (graph.nodes[1].eps[0] + 1,)
-    report = validate_axioms(ctx, graph)
+    report = validate_axioms(graph)
     assert any("rule 1" in line for line in report)
     assert any("rule 3" in line for line in report)
 
@@ -157,8 +157,8 @@ def test_hw_crystal_isomorphic_examples():
 def test_tensor_closure_and_concatenation_suites():
     for entries, pairings in ([[-1]], [1]), ([[2, -1], [-1, -2]], [1, 1]):
         ctx, lam = context_with_base(entries, pairings)
-        assert check_tensor_closure(ctx, lam, lam) == []
-        assert check_concatenation_tensor_compat(ctx, lam, lam) == []
+        assert check_tensor_closure(ctx, lam) == []
+        assert check_concatenation_tensor_compat(ctx, lam) == []
         assert check_ambient_axioms(ctx, lam) == []
 
 

@@ -153,8 +153,8 @@ def test_inversion_and_iteration_suites():
     for entries, pairings in ([[-1]], [2]), ([[0]], [1]), ([[2, -1], [-1, -2]], [1, 1]):
         ctx, lam = context_with_base(entries, pairings)
         graph = enumerate_crystal(ctx, lam, 3)
-        assert check_inversion_and_weight_shift(ctx, graph) == []
-        assert check_operator_iteration(ctx, graph) == []
+        assert check_inversion_and_weight_shift(graph) == []
+        assert check_operator_iteration(graph) == []
 
 
 def test_three_zone_rejects_a_wrong_shift():

@@ -212,3 +212,18 @@ def test_no_module_imports_a_name_it_never_uses():
         found += [f"{path.name}:{line} {name}" for name, line in _bound_names(tree)
                   if name not in read and (path.name, name) not in UNUSED_IMPORTS_ALLOWED]
     assert found == []
+
+
+def test_crystal_graph_readers_take_no_context():
+    # a built graph carries its context: a reader takes the graph alone and
+    # reads graph.ctx, so it cannot be handed a context the graph was not
+    # built over
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if {"graph", "ctx"} <= params:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
