@@ -66,11 +66,7 @@ class GLSPath:
     def __getattr__(self, name):  # only for the slot breaks, unset in operator-made paths
         if name != "breaks":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        memo, den, out = self._ids[0].fractions, self._nums[-1], []
-        for a, g in zip(self._nums, map(gcd, self._nums, repeat(den))):
-            key = (a // g, den // g)  # in lowest terms: one Fraction per value and table
-            out.append(memo[key] if key in memo else memo.setdefault(key, Fraction(*key)))
-        _set(self, "breaks", tuple(out))
+        _set(self, "breaks", _fractions(self._ids[0], self._nums))
         return self.breaks
 
     @staticmethod
@@ -133,6 +129,15 @@ def _integer_form(ctx: WeightContext, pi: GLSPath):
     if pi._ids is None or pi._ids[0] is not table:
         _set(pi, "_ids", (table, tuple(table.intern(w) for w in pi.weights), {}))
     return (*pi._ids, pi._nums)
+
+
+def _fractions(table: OrbitTable, nums) -> Tuple[Fraction, ...]:
+    """nums[k] / nums[-1] for every k: one shared Fraction per value, in table.fractions."""
+    memo, den, out = table.fractions, nums[-1], []
+    for a, g in zip(nums, map(gcd, nums, repeat(den))):
+        key = (a // g, den // g)  # in lowest terms
+        out.append(memo[key] if key in memo else memo.setdefault(key, Fraction(*key)))
+    return tuple(out)
 
 
 def _h_profile(ctx: WeightContext, i: int, pi: GLSPath):
@@ -248,11 +253,13 @@ class GLSVerification:
 def verify_gls(ctx: WeightContext, pi: GLSPath) -> GLSVerification:
     """Check the chain conditions: an a_k-chain for each consecutive pair of
     weights and, when the last weight differs from the shape, a 1-chain
-    down to it."""
+    down to it.  The levels come from the integer form, not from ``breaks``."""
     chains: List[AChain] = []
-    pairs = list(zip(pi.weights, pi.weights[1:], pi.breaks[1:]))
-    if pi.weights[-1] != pi.shape:
-        pairs.append((pi.weights[-1], pi.shape, Fraction(1)))
+    table, _, _, nums = _integer_form(ctx, pi)
+    weights, levels = pi.weights, _fractions(table, nums)
+    pairs = list(zip(weights, weights[1:], levels[1:]))
+    if weights[-1] != pi.shape:
+        pairs.append((weights[-1], pi.shape, levels[-1]))  # levels[-1] is 1
     for mu, nu, level in pairs:
         chain = find_a_chain(ctx, level, mu, nu)
         if chain is None:

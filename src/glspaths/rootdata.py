@@ -440,7 +440,8 @@ class OrbitTable:
     weight, its pairings ``pairings[i][id]`` and the images r_i(id) and
     r_i^{-1}(id), filled on first use.  Also torbit's per-context caches:
     orbit roots per height bound (inf when complete), dist per (mu, nu) and
-    a-chain search results per raw (a, mu, nu), frozen, shared."""
+    a-chain search results per (p, q, id of mu, id of nu), level p/q in
+    lowest terms, frozen, shared."""
 
     def __init__(self, ctx: WeightContext):
         self.matrix = matrix = ctx.matrix
@@ -459,11 +460,11 @@ class OrbitTable:
     def intern(self, w: Weight) -> int:
         """Id of w; a new weight gets its coroot pairings."""
         k = self.ids.get(w)
-        if k is None:
-            k = self.ids[w] = len(self.weights)
-            self.weights.append(w)
+        if k is None:  # pairings first: over another basis the first one raises
             for column, coroot in zip(self.pairings[1:], self.coroots[1:]):
                 column.append(pair(coroot, w))
+            k = self.ids[w] = len(self.weights)
+            self.weights.append(w)
         return k
 
     def reflect(self, i: int, k: int, inverse: bool = False) -> int:

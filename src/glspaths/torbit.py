@@ -263,19 +263,21 @@ def _step_admissible(a: Fraction, r: OrbitRoot, c: Rational) -> bool:
     return v == 1 if r.imaginary else v.denominator == 1 and v >= 1
 
 
-def find_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight) -> Optional[AChain]:
+def find_a_chain(ctx: WeightContext, a: Rational, mu: Weight, nu: Weight) -> Optional[AChain]:
     """Search for an a-chain for the pair (mu, nu); None if there is none.
 
     Depth-first over covering steps from nu down to mu.  Each candidate
     step must be a covering (dist 1) and satisfy the integrality condition
     at level a; failures are memoized per intermediate weight.  The roots
     and the covering tests come from the context's caches (see dist).
-    Results, None too, are kept per raw (a, mu, nu) in the orbit table's
-    ``chains``; callers share each frozen AChain.  Raises are not kept.
+    Results, None too, are kept in the orbit table's ``chains`` per int key
+    (p, q, id of mu, id of nu): a = p/q (int or Fraction) in lowest terms, ids
+    from ``intern``.  Callers share each frozen AChain; raises are not kept.
     """
-    chains, key = ctx.orbit_table.chains, (a, mu, nu)
+    table, p, q = ctx.orbit_table, a.numerator, a.denominator
+    chains, key = table.chains, (p, q, table.intern(mu), table.intern(nu))
     if (chain := chains.get(key, key)) is key:  # the key itself marks a miss
-        chain = chains[key] = _search_a_chain(ctx, Fraction(a), mu, nu)
+        chain = chains[key] = _search_a_chain(ctx, Fraction(p, q), mu, nu)
     return chain
 
 

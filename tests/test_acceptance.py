@@ -14,6 +14,7 @@ from glspaths import (GLSPath, TensorElement, apply_e,
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_ambient_axioms,
                              check_bj_properties, check_crystal_axioms,
                              check_embedding_theorem, check_gls_membership,
+                             check_highest_weight_unique,
                              check_inversion_and_weight_shift,
                              check_operator_iteration, check_oracle_equivalence,
                              fixture_context)
@@ -196,7 +197,9 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_invariant_suites():
     """Crystal axioms, category B, normality, integrality/monotonicity,
     inversion, lowering iteration, the B_J(infinity) collision lemma, and
-    the embedding samples, all with zero violations."""
+    the embedding samples, all with zero violations; membership, the unique
+    highest weight and the crystal axioms also on the non-symmetrizable
+    matrices."""
     with Budget(7, 120.0):
         for fx in FIXTURES:
             ctx, lam = fixture_context(fx)
@@ -206,6 +209,13 @@ def test_criterion_7_invariant_suites():
             assert check_gls_membership(graph) == [], fx[0]
             assert check_inversion_and_weight_shift(graph) == [], fx[0]
             assert check_operator_iteration(graph) == [], fx[0]
+        # membership on the paper's headline setting: matrices not symmetrizable
+        for entries in NON_SYMMETRIZABLE:
+            for pairings in ([1, 1, 1], [2, 0, 1]):
+                graph = enumerate_crystal(*context_with_base(entries, pairings), 4)
+                assert check_gls_membership(graph) == [], (entries, pairings)
+                assert check_highest_weight_unique(graph) == [], (entries, pairings)
+                assert check_crystal_axioms(graph) == [], (entries, pairings)
         ctx, _ = fixture_context(TWO_IMAGINARY)
         seq = GeneratorSequence(3, (), (1, 2, 3))
         assert check_bj_properties(ctx, seq, depth=4) == []

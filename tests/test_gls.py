@@ -11,7 +11,8 @@ import pytest
 from glspaths import (GLSPath, JoinRejected, NotAGLSPath, apply_e, apply_f,
                       concatenate, context_with_base, enumerate_crystal,
                       export_dot, gls_e, gls_f, hw_crystal_isomorphic,
-                      linear_path, properly_join, validate_axioms, verify_gls)
+                      find_a_chain, linear_path, properly_join, validate_axioms,
+                      verify_gls)
 from glspaths import checks, crystals, gls
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_gls_membership,
                              check_highest_weight_unique,
@@ -144,6 +145,49 @@ def test_verify_gls_membership_sentence():
     ctx, lam = ctx1()
     cert = verify_gls(ctx, gls_f(ctx, 1, GLSPath.linear(lam)))
     assert cert.ok and len(cert.chains) == 1
+
+
+def test_verify_gls_reads_the_integer_form_not_the_breaks(monkeypatch):
+    # operator-made paths leave breaks unset, and verification does not build
+    # them; an equal constructor-made path gets the same shared chains
+    ctx, lam = fixture_context(FIXTURES[5])
+    paths = enumerate_crystal(ctx, lam, 6).elements[1:]
+    reads, getattr_ = [], GLSPath.__getattr__
+    monkeypatch.setattr(GLSPath, "__getattr__",
+                        lambda pi, name: reads.append(name) or getattr_(pi, name))
+    certs = [verify_gls(ctx, pi) for pi in paths]
+    assert reads == [] and all(certs)
+    monkeypatch.undo()
+    for pi, cert in zip(paths, certs):
+        again = verify_gls(ctx, GLSPath(pi.shape, pi.weights, pi.breaks))
+        assert again.ok and len(again.chains) == len(cert.chains) > 0
+        assert all(a is b for a, b in zip(again.chains, cert.chains))
+
+
+def test_rejected_candidates_keep_their_failing_pair():
+    # criterion 2: (r lambda; 0, 1) with pairing m > 1 has no 1-chain up to lambda
+    for m in (2, 3):
+        ctx, lam = ctx1(p=m)
+        cert = verify_gls(ctx, GLSPath(lam, (ctx.reflect(1, lam),), (F(0), F(1))))
+        assert cert.failing_pair == (ctx.reflect(1, lam), lam, 1) and cert.chains == ()
+        assert type(cert.failing_pair[2]) is F
+    # the imaginary e_2 candidates that fail: the first pair without a chain,
+    # at a break between weights or in the 1-chain up to the shape
+    ctx, lam = fixture_context(FIXTURES[6])
+    kinds, rise = set(), 1 - ctx.matrix.entry(2, 2)
+    for pi in enumerate_crystal(ctx, lam, 6).elements:
+        candidate = gls._surgery(lam, 2, _h_profile(ctx, 2, pi), rise, 1, inverse=True)
+        cert = candidate and verify_gls(ctx, candidate)
+        if cert is None or cert:
+            continue
+        ws, bs = candidate.weights, candidate.breaks
+        pairs = list(zip(ws, ws[1:], bs[1:])) + [(ws[-1], lam, F(1))]
+        chains = [find_a_chain(ctx, a, mu, nu) for mu, nu, a in pairs]
+        k = chains.index(None)
+        assert cert.failing_pair == pairs[k] and type(cert.failing_pair[2]) is F
+        assert cert.chains == tuple(chains[:k])
+        kinds.add(k == len(ws) - 1)
+    assert kinds == {False, True}
 
 
 def test_verify_gls_powers():

@@ -1,8 +1,9 @@
 """CLI outputs compared byte for byte with files recorded under tests/golden/.
 
 The recorded files hold DOT graphs whose breaks have denominators up to 10,
-a truncated character and the report of ``glspaths suite --seed 0``; any
-drift in node order, break points, weights, terms or checks fails here.  To
+two truncated characters, one of a non-symmetrizable matrix, and the report
+of ``glspaths suite --seed 0``; any drift in node order, break points,
+weights, terms or checks fails here.  To
 record them again after an intended change, run the command of each case
 with ``-o tests/golden/<file>``, and redirect the suite's standard output.
 """
@@ -24,6 +25,9 @@ CASES = [
      "mixed_rank2_11_d7.dot"),
     (["char", "-m", "two_imaginary.mat", "-l", "1 1 1", "-d", "7"],
      "two_imaginary_111_d7.char"),
+    # a matrix that is not symmetrizable: a_12 a_23 a_31 = -1, a_21 a_32 a_13 = -2
+    (["char", "-m", "nonsym_a.mat", "-l", "1 1 1", "-d", "6"],
+     "nonsym_a_111_d6.char"),
 ]
 
 

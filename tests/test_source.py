@@ -81,9 +81,10 @@ def test_the_path_operators_run_on_ints():
     assert {owner for owner, _ in calls} == FRACTION_BOUNDARY  # the list stays current
 
 
-# the functions of gls.py that make Fractions: the breaks built on first
-# read, the straight path, the 1-chain level and the joining entry point
-GLS_FRACTION_BOUNDARY = {"__getattr__", "linear", "verify_gls", "properly_join"}
+# the functions of gls.py that make Fractions: the memo of break values
+# (the breaks built on first read and the chain levels of verify_gls), the
+# straight path and the joining entry point
+GLS_FRACTION_BOUNDARY = {"_fractions", "linear", "properly_join"}
 
 
 def test_the_gls_operators_run_on_ints():

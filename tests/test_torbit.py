@@ -1,5 +1,6 @@
 """Orbits, reduced words, orbit roots, dist, and a-chains."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from glspaths import (apply_word, context_with_base, dist, find_a_chain,
 from glspaths import gls
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_dist_lemmas,
                              check_orbit_properties, fixture_context)
+from glspaths.rootdata import UnknownBase
 
 
 def ctx1():
@@ -185,6 +187,46 @@ def test_chain_memo_serves_int_and_fraction_levels_alike():
         chains = [find_a_chain(ctx, a, mu, l3) for a in levels]
         assert chains[0] == chains[1] == find_a_chain(c3, F(1), mu, l3)
         assert all(type(chain.level) is F for chain in chains)
+
+
+def test_chain_memo_keys_on_reduced_levels_and_weight_ids():
+    c3, l3 = ctx3()
+    table, mu = c3.orbit_table, l3 - 2 * c3.alpha(1) - c3.alpha(2)
+    one, half = find_a_chain(c3, 1, mu, l3), find_a_chain(c3, F(1, 2), mu, l3)
+    assert one is not None and len(table.chains) == 2
+    # the same level as an int or a Fraction, and an equal weight made otherwise
+    other_mu = (l3 - c3.alpha(2)) - c3.alpha(1) - c3.alpha(1)
+    assert other_mu is not mu and find_a_chain(c3, F(1), other_mu, l3) is one
+    assert find_a_chain(c3, F(2, 4), mu, l3 + c3.alpha(1) - c3.alpha(1)) is half
+    assert set(table.chains) == {(1, 1, table.ids[mu], table.ids[l3]),
+                                 (1, 2, table.ids[mu], table.ids[l3])}
+    # every key of a membership pass: ints, p/q in lowest terms in (0, 1]
+    ctx, lam = fixture_context(FIXTURES[5])
+    for pi in gls.enumerate_crystal(ctx, lam, 6).elements:
+        gls.verify_gls(ctx, pi)
+    table = ctx.orbit_table
+    assert table.chains
+    for key, chain in table.chains.items():
+        assert len(key) == 4 and all(type(x) is int for x in key), key
+        p, q, i, j = key
+        assert math.gcd(p, q) == 1 and 0 < p <= q
+        assert chain is None or (chain.level == F(p, q) and (chain.weights[0], chain.weights[-1])
+                                 == (table.weights[i], table.weights[j]))
+
+
+def test_a_weight_over_another_basis_is_not_interned():
+    ctx, lam = ctx3()
+    other = context_with_base([[2, -1], [-1, -2]], [1, 1], name="mu")[1]
+    table = ctx.orbit_table
+    table.intern(lam)
+    for _ in range(2):
+        with pytest.raises(UnknownBase):
+            find_a_chain(ctx, 1, other, lam)
+        with pytest.raises(UnknownBase):
+            table.intern(other)
+    assert not table.chains and list(table.ids) == table.weights == [lam]
+    assert all(len(column) == 1 for column in table.pairings[1:])
+    assert table.intern(lam - ctx.alpha(1)) == 1
 
 
 def test_chain_memo_holds_one_entry_per_distinct_call(monkeypatch):
