@@ -131,7 +131,7 @@ def _signed_orbit_terms(ctx: WeightContext, start: Weight, budget: int,
     reflection count mod 2 is the length parity."""
     n = ctx.matrix.n
     real = sorted(ctx.matrix.real_indices)
-    seen = {start.sort_key(): 0}
+    seen = {start: 0}
     layer = [(start, (0,) * n, 0)]
     while layer:
         nxt = []
@@ -150,12 +150,11 @@ def _signed_orbit_terms(ctx: WeightContext, start: Weight, budget: int,
                 if sum(child_vec) + sum(shift) > budget:
                     continue
                 child = point - c * ctx.alpha(j)
-                key = child.sort_key()
-                if key in seen:
-                    if seen[key] != (parity + 1) % 2:
+                if child in seen:
+                    if seen[child] != (parity + 1) % 2:
                         raise InvariantViolation("parity is ill-defined")
                     continue
-                seen[key] = (parity + 1) % 2
+                seen[child] = (parity + 1) % 2
                 nxt.append((child, child_vec, (parity + 1) % 2))
         layer = nxt
 

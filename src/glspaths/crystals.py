@@ -391,42 +391,21 @@ def validate_normality(graph: CrystalGraph) -> List[str]:
 
 def hw_crystal_isomorphic(g1: CrystalGraph, g2: CrystalGraph,
                           compare_phi: bool = True) -> bool:
-    """Match two f-generated graphs edge by edge from their roots.
+    """Compare two f-generated graphs node by node in their BFS numbering.
 
-    Highest-weight generation forces the morphism, so a simultaneous BFS
-    decides isomorphism; weights are compared through root offsets so the
-    two graphs may name their highest weights differently.  With
-    ``compare_phi=False`` the match is an embedding up to weight
-    translation (phi shifts with the anchor), which is what truncations of
-    the limit crystal anchored at different dominant weights satisfy."""
+    Highest-weight generation forces the morphism, and ``build_crystal_graph``
+    numbers nodes by the f-edges alone, so at equal depth the only candidate
+    maps node k to node k: the graphs are isomorphic iff their f-edges agree
+    and so do each node's eps, phi and root offset below the highest weight.
+    Weights are compared through those offsets so the two graphs may name
+    their highest weights differently.  With ``compare_phi=False`` the match is an
+    embedding up to weight translation (phi shifts with the anchor), which is
+    what truncations of the limit crystal anchored at different dominant
+    weights satisfy."""
     if g1.depth != g2.depth:
         raise DepthMismatch(f"depths differ: {g1.depth} != {g2.depth}")
-    if len(g1) != len(g2):
+    if g1.f_edges != g2.f_edges:  # equal edges imply equal node counts
         return False
-    n = g1.ctx.matrix.n
-    if n != g2.ctx.matrix.n:
-        return False
-    pairing_map = {0: 0}
-    queue = [(0, 0)]
-    while queue:
-        x, y = queue.pop()
-        a, b = g1.nodes[x], g2.nodes[y]
-        if (a.frontier != b.frontier or a.eps != b.eps
-                or (compare_phi and a.phi != b.phi)
-                or g1.offset_of(x) != g2.offset_of(y)):
-            return False
-        if a.frontier:
-            continue
-        for i in range(1, n + 1):
-            cx, cy = g1.f_image(x, i), g2.f_image(y, i)
-            if (cx is None) != (cy is None):
-                return False
-            if cx is None:
-                continue
-            if cx in pairing_map:
-                if pairing_map[cx] != cy:
-                    return False
-                continue
-            pairing_map[cx] = cy
-            queue.append((cx, cy))
-    return len(pairing_map) == len(g1)
+    return all(a.eps == b.eps and (not compare_phi or a.phi == b.phi)
+               and g1.offset_of(k) == g2.offset_of(k)
+               for k, (a, b) in enumerate(zip(g1.nodes, g2.nodes)))

@@ -60,9 +60,6 @@ class GLSPath:
         den = lcm(*(b.denominator for b in self.breaks))
         _set(self, "_nums", tuple(b.numerator * (den // b.denominator) for b in self.breaks))
 
-    def __hash__(self):
-        return hash((self.shape, self.weights, self._nums))
-
     def __getattr__(self, name):  # only for the slot breaks, unset in operator-made paths
         if name != "breaks":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -352,7 +349,9 @@ def build_crystal_graph(ctx: WeightContext, root_element, depth: int,
     so BFS layers coincide with depth layers.  Elements are numbered as
     found, layer by layer and within a layer by parent and then index i,
     and merged by equality, which inside one graph agrees with equality of
-    keys.  That numbering is the graph's only one.
+    keys.  That numbering is the graph's only one, and it is canonical: it
+    depends on the labelled f-edges alone, so an isomorphism of two such
+    graphs of equal depth maps node k to node k (``hw_crystal_isomorphic``).
 
     ``wt_func(ctx, el)`` returns the weight of el and ``eps_func(ctx, i, el)``
     epsilon_i; the graph calls them, and ``key_func``, only when read:

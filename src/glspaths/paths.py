@@ -141,10 +141,6 @@ def linear_path(ctx: WeightContext, lam: Weight) -> PiecewisePath:
     return PiecewisePath.from_grid((0, 1), (ctx.weight(), lam))
 
 
-def trivial_path(ctx: WeightContext) -> PiecewisePath:
-    return linear_path(ctx, ctx.weight())
-
-
 # -- scanning piecewise-linear height profiles --------------------------
 #
 # Both scans work on parallel lists ts/hs of breakpoint times and values;

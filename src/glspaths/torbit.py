@@ -74,32 +74,28 @@ def minimal_words(ctx: WeightContext, lam: Weight, mu: Weight,
     return []
 
 
-def element_table(ctx: WeightContext, max_len: int) -> Dict[tuple, TWord]:
+def element_table(ctx: WeightContext, max_len: int) -> Dict[Tuple[Weight, ...], TWord]:
     """Elements of T up to the length bound, keyed by their linear action.
 
     Two words denote the same element of T iff they act identically on the
-    spanning set (declared bases and simple roots); the recorded word for
-    each element is the BFS-minimal one.
+    spanning set (declared bases and simple roots), so the key is the tuple
+    of images of that set; the recorded word for each element is the
+    BFS-minimal one.
     """
     n = ctx.matrix.n
-    span = [ctx.base(name) for name in ctx.base_names] + [ctx.alpha(i) for i in range(1, n + 1)]
-
-    def key_of(images):
-        return tuple(w.sort_key() for w in images)
-
-    start = tuple(span)
-    table: Dict[tuple, TWord] = {key_of(start): ()}
+    start = tuple([ctx.base(name) for name in ctx.base_names]
+                  + [ctx.alpha(i) for i in range(1, n + 1)])
+    table: Dict[Tuple[Weight, ...], TWord] = {start: ()}
     layer = [((), start)]
     for _ in range(max_len):
         nxt = []
         for word, images in layer:
             for i in range(1, n + 1):
                 images2 = tuple(ctx.reflect(i, w) for w in images)
-                k = key_of(images2)
-                if k in table:
+                if images2 in table:
                     continue
                 word2 = (i,) + word
-                table[k] = word2
+                table[images2] = word2
                 nxt.append((word2, images2))
         layer = nxt
         if not layer:
@@ -148,13 +144,13 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot
         cache[height_bound] = tuple(r for r in min(built, key=len) if r.height() <= height_bound)
         return cache[height_bound]
     n = ctx.matrix.n
-    out: Dict[tuple, OrbitRoot] = {}
+    out: Dict[Weight, OrbitRoot] = {}
     queue = deque()
     complete = height_bound >= 1  # else the simple roots are cut
     for i in range(1, n + 1 if complete else 1):
         r = OrbitRoot(root=ctx.alpha(i), coroot=ctx.coroots[i],
                       imaginary=ctx.matrix.is_imaginary(i))
-        out[r.root.sort_key()] = r
+        out[r.root] = r
         queue.append(r)
     while queue:
         r = queue.popleft()
@@ -170,13 +166,12 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot
             ck = r.coroot_pairing(ctx.alpha(k))
             new = OrbitRoot(root=new_root, coroot=r.coroot - ck * ctx.coroots[k],
                             imaginary=r.imaginary)
-            key = new_root.sort_key()
-            if key in out:
-                if out[key].coroot != new.coroot:
+            if new_root in out:
+                if out[new_root].coroot != new.coroot:
                     raise InvariantViolation(
                         f"coroot of {format_weight(new_root)} depends on its expression")
                 continue
-            out[key] = new
+            out[new_root] = new
             queue.append(new)
     roots = cache[height_bound] = tuple(sorted(out.values(), key=OrbitRoot.sort_key))
     if complete:

@@ -45,6 +45,10 @@ SPLIT_CASES = (
        ([[2, -1], [-1, -2]], [1, 0], [1, 0]),
        ([[2, -1], [-2, -2]], [1, 0], [0, 1]),
        ([[2, -1], [-2, -2]], [1, 0], [1, 0])]
+    # the paper's headline setting, 58 to 100 nodes per side
+    + [(entries, left, right) for entries in NON_SYMMETRIZABLE
+       for left, right in (([1, 0, 1], [0, 1, 0]), ([1, 0, 0], [1, 0, 1]),
+                           ([0, 0, 1], [1, 1, 0]))]
 )
 
 

@@ -18,6 +18,7 @@ from glspaths.checks import (TWO_IMAGINARY, check_ambient_axioms,
                              fixture_context)
 from glspaths.crystals import (element_epsilon, element_f, element_key, element_phi,
                                element_wt)
+from glspaths.gls import build_crystal_graph, gls_epsilon, gls_f
 
 
 def test_neg_inf_sentinel():
@@ -152,6 +153,37 @@ def test_hw_crystal_isomorphic_examples():
     with pytest.raises(DepthMismatch):
         hw_crystal_isomorphic(enumerate_crystal(c2, l2, 2),
                               enumerate_crystal(c2, l2, 3))
+    # sl3, omega_2 against omega_1: three nodes each, f_2 f_1 against f_1 f_2
+    c3, w2 = context_with_base([[2, -1], [-1, 2]], [0, 1], extra_bases={"mu": [1, 0]})
+    assert not hw_crystal_isomorphic(enumerate_crystal(c3, w2, 2),
+                                     enumerate_crystal(c3, c3.base("mu"), 2))
+    # sl2, lambda = 2 against 3 at depth 1: equal f-edges, eps and offsets, phi differs
+    low, high = enumerate_crystal(c2, 2 * l2, 1), enumerate_crystal(c2, 3 * l2, 1)
+    assert not hw_crystal_isomorphic(low, high)
+    assert hw_crystal_isomorphic(low, high, compare_phi=False)
+
+    # one callback of build_crystal_graph is wrong at one node; every other
+    # comparison agrees, so the comparison of that datum alone says False
+    def built(ctx, lam, depth, f=gls_f, wt=lambda c, el: el.weight(), eps=gls_epsilon):
+        return build_crystal_graph(ctx, GLSPath.linear(lam), depth, f, wt, eps, GLSPath.key)
+
+    # sl2 x sl2: f_1 f_2 = f_2 f_1 closes a square; drop the edge f_1 of f_2 pi
+    ctx, lam = context_with_base([[2, 0], [0, 2]], [1, 1])
+    square = built(ctx, lam, 2)
+    f2 = square.elements[square.f_image(0, 2)]
+    cut = built(ctx, lam, 2, f=lambda c, i, el: None if (el, i) == (f2, 1) else gls_f(c, i, el))
+    assert len(cut) == len(square) and len(cut.f_edges) == len(square.f_edges) - 1
+    ctx, lam = context_with_base([[2, -1], [-1, -2]], [1, 1])
+    good = built(ctx, lam, 3)
+    last = good.elements[-1]
+    shifted = built(ctx, lam, 3,
+                    wt=lambda c, el: el.weight() - c.alpha(1) if el == last else el.weight())
+    bumped = built(ctx, lam, 3, eps=lambda c, i, el: gls_epsilon(c, i, el) + (el == last))
+    for compare_phi in (True, False):
+        assert hw_crystal_isomorphic(good, built(ctx, lam, 3), compare_phi=compare_phi)
+        assert not hw_crystal_isomorphic(square, cut, compare_phi=compare_phi)
+        assert not hw_crystal_isomorphic(good, shifted, compare_phi=compare_phi)
+        assert not hw_crystal_isomorphic(good, bumped, compare_phi=compare_phi)
 
 
 def test_tensor_closure_and_concatenation_suites():

@@ -1,10 +1,10 @@
 """CLI outputs compared byte for byte with files recorded under tests/golden/.
 
 The recorded files hold DOT graphs whose breaks have denominators up to 10,
-two truncated characters, one of a non-symmetrizable matrix, and the report
-of ``glspaths suite --seed 0``; any drift in node order, break points,
-weights, terms or checks fails here.  To
-record them again after an intended change, run the command of each case
+two truncated characters, one of a non-symmetrizable matrix, a tensor
+isomorphism on that matrix, and the report of ``glspaths suite --seed 0``;
+any drift in node order, break points, weights, terms or checks fails here.
+To record them again after an intended change, run the command of each case
 with ``-o tests/golden/<file>``, and redirect the suite's standard output.
 """
 
@@ -28,6 +28,9 @@ CASES = [
     # a matrix that is not symmetrizable: a_12 a_23 a_31 = -1, a_21 a_32 a_13 = -2
     (["char", "-m", "nonsym_a.mat", "-l", "1 1 1", "-d", "6"],
      "nonsym_a_111_d6.char"),
+    # the tensor isomorphism on the same matrix, 447 nodes per side
+    (["tensor-iso", "-m", "nonsym_a.mat", "-l", "1 0 1", "-r", "0 1 0", "-d", "6"],
+     "nonsym_a_101_010_d6.iso"),
 ]
 
 

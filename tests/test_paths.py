@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from glspaths import (GLSPath, HProfile, apply_e, apply_f, concatenate,
                       context_with_base, enumerate_crystal, format_weight,
-                      h_profile, is_integral, is_monotone, linear_path,
-                      trivial_path)
+                      h_profile, is_integral, is_monotone, linear_path)
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY,
                              check_inversion_and_weight_shift,
                              check_operator_iteration, fixture_context)
@@ -30,7 +29,7 @@ def test_linear_path_and_normalization():
     ctx, lam = ctx2()
     path = linear_path(ctx, lam)
     assert path.weight == lam
-    theta = trivial_path(ctx)
+    theta = linear_path(ctx, ctx.weight())
     assert theta.weight == ctx.weight()
     # collinear interior points are dropped
     half = PiecewisePath.from_points([(0, ctx.weight()), (F(1, 2), F(1, 2) * lam), (1, lam)])
@@ -43,7 +42,7 @@ def test_h_profile_examples():
     ctx, lam = ctx1()
     prof = h_profile(ctx, 1, linear_path(ctx, lam))
     assert (prof.m, prof.f_plus, prof.f_minus) == (0, 0, F(1, 2))
-    prof_theta = h_profile(ctx, 1, trivial_path(ctx))
+    prof_theta = h_profile(ctx, 1, linear_path(ctx, ctx.weight()))
     assert (prof_theta.m, prof_theta.f_plus) == (0, 1)
     c2, l2 = ctx2()
     prof2 = h_profile(c2, 1, linear_path(c2, l2))
@@ -89,7 +88,7 @@ def test_imaginary_e_kill_conditions():
 def test_concatenate():
     ctx, lam = ctx2(p=2)
     path = linear_path(ctx, lam)
-    glued = concatenate(path, trivial_path(ctx), F(1, 2), ctx)
+    glued = concatenate(path, linear_path(ctx, ctx.weight()), F(1, 2), ctx)
     assert glued.points == ((0, ctx.weight()), (F(1, 2), lam), (1, lam))
     assert glued != path  # as parametrized functions they differ
     double = concatenate(path, path, F(1, 2), ctx)
@@ -105,7 +104,7 @@ def test_concatenate():
     ctxh, lamh = ctx2(p=1)
     bad = PiecewisePath.from_points([(0, ctxh.weight()), (1, F(1, 2) * lamh + ctxh.alpha(1))])
     with pytest.raises(ValueError):
-        concatenate(bad, trivial_path(ctxh), F(1, 2), ctxh)
+        concatenate(bad, linear_path(ctxh, ctxh.weight()), F(1, 2), ctxh)
 
 
 def test_f_acts_on_left_factor_of_concatenation():
