@@ -8,7 +8,7 @@ from .rootdata import (BorcherdsCartanMatrix, MatrixError, AxisViolation,
 from .torbit import (AChain, OrbitRoot, apply_word, dist, find_a_chain,
                      minimal_words, orbit, positive_wpi_roots)
 from .paths import (HProfile, PiecewisePath, apply_e, apply_f, concatenate,
-                    h_profile, is_integral, is_monotone, linear_path)
+                    h_profile, is_integral, is_monotone)
 from .gls import (CrystalGraph, GLSPath, JoinRejected, NotAGLSPath,
                   enumerate_crystal, export_dot, gls_e, gls_f, properly_join,
                   verify_gls)

@@ -83,11 +83,10 @@ def divide(num: CharacterSeries, den: CharacterSeries) -> CharacterSeries:
     return CharacterSeries.from_dict(num.base - den.base, n, depth, q)
 
 
-def series_text(series: CharacterSeries, label: Optional[str] = None) -> str:
+def series_text(series: CharacterSeries) -> str:
     """Text format: a header naming the base and depth, then one line per
     term 'c_1 ... c_n : coefficient' in lexicographic order."""
-    name = label if label is not None else format_weight(series.base)
-    lines = [f"# base={name} depth={series.depth}"]
+    lines = [f"# base={format_weight(series.base)} depth={series.depth}"]
     for c, v in sorted(series.terms):
         lines.append(" ".join(str(x) for x in c) + f" : {v}")
     return "\n".join(lines) + "\n"

@@ -375,20 +375,8 @@ def check_bj_properties(ctx, seq: GeneratorSequence, depth=4) -> List[str]:
     f-closure satisfies the crystal axioms, and two lowering operators at
     distinct imaginary indices only collide when they commute."""
     out = []
-    zero_count = 0
-    words = []
-
-    def rec(k, left, acc):
-        if k > 6:
-            words.append(bj_word(seq, acc))
-            return
-        for m in range(left + 1):
-            rec(k + 1, left - m, acc + [m])
-
-    rec(1, depth, [])
-    for w in words:
-        if w.wt(ctx).is_zero():
-            zero_count += 1
+    words = [bj_word(seq, ms) for ms in product(range(depth + 1), repeat=6) if sum(ms) <= depth]
+    zero_count = sum(1 for w in words if w.wt(ctx).is_zero())
     if zero_count != 1:
         out.append(f"{zero_count} weight-zero elements in the truncation")
     graph = generate_from(ctx, bj_word(seq, []), depth)

@@ -114,9 +114,8 @@ def _cmd_export_dot(args) -> int:
 
 def _cmd_char(args) -> int:
     ctx = _context(args)
-    lam = ctx.base("lambda")
-    graph = enumerate_crystal(ctx, lam, args.depth)
-    _emit(series_text(char_of_graph(graph), label=format_weight(lam)), args.output)
+    graph = enumerate_crystal(ctx, ctx.base("lambda"), args.depth)
+    _emit(series_text(char_of_graph(graph)), args.output)
     return 0
 
 

@@ -165,11 +165,9 @@ class GeneratorSequence:
         if any(doubled[k] == doubled[k + 1] for k in range(len(doubled) - 1)):
             raise ValueError("adjacent indices must differ")
 
-    def index_at(self, k: int) -> int:
-        """1-based position."""
-        if k <= len(self.preperiod):
-            return self.preperiod[k - 1]
-        return self.period[(k - len(self.preperiod) - 1) % len(self.period)]
+    def prefix(self, k: int) -> Tuple[int, ...]:
+        """The indices of places 1..k."""
+        return (self.preperiod + self.period * (k // len(self.period) + 1))[:k]
 
 
 @dataclass(frozen=True)
@@ -189,23 +187,23 @@ class BJWord:
     def wt(self, ctx: WeightContext) -> Weight:
         """Summed as one integer root vector."""
         vec = [0] * self.seq.n
-        for k, m in enumerate(self.ms, start=1):
-            vec[self.seq.index_at(k) - 1] -= m
+        for j, m in zip(self.seq.prefix(len(self.ms)), self.ms):
+            vec[j - 1] -= m
         return ctx.weight(roots=dict(enumerate(vec, start=1)))
 
     def epsilon(self, ctx: WeightContext, i: int):
         if ctx.matrix.is_real(i):
-            return _bj_rvalues(ctx, self, i)[1]
+            return _bj_maximum(ctx, self, i)[0]
         return 0
 
     def key(self):
         return ("bj", self.ms)
 
     def f(self, ctx: WeightContext, i: int) -> Optional[BJWord]:
-        return bj_apply(ctx, self.seq, "f", i, self.ms)
+        return bj_apply(ctx, self, "f", i)
 
     def e(self, ctx: WeightContext, i: int) -> Optional[BJWord]:
-        return bj_apply(ctx, self.seq, "e", i, self.ms)
+        return bj_apply(ctx, self, "e", i)
 
 
 def bj_word(seq: GeneratorSequence, ms: Sequence[int]) -> BJWord:
@@ -218,63 +216,53 @@ def bj_word(seq: GeneratorSequence, ms: Sequence[int]) -> BJWord:
 # -- B_J(infinity) -----------------------------------------------------------
 
 
-def _bj_rvalues(ctx: WeightContext, el: BJWord, i: int):
-    """Kashiwara values r_i^k at the places of index i, up to the first
-    i-place beyond the support (after which every value is 0).
+def _bj_maximum(ctx: WeightContext, word: BJWord, i: int) -> Tuple[int, int, int]:
+    """(R_i, first, last): the Kashiwara maximum of the values
+    r_i^k = eps_i(b_{i_k}(-m_k)) + sum_{j>k} m_j a_{i, i_j} over the places k
+    of index i, and the smallest and the largest place attaining it.
 
-    r_i^k = eps_i(b_{i_k}(-m_k)) + sum_{j>k} m_j a_{i, i_j}; the running
-    suffix sum makes one right-to-left sweep suffice."""
-    seq, ms = el.seq, el.ms
-    support = len(ms)
-    k0 = support + 1
-    while seq.index_at(k0) != i:
-        k0 += 1
-    suffix = [0] * (k0 + 1)  # suffix[k] = sum_{j>k} m_j a_{i, i_j}
-    for k in range(min(support, k0) - 1, -1, -1):
-        m = ms[k] if k < support else 0
-        suffix[k] = suffix[k + 1] + m * ctx.matrix.entry(i, seq.index_at(k + 1))
-    values = []
-    real = ctx.matrix.is_real(i)
-    for k in range(1, k0 + 1):
-        if seq.index_at(k) != i:
-            continue
-        m = ms[k - 1] if k - 1 < support else 0
-        local = m if real else 0
-        values.append((k, local + suffix[k]))
-    best = max(v for _, v in values)
+    Beyond the support every r_i^k is 0, so the first i-place past it closes
+    the range; every period holds i, so it lies within one period of
+    max(support, preperiod).  One right-to-left sweep keeps the suffix sum."""
+    seq, ms = word.seq, word.ms
+    places = seq.prefix(max(len(ms), len(seq.preperiod)) + len(seq.period))
+    best = 0
+    first = last = places.index(i, len(ms)) + 1
+    real, row, suffix = ctx.matrix.is_real(i), ctx.matrix.entries[i - 1], 0
+    for k in range(len(ms), 0, -1):
+        j, m = places[k - 1], ms[k - 1]
+        if j == i:
+            r = suffix + m if real else suffix
+            if r > best:
+                best, first, last = r, k, k
+            elif r == best:
+                first = k
+        suffix += m * row[j - 1]
     if not real and best != 0:
         raise InvariantViolation("imaginary Kashiwara maximum must vanish")
-    return values, best
+    return best, first, last
 
 
-def bj_apply(ctx: WeightContext, seq: GeneratorSequence, direction: str, i: int,
-             ms: Sequence[int]) -> Optional[BJWord]:
+def bj_apply(ctx: WeightContext, word: BJWord, direction: str, i: int) -> Optional[BJWord]:
     """Apply f_i or e_i to a word in B_J(infinity).
 
     f_i enters at the smallest place attaining the Kashiwara maximum R_i;
-    e_i at the largest such place for a real index (absent when R_i = 0)
-    and at the smallest for an imaginary one (absent when that place is
-    already empty)."""
-    el = bj_word(seq, ms)
-    values, best = _bj_rvalues(ctx, el, i)
+    e_i at the largest such place for a real index (absent when R_i = 0,
+    as the value 0 past the support is then the largest) and at the
+    smallest for an imaginary one (absent when that place is empty)."""
+    _, first, last = _bj_maximum(ctx, word, i)
+    ms = list(word.ms)
     if direction == "f":
-        place = next(k for k, v in values if v == best)
-        out = list(el.ms) + [0] * max(0, place - len(el.ms))
-        out[place - 1] += 1
-        return bj_word(seq, out)
+        ms += [0] * (first - len(ms))
+        ms[first - 1] += 1
+        return BJWord(word.seq, tuple(ms))
     if direction != "e":
         raise ValueError(f"direction must be 'f' or 'e', got {direction!r}")
-    if ctx.matrix.is_real(i):
-        if best == 0:
-            return None
-        place = max(k for k, v in values if v == best)
-    else:
-        place = next(k for k, v in values if v == best)
-    if place > len(el.ms) or el.ms[place - 1] == 0:
+    place = last if ctx.matrix.is_real(i) else first
+    if place > len(ms) or ms[place - 1] == 0:
         return None
-    out = list(el.ms)
-    out[place - 1] -= 1
-    return bj_word(seq, out)
+    ms[place - 1] -= 1
+    return bj_word(word.seq, ms)
 
 
 # -- closures, validators, isomorphism ---------------------------------------

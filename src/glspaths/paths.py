@@ -134,13 +134,6 @@ def _cut(ts: Sequence[int], ws: Sequence[Weight], t: int):
     return k, a, b, d, combination((a, b), ws[k - 1:k + 1], d)
 
 
-def linear_path(ctx: WeightContext, lam: Weight) -> PiecewisePath:
-    """The straight path t*lam (the constant path when lam = 0)."""
-    if not ctx.is_in_P(lam):
-        raise ValueError(f"endpoint {format_weight(lam)} is not in P")
-    return PiecewisePath.from_grid((0, 1), (ctx.weight(), lam))
-
-
 # -- scanning piecewise-linear height profiles --------------------------
 #
 # Both scans work on parallel lists ts/hs of breakpoint times and values;

@@ -23,6 +23,11 @@ from glspaths.crystals import GeneratorSequence
 # rank 3 with every off-diagonal entry nonzero and a_12 a_23 a_31 != a_21 a_32 a_13
 NON_SYMMETRIZABLE = ([[2, -1, -1], [-2, 2, -1], [-1, -1, -2]],
                      [[2, -1, -2], [-1, -1, -1], [-1, -1, -2]])
+# two more, for criterion 4 only: the first has an infinite Weyl group, the
+# second is all imaginary with a zero diagonal entry.  Criterion 6's oracle
+# check on them would add about 2 s, so they stay out of CHARACTER_CASES.
+TENSOR_NON_SYMMETRIZABLE = ([[2, -2, -1], [-3, 2, -1], [-1, -2, -2]],
+                            [[-1, -1, -2], [-2, -2, -1], [-1, -1, 0]])
 
 # matrices of criterion 3: (entries, pairing vector, depth)
 CHARACTER_CASES = (
@@ -45,8 +50,8 @@ SPLIT_CASES = (
        ([[2, -1], [-1, -2]], [1, 0], [1, 0]),
        ([[2, -1], [-2, -2]], [1, 0], [0, 1]),
        ([[2, -1], [-2, -2]], [1, 0], [1, 0])]
-    # the paper's headline setting, 58 to 100 nodes per side
-    + [(entries, left, right) for entries in NON_SYMMETRIZABLE
+    # the paper's headline setting, 58 to 121 nodes per side
+    + [(entries, left, right) for entries in NON_SYMMETRIZABLE + TENSOR_NON_SYMMETRIZABLE
        for left, right in (([1, 0, 1], [0, 1, 0]), ([1, 0, 0], [1, 0, 1]),
                            ([0, 0, 1], [1, 1, 0]))]
 )
@@ -74,7 +79,8 @@ def is_symmetrizable(entries):
 
 
 def test_which_character_matrices_are_symmetrizable():
-    assert not any(is_symmetrizable(entries) for entries in NON_SYMMETRIZABLE)
+    assert not any(is_symmetrizable(entries)
+                   for entries in NON_SYMMETRIZABLE + TENSOR_NON_SYMMETRIZABLE)
     others = [entries for entries, _, _ in CHARACTER_CASES if entries not in NON_SYMMETRIZABLE]
     assert all(is_symmetrizable(entries) for entries in others) and len(others) == 14
     # a full 3-cycle alone does not decide it: d = (2, 1, 2) symmetrizes this one

@@ -1,12 +1,14 @@
 """Series arithmetic, crystal characters, and the closed character formula."""
 
 import re
+import time
+from collections import Counter
 
 import pytest
 
-from glspaths import (CharacterSeries, GLSPath, char_of_graph, compare_characters,
-                      context_with_base, divide, enumerate_crystal, multiply,
-                      orthogonal_subsets, series_text, wkb_series)
+from glspaths import (CharacterSeries, GLSPath, GeneratorSequence, bj_word, char_of_graph,
+                      compare_characters, context_with_base, divide, enumerate_crystal,
+                      generate_from, multiply, orthogonal_subsets, series_text, wkb_series)
 from glspaths import gls, rootdata
 from glspaths.character import NonIntegralOffset
 from glspaths.checks import TWO_IMAGINARY, fixture_context
@@ -159,7 +161,7 @@ def test_compare_characters_examples():
 
 def test_series_text_format():
     ctx, lam = context_with_base([[2, -1], [-1, -2]], [1, 1])
-    text = series_text(char_of_graph(enumerate_crystal(ctx, lam, 1)), label="lambda")
+    text = series_text(char_of_graph(enumerate_crystal(ctx, lam, 1)))
     assert text.splitlines() == ["# base=lambda depth=1", "0 0 : 1",
                                  "0 1 : 1", "1 0 : 1"]
 
@@ -211,3 +213,38 @@ def test_character_times_denominator_is_numerator():
         product = multiply(crystal, denominator)
         assert product.terms == numerator.terms
         assert product.base == numerator.base
+
+
+# two_imaginary, mixed_rank2, mixed_rank2_skew, sl3, a zero-diagonal pair, an
+# orthogonal imaginary pair, then four rank-3 matrices that are not
+# symmetrizable (a_12 a_23 a_31 != a_21 a_32 a_13)
+LIMIT_MATRICES = (
+    [TWO_IMAGINARY[1], [[2, -1], [-1, -2]], [[2, -1], [-2, -2]], [[2, -1], [-1, 2]],
+     [[0, -1], [-1, 0]], [[-1, 0], [0, -2]]]
+    + [[[2, -1, -1], [-2, 2, -1], [-1, -1, -2]], [[2, -2, -1], [-3, 2, -1], [-1, -2, -2]],
+       [[2, -1, -2], [-1, -1, -1], [-1, -1, -2]], [[-1, -1, -2], [-2, -2, -1], [-1, -1, 0]]]
+)
+
+
+def test_the_character_of_b_infinity_is_the_inverse_denominator():
+    """ch B(infinity) = 1 / sum_{w, F} (-1)^{l(w)+|F|} e^{w(rho - s(F)) - rho},
+    the lambda -> infinity limit of the character formula, on two crystals
+    that share no operator: B_J(infinity) in both period orders, and the GLS
+    crystal of a lambda with every pairing depth + 1, which agrees with the
+    limit up to that depth.  The formula's numerator plays no part.  On the
+    last four matrices, which are not symmetrizable, the B_J(infinity) side
+    is an observation, not a claim of the paper.  Rank 1 has only the GLS
+    side: a generator sequence cannot repeat an index at adjacent places."""
+    from glspaths.character import _wkb_side
+    depth = 5
+    for entries in LIMIT_MATRICES + [[[-1]], [[0]], [[-2]], [[2]]]:
+        n, start = len(entries), time.monotonic()
+        ctx, lam = context_with_base(entries, [depth + 1] * n)
+        one = CharacterSeries.from_dict(ctx.weight(), n, depth, {(0,) * n: 1})
+        inverse = divide(one, _wkb_side(ctx, ctx.rho(), None, depth)).term_dict()
+        assert Counter(enumerate_crystal(ctx, lam, depth).exponents) == inverse, entries
+        if n > 1:
+            for period in (tuple(range(1, n + 1)), tuple(range(n, 0, -1))):
+                graph = generate_from(ctx, bj_word(GeneratorSequence(n, (), period), []), depth)
+                assert Counter(graph.exponents) == inverse, (entries, period)
+        assert time.monotonic() - start < 1.0, entries

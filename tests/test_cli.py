@@ -124,6 +124,15 @@ def test_binf(matrices, capsys):
     assert "weight-zero 1" in out and "axiom-violations 0" in out
 
 
+def test_binf_rejects_a_malformed_or_partial_period(tmp_path, capsys):
+    rank3 = tmp_path / "rank3.mat"
+    rank3.write_text("3\n2 -1 -1\n-1 -2 0\n-1 0 -1\n")
+    for period, message in (("1 x", "invalid index list"),
+                            ("1 2", "period must cover all indices")):
+        assert cli.run(["binf", "-m", str(rank3), "-d", "2", "--period", period]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_file_bases_are_available(matrices, capsys):
     # -l declares "lambda" alongside bases read from the file
     assert cli.run(["char", "-m", str(matrices["withbases"]), "-l", "2", "-d", "1"]) == 0

@@ -80,26 +80,28 @@ def test_generator_sequence_validation():
     with pytest.raises(ValueError):
         GeneratorSequence(2, (2,), (2, 1))
     seq = GeneratorSequence(2, (2,), (1, 2))
-    assert [seq.index_at(k) for k in range(1, 6)] == [2, 1, 2, 1, 2]
+    assert seq.prefix(5) == (2, 1, 2, 1, 2)
+    assert seq.prefix(1) == (2,) and seq.prefix(0) == ()
 
 
 def test_bj_apply_examples():
     ctx, _ = context_with_base([[2, -1], [-1, -2]], [1, 1])
     seq = GeneratorSequence(2, (), (1, 2))
     zero = bj_word(seq, [])
-    one = bj_apply(ctx, seq, "f", 1, zero.ms)
+    one = bj_apply(ctx, zero, "f", 1)
     assert one.ms == (1,)
-    two = bj_apply(ctx, seq, "f", 2, one.ms)
+    two = bj_apply(ctx, one, "f", 2)
     assert two.ms == (1, 1)
-    assert bj_apply(ctx, seq, "e", 2, two.ms) == one
-    assert bj_apply(ctx, seq, "e", 1, zero.ms) is None
-    assert bj_apply(ctx, seq, "e", 2, zero.ms) is None
-    # R_i of the zero word vanishes for every index
-    from glspaths.crystals import _bj_rvalues
+    assert bj_apply(ctx, two, "e", 2) == one
+    assert bj_apply(ctx, zero, "e", 1) is None
+    assert bj_apply(ctx, zero, "e", 2) is None
+    # R_i of the zero word vanishes for every index, first reached at the
+    # first place of index i
+    from glspaths.crystals import _bj_maximum
     for i in (1, 2):
-        assert _bj_rvalues(ctx, zero, i)[1] == 0
+        assert _bj_maximum(ctx, zero, i) == (0, i, i)
     # interaction pushes the entry point deeper into the word
-    deep = bj_apply(ctx, seq, "f", 2, (0, 1, 1))
+    deep = bj_apply(ctx, bj_word(seq, (0, 1, 1)), "f", 2)
     assert deep.ms != (0, 2, 1)
 
 
@@ -204,11 +206,11 @@ def test_two_lowerings_must_commute():
     # the two imaginary indices of the fixture with a_ij = 0 commute on words
     ctx, _ = fixture_context(TWO_IMAGINARY)
     seq = GeneratorSequence(3, (), (1, 2, 3))
-    zero = bj_word(seq, []).ms
-    f2 = bj_apply(ctx, seq, "f", 2, zero)
-    f3 = bj_apply(ctx, seq, "f", 3, zero)
-    f23 = bj_apply(ctx, seq, "f", 3, f2.ms)
-    f32 = bj_apply(ctx, seq, "f", 2, f3.ms)
+    zero = bj_word(seq, [])
+    f2 = bj_apply(ctx, zero, "f", 2)
+    f3 = bj_apply(ctx, zero, "f", 3)
+    f23 = bj_apply(ctx, f2, "f", 3)
+    f32 = bj_apply(ctx, f3, "f", 2)
     assert f23 == f32
 
 
@@ -256,8 +258,8 @@ def test_bj_weight_is_the_per_place_sum():
     for node in graph.nodes:
         word = node.element
         expected = ctx.weight()
-        for k, m in enumerate(word.ms, start=1):
-            expected = expected - m * ctx.alpha(word.seq.index_at(k))
+        for j, m in zip(word.seq.prefix(len(word.ms)), word.ms):
+            expected = expected - m * ctx.alpha(j)
         assert element_wt(ctx, word) == expected == node.wt
 
 

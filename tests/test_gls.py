@@ -11,7 +11,7 @@ import pytest
 from glspaths import (GLSPath, JoinRejected, NotAGLSPath, apply_e, apply_f,
                       concatenate, context_with_base, enumerate_crystal,
                       export_dot, gls_e, gls_f, hw_crystal_isomorphic,
-                      find_a_chain, linear_path, properly_join, validate_axioms,
+                      find_a_chain, properly_join, validate_axioms,
                       verify_gls)
 from glspaths import checks, crystals, gls
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_gls_membership,
@@ -249,14 +249,14 @@ def test_properly_join_trivial():
     mu = ctx.base("mu")
     res = properly_join(ctx, GLSPath.linear(2 * lam), GLSPath.linear(2 * mu),
                         F(1, 2), F(1, 2))
-    assert res == concatenate(linear_path(ctx, lam), linear_path(ctx, mu),
+    assert res == concatenate(GLSPath.linear(lam).render(), GLSPath.linear(mu).render(),
                               F(1, 2), ctx)
 
 
 def test_properly_join_self():
     ctx, lam = context_with_base([[2]], [1])
     res = properly_join(ctx, GLSPath.linear(lam), GLSPath.linear(lam), F(1, 3), F(1, 3))
-    assert res == linear_path(ctx, lam)
+    assert res == GLSPath.linear(lam).render()
 
 
 def test_properly_join_rejections():

