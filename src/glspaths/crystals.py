@@ -11,6 +11,7 @@ is always epsilon + pairing(i, wt), with -infinity saturating.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .gls import CrystalGraph, build_crystal_graph
@@ -19,36 +20,18 @@ from .paths import apply_e
 from .rootdata import InvariantViolation, Weight, WeightContext
 
 
+@total_ordering
 class NegInfinity:
-    """Sentinel below every integer; addition and subtraction saturate."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Sentinel below every number; addition and subtraction saturate."""
 
     def __lt__(self, other):
         return other is not self
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return other is self
 
     def __add__(self, other):
         return self
 
     __radd__ = __add__
     __sub__ = __add__
-
-    def __neg__(self):
-        raise ArithmeticError("cannot negate -inf")
 
     def __repr__(self):
         return "-inf"

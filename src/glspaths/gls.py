@@ -282,19 +282,21 @@ class CrystalGraph:
     """Edge-labeled f-closure of a single element, truncated by weight depth.
 
     Node k is ``elements[k]``, numbered as the BFS found it: root first,
-    then layer by layer, so depths never decrease.  ``f_edges`` maps (k, i)
-    to the number of f_i of node k; ``e_edges`` holds its reverses.
-    ``weights``, ``exponents``, ``nodes``, ``e_edges`` and ``index`` are
-    built on first read.  ``frontier`` marks nodes whose children were cut
-    by the truncation, so that a missing edge there is never read as f = 0.
+    then layer by layer, so depths never decrease.  ``index`` maps each
+    element to its number; it is the table the BFS merged by, and
+    ``elements`` lists its keys.  ``f_edges`` maps (k, i) to the number of
+    f_i of node k; ``e_edges`` holds its reverses.  ``weights``,
+    ``exponents``, ``nodes`` and ``e_edges`` are built on first read.
+    ``frontier`` marks nodes whose children were cut by the truncation, so
+    that a missing edge there is never read as f = 0.
     ``ctx`` is the one context every reader of the graph uses.
     """
 
-    def __init__(self, ctx: WeightContext, depth: int, elements: List, depths: List[int],
-                 f_edges: Dict[Tuple[int, int], int], wt_func: Callable,
+    def __init__(self, ctx: WeightContext, depth: int, index: Dict[object, int],
+                 depths: List[int], f_edges: Dict[Tuple[int, int], int], wt_func: Callable,
                  eps_func: Callable, key_func: Callable):
-        self.ctx, self.depth = ctx, depth
-        self.elements, self.depths, self.f_edges = elements, depths, f_edges
+        self.ctx, self.depth, self.index, self.elements = ctx, depth, index, list(index)
+        self.depths, self.f_edges = depths, f_edges
         self.wt_func, self.eps_func, self.key_func = wt_func, eps_func, key_func
 
     def __len__(self):
@@ -327,11 +329,6 @@ class CrystalGraph:
 
     e_edges = cached_property(lambda self: {(d, i): s for (s, i), d in self.f_edges.items()})
 
-    @cached_property
-    def index(self) -> Dict[object, int]:
-        """Node number by ``key_func``."""
-        return {self.key_func(el): k for k, el in enumerate(self.elements)}
-
     def f_image(self, idx: int, i: int) -> Optional[int]:
         return self.f_edges.get((idx, i))
 
@@ -348,36 +345,34 @@ def build_crystal_graph(ctx: WeightContext, root_element, depth: int,
     """Breadth-first f-closure; each f-step raises the weight depth by one,
     so BFS layers coincide with depth layers.  Elements are numbered as
     found, layer by layer and within a layer by parent and then index i,
-    and merged by equality, which inside one graph agrees with equality of
-    keys.  That numbering is the graph's only one, and it is canonical: it
-    depends on the labelled f-edges alone, so an isomorphism of two such
-    graphs of equal depth maps node k to node k (``hw_crystal_isomorphic``).
+    and merged by equality in one table, which becomes ``index``.  That
+    numbering is the graph's only one, and it is canonical: it depends on
+    the labelled f-edges alone, so an isomorphism of two such graphs of
+    equal depth maps node k to node k (``hw_crystal_isomorphic``).
 
     ``wt_func(ctx, el)`` returns the weight of el and ``eps_func(ctx, i, el)``
     epsilon_i; the graph calls them, and ``key_func``, only when read:
-    ``key_func`` through ``index`` and ``export_dot`` alone."""
+    ``key_func`` in ``export_dot`` alone."""
     n = ctx.matrix.n
-    elements, depths = [root_element], [0]
-    found = {root_element: 0}
+    found, depths = {root_element: 0}, [0]
     edges: Dict[Tuple[int, int], int] = {}
-    layer = [0]
+    layer = [(0, root_element)]
     for level in range(1, depth + 1):
         nxt = []
-        for src in layer:
+        for src, element in layer:
             for i in range(1, n + 1):
-                child = f_func(ctx, i, elements[src])
+                child = f_func(ctx, i, element)
                 if child is None:
                     continue
-                dst = found.setdefault(child, len(elements))
-                if dst == len(elements):
-                    elements.append(child)
+                dst = found.setdefault(child, len(depths))
+                if dst == len(depths):
                     depths.append(level)
-                    nxt.append(dst)
+                    nxt.append((dst, child))
                 edges[(src, i)] = dst
         if not nxt:
             break
         layer = nxt
-    return CrystalGraph(ctx, depth, elements, depths, edges, wt_func, eps_func, key_func)
+    return CrystalGraph(ctx, depth, found, depths, edges, wt_func, eps_func, key_func)
 
 
 def enumerate_crystal(ctx: WeightContext, lam: Weight, depth: int) -> CrystalGraph:
@@ -440,6 +435,12 @@ def properly_join(ctx: WeightContext, pi: GLSPath, pi_prime: GLSPath,
     tau-bar, evaluated where tau-bar meets it; its witness is the first
     failing position and value.  Condition 1 asks for an s-chain from the
     last weight of pi down to tau-bar.lambda.  The joined path stalls on [s, s'].
+
+    The paper's joining lemma asserts one direction: a proper join is a GLS
+    path.  For lambda = mu and s = s' that path is the splice of the two
+    weight sequences at s.  ``tests/test_gls.py`` checks that direction on
+    whole crystals and, as an observation only, the converse: every splice
+    that verifies is accepted.
     """
     s, s_prime = Fraction(s), Fraction(s_prime)
     if not pi.breaks[-2] < s <= s_prime < pi_prime.breaks[1]:

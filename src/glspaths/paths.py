@@ -89,7 +89,8 @@ class PiecewisePath:
         return self.weight
 
     def epsilon(self, ctx: WeightContext, i: int):
-        return path_epsilon(ctx, i, self)
+        """-m_i for a real index, 0 for an imaginary one."""
+        return -_f_data(ctx, i, self)[2] if ctx.matrix.is_real(i) else 0
 
     def f(self, ctx: WeightContext, i: int) -> Optional[PiecewisePath]:
         return apply_f(ctx, i, self)
@@ -144,22 +145,12 @@ def _cut(ts: Sequence[int], ws: Sequence[Weight], t: int):
 
 def last_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
                  target: Fraction, upto: Optional[Fraction] = None) -> Optional[Fraction]:
-    """Rightmost t (<= upto if given) with h(t) = target."""
-    hi = ts[-1] if upto is None else upto
-    for k in range(len(ts) - 1, 0, -1):
-        t0, t1 = ts[k - 1], ts[k]
-        h0, h1 = hs[k - 1], hs[k]
-        if t0 >= hi:
-            continue
-        if t1 > hi:
-            h1, t1 = Fraction(h0 * (t1 - t0) + (h1 - h0) * (hi - t0), t1 - t0), hi
-        if h1 == target:
-            return t1
-        if (h0 - target) * (h1 - target) < 0:
-            return Fraction(t0 * (h1 - h0) + (target - h0) * (t1 - t0), h1 - h0)
-        if h0 == target:
-            return t0
-    return None
+    """Rightmost t (<= upto if given) with h(t) = target: the first time at
+    target of the profile run backwards, t -> T - t with T = ts[-1]."""
+    end = ts[-1]
+    t = first_time_at([end - s for s in reversed(ts)], hs[::-1], target,
+                      0 if upto is None else end - upto)
+    return None if t is None else end - t
 
 
 def first_time_at(ts: Sequence[Fraction], hs: Sequence[Fraction],
@@ -338,10 +329,3 @@ def is_monotone(ctx: WeightContext, pi: PiecewisePath, strict: bool = True) -> b
         if any(h < (m + 1) * den for h in hs[bisect_right(ts, f_minus):]):
             return False
     return True
-
-
-def path_epsilon(ctx: WeightContext, i: int, pi: PiecewisePath):
-    """Crystal statistic on the ambient path set: -m_i for real i, 0 imaginary."""
-    if ctx.matrix.is_real(i):
-        return -_f_data(ctx, i, pi)[2]
-    return 0

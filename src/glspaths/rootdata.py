@@ -336,12 +336,11 @@ class WeightContext:
     ``coroots[i]`` is alpha_i^vee written over it.
     """
 
-    def __init__(self, matrix: BorcherdsCartanMatrix,
-                 bases: Optional[Mapping[str, Sequence[Rational]]] = None):
+    def __init__(self, matrix: BorcherdsCartanMatrix, bases: Mapping[str, Sequence[Rational]]):
         self.matrix = matrix
         n = matrix.n
         pairings: Dict[str, Tuple[Rational, ...]] = {}
-        for name, vec in (bases or {}).items():
+        for name, vec in bases.items():
             if name == RHO:
                 raise ValueError("base name 'rho' is reserved")
             vec = tuple(exact(v) for v in vec)
@@ -561,13 +560,12 @@ def parse_context_text(text: str,
     return validate_matrix(entries, imaginary_diag_zero_allowed), bases
 
 
-def load_context(path: str, imaginary_diag_zero_allowed: bool = True,
-                 extra_bases: Optional[Mapping[str, Sequence[Rational]]] = None,
-                 ) -> WeightContext:
+def load_context(path: str, imaginary_diag_zero_allowed: bool,
+                 extra_bases: Mapping[str, Sequence[Rational]]) -> WeightContext:
     with open(path, "r", encoding="utf-8") as fh:
         matrix, bases = parse_context_text(fh.read(), imaginary_diag_zero_allowed)
     merged = dict(bases)
-    merged.update(extra_bases or {})
+    merged.update(extra_bases)
     return WeightContext(matrix, merged)
 
 

@@ -118,6 +118,20 @@ def test_tensor_iso(matrices, capsys):
     assert "isomorphic" in capsys.readouterr().out
 
 
+def test_tensor_iso_exit_codes(tmp_path, monkeypatch, capsys):
+    # a weight outside P+ and an empty pairing vector exit 1; a mismatch exits 2
+    rank3 = tmp_path / "rank3.mat"
+    rank3.write_text("3\n2 -1 -1\n-1 -2 0\n-1 0 -1\n")
+    base = ["tensor-iso", "-m", str(rank3), "-d", "3"]
+    assert cli.run(base + ["-l", "1 1 1", "-r", "0 0 -1"]) == 1
+    assert "both weights must lie in P+" in capsys.readouterr().err
+    assert cli.run(base + ["-l", "", "-r", "0 0 1"]) == 1
+    assert "empty pairing vector" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "hw_crystal_isomorphic", lambda *a, **k: False)
+    assert cli.run(base + ["-l", "1 1 1", "-r", "0 0 1"]) == 2
+    assert "NOT isomorphic" in capsys.readouterr().out
+
+
 def test_binf(matrices, capsys):
     assert cli.run(["binf", "-m", str(matrices["mixed"]), "-d", "2"]) == 0
     out = capsys.readouterr().out

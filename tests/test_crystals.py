@@ -32,6 +32,8 @@ def test_neg_inf_sentinel():
     for x in (3, -10 ** 9, F(1, 2), F(-7, 3)):
         assert max(NEG_INF, x) == x and max(x, NEG_INF) == x
     assert max(NEG_INF, NEG_INF) is NEG_INF
+    # the orderings total_ordering derives from __lt__
+    assert NEG_INF >= NEG_INF and NEG_INF <= 0 and 0 >= NEG_INF and not NEG_INF > 0
 
 
 def test_elementary_tables():
@@ -138,6 +140,55 @@ def test_validators_pass_and_catch():
     report = validate_axioms(graph)
     assert any("rule 1" in line for line in report)
     assert any("rule 3" in line for line in report)
+
+
+def _corrupt(graph, k, field, i, value):
+    """Set entry i of node k's eps or phi to value."""
+    node = graph.nodes[k]
+    setattr(node, field, getattr(node, field)[:i - 1] + (value,) + getattr(node, field)[i:])
+
+
+# (corruption of the mixed_rank2 crystal, lambda = 11, depth 4, and the
+# messages it must provoke); index 1 is real and index 2 imaginary
+CORRUPTIONS = [
+    (lambda g, ctx: _corrupt(g, 1, "eps", 1, 2),
+     ["node 1: rule 1 fails for i=1", "edge 0->1: rule 3 fails for i=1"]),
+    (lambda g, ctx: setattr(g.nodes[4], "wt", g.nodes[4].wt + ctx.alpha(1)),
+     ["edge 2->4: rule 2 fails for i=1"]),
+    (lambda g, ctx: g.f_edges.__setitem__((3, 1), 4),
+     ["node 4: rule 4 fails for i=1: f_i not injective"]),
+    (lambda g, ctx: (_corrupt(g, 2, "eps", 1, NEG_INF), _corrupt(g, 2, "phi", 1, NEG_INF)),
+     ["node 2: rule 5 fails for i=1"]),
+    (lambda g, ctx: _corrupt(g, 5, "phi", 2, -1),
+     ["node 5: rule 6 fails for i=2: phi=-1"]),
+    (lambda g, ctx: _corrupt(g, 4, "phi", 1, 0),
+     ["edge 2->4: phi shift fails for i=1"]),
+    (lambda g, ctx: setattr(g.nodes[0], "wt", g.nodes[0].wt + 2 * ctx.alpha(1)),
+     ["node 0: negative imaginary pairing for i=2"]),
+    (lambda g, ctx: _corrupt(g, 3, "eps", 2, 1),
+     ["node 3: rule 6 fails for i=2: eps=1", "node 3: eps(2) = 1 != 0"]),
+    (lambda g, ctx: _corrupt(g, 3, "phi", 2, 0),
+     ["node 3: f_2 defined iff phi > 0 fails"]),
+    (lambda g, ctx: _corrupt(g, 0, "eps", 1, 3),
+     ["node 0: eps(1) = 3, e-string = 0"]),
+    (lambda g, ctx: _corrupt(g, 0, "phi", 1, 4),
+     ["node 0: phi(1) = 4, f-string = 1"]),
+]
+
+
+def test_every_validator_message_fires():
+    # one corrupted copy per message of validate_axioms, validate_category_B
+    # and validate_normality; each message names its node or edge
+    ctx, lam = context_with_base([[2, -1], [-1, -2]], [1, 1])
+    clean = enumerate_crystal(ctx, lam, 4)
+    assert len(clean) == 19 and (2, 1) in clean.f_edges and (3, 1) not in clean.f_edges
+    assert (3, 2) in clean.f_edges and not clean.nodes[3].frontier
+    assert validate_axioms(clean) + validate_category_B(clean) + validate_normality(clean) == []
+    for corrupt, messages in CORRUPTIONS:
+        graph = enumerate_crystal(ctx, lam, 4)
+        corrupt(graph, ctx)
+        report = validate_axioms(graph) + validate_category_B(graph) + validate_normality(graph)
+        assert set(messages) <= set(report), (messages, report)
 
 
 def test_hw_crystal_isomorphic_examples():
@@ -279,7 +330,7 @@ def test_element_key_is_injective_on_the_suite_graphs(monkeypatch):
     for graph in graphs:
         keys = [element_key(el) for el in graph.elements]
         assert len(set(keys)) == len(keys)
-        assert all(graph.index[key] == k for k, key in enumerate(keys))
+        assert all(graph.index[el] == k for k, el in enumerate(graph.elements))
 
 
 def test_raising_undoes_every_f_edge_of_each_element_kind():

@@ -211,7 +211,7 @@ def three_step_last_time_at(ts, hs, target, upto=None):
     for k in range(len(ts) - 1, 0, -1):
         t0, t1 = ts[k - 1], ts[k]
         h0, h1 = hs[k - 1], hs[k]
-        if t0 >= hi:
+        if t0 > hi:
             continue
         if t1 > hi:
             h1 = h0 + F((h1 - h0) * (hi - t0)) / (t1 - t0)
@@ -272,6 +272,12 @@ def test_crossings_agree_with_the_three_step_form(data):
                        three_step_first_time_at(ts, hs, target, place))):
         # a crossing is a Fraction; a breakpoint or the clip point keeps its type
         assert got == want and type(got) is type(want)
+
+
+def test_last_time_at_up_to_the_start():
+    # upto = ts[0] keeps the first breakpoint, where h meets the target
+    assert last_time_at([0, 1], [0, 0], 0, 0) == 0
+    assert last_time_at([0, 1], [0, 0], 1, 0) is None
 
 
 def test_first_time_at_from_a_breakpoint():

@@ -55,10 +55,10 @@ def test_the_path_oracle_uses_nothing_of_the_gls_side():
 
 
 # the functions of paths.py that turn times into Fractions or back: the
-# public entry points, the points view, the crossings of the two scans and
-# the HProfile fields
+# public entry points, the points view, the crossings of the forward scan
+# (the backward one runs it on the reversed profile) and the HProfile fields
 FRACTION_BOUNDARY = {"from_points", "points", "value_at", "concatenate",
-                     "last_time_at", "first_time_at", "h_profile"}
+                     "first_time_at", "h_profile"}
 
 
 def _fraction_calls(node, owner=None):
@@ -171,23 +171,28 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     # a default is an option: the calls in the package and the tests must
     # use it with at least two values, a call that omits it counting as
     # passing the default and a non-literal argument as a value of its own;
-    # an option with one value in use is folded into the code instead
+    # an option with one value in use is folded into the code instead, and
+    # a default that no call omits is no option: the parameter is required
     trees = _trees(SOURCE.glob("*.py")) + _trees(Path(__file__).parent.glob("*.py"))
     calls = {}
     for call in (node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)):
         calls.setdefault(_decorator_name(call), []).append(call)
-    one_valued = []
+    one_valued, never_omitted = [], []
     for tree in _trees(SOURCE / f"{module}.py" for module in KERNEL + ("checks", "cli")):
         for name, param, k, default in _defaulted_parameters(tree):
-            values = []
+            values, omitted = [], False
             for call in calls.get(name, []):
                 given = [kw.value for kw in call.keywords if kw.arg == param]
                 if k is not None and k < len(call.args):
                     given.append(call.args[k])
                 values.append(_literal(given[0]) if given else default)
+                omitted = omitted or not given
             if not any(v != values[0] for v in values[1:]):
                 one_valued.append(f"{name}({param})")
+            if not omitted:
+                never_omitted.append(f"{name}({param})")
     assert one_valued == []
+    assert never_omitted == []
 
 
 def _bound_names(tree):
