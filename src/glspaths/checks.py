@@ -399,44 +399,41 @@ def check_bj_properties(ctx, seq: GeneratorSequence, depth: int) -> List[str]:
 def check_embedding_theorem(ctx, i, lam, mu) -> List[str]:
     """Lowering words (length <= 4) on pi_lam (x) pi_mu only route f_i to the
     right factor, and the routing matches the pairing with the elementary
-    crystal B_i while both survive (mu is concentrated on the index i)."""
-    out = []
-    n = ctx.matrix.n
-    words = [w for length in range(5)
-             for w in product(range(1, n + 1), repeat=length)]
-    for word in words:
-        cur = TensorElement(GLSPath.linear(lam), GLSPath.linear(mu))
-        elem = TensorElement(GLSPath.linear(lam), ElementaryElement(i, 0))
-        alive = True
-        for j in word:
-            if not alive:
-                break
-            phi1 = element_phi(ctx, j, cur.left)
-            eps2 = cur.right.epsilon(ctx, j)
-            goes_left = phi1 > eps2
-            if not goes_left and j != i:
-                out.append(f"word {word}: f_{j} routed to the right factor")
-                break
-            phi1e = element_phi(ctx, j, elem.left)
-            eps2e = elem.right.epsilon(ctx, j)
-            if goes_left != (phi1e > eps2e):
-                out.append(f"word {word}: routing differs from the elementary model")
-                break
-            nxt = cur.f(ctx, j)
-            elem = elem.f(ctx, j)
-            if elem is None:
-                out.append(f"word {word}: elementary side died")
-                break
-            if nxt is None:
-                if goes_left or element_phi(ctx, j, cur.right) != 0:
-                    out.append(f"word {word}: f_{j} died unexpectedly")
-                alive = False
-                continue
-            if nxt.left != elem.left:
-                out.append(f"word {word}: left factors diverge")
-                break
-            cur = nxt
+    crystal B_i while both survive (mu is concentrated on the index i).
+    Each word goes on from the state its prefix reached, so every prefix is
+    stepped once; a word whose prefix stopped repeats that stop's message,
+    if any, under its own name."""
+    out, n = [], ctx.matrix.n
+    # word -> (tensor pair, elementary pair, None while walking, else the stop message)
+    reached = {(): (TensorElement(GLSPath.linear(lam), GLSPath.linear(mu)),
+                    TensorElement(GLSPath.linear(lam), ElementaryElement(i, 0)), None)}
+    for word in (w for length in range(1, 5) for w in product(range(1, n + 1), repeat=length)):
+        cur, elem, stop = reached[word[:-1]]
+        if stop is None:
+            cur, elem, stop = _embedding_step(ctx, i, word[-1], cur, elem)
+        reached[word] = cur, elem, stop
+        if stop:
+            out.append(f"word {word}: {stop}")
     return out
+
+
+def _embedding_step(ctx, i, j, cur, elem):
+    """f_j on both pairs of ``check_embedding_theorem``: (cur, elem, None) to
+    go on, else a stop message, "" where the walk ends as it should."""
+    goes_left = element_phi(ctx, j, cur.left) > cur.right.epsilon(ctx, j)
+    if not goes_left and j != i:
+        return cur, elem, f"f_{j} routed to the right factor"
+    if goes_left != (element_phi(ctx, j, elem.left) > elem.right.epsilon(ctx, j)):
+        return cur, elem, "routing differs from the elementary model"
+    nxt, elem = cur.f(ctx, j), elem.f(ctx, j)
+    if elem is None:
+        return cur, elem, "elementary side died"
+    if nxt is None:
+        quiet = not goes_left and element_phi(ctx, j, cur.right) == 0
+        return cur, elem, "" if quiet else f"f_{j} died unexpectedly"
+    if nxt.left != elem.left:
+        return cur, elem, "left factors diverge"
+    return nxt, elem, None
 
 
 def check_binfty_stability(ctx) -> List[str]:

@@ -36,7 +36,9 @@ class GLSPath:
     """Orbit-weight sequence with break points; shape is the orbit anchor.
     Paths compare and hash on ``_nums``, the break numerators over their least
     common denominator D (the last one); operator-made paths build ``breaks``
-    from them on first read.  ``_ids`` caches the integer form (below), ``_weight`` the weight.
+    from them on first read.  ``_ids`` caches the integer form (below); ``_weight`` the
+    weight, and from the first ``render`` on the rendered path, which ends at the weight,
+    so every reader shares one path and its operator memo.
     As a crystal element, ``epsilon``, ``f`` and ``e`` run the closed forms below."""
 
     shape: Weight
@@ -44,7 +46,8 @@ class GLSPath:
     breaks: Tuple[Fraction, ...] = field(compare=False)
     _nums: Tuple[int, ...] = field(default=(), init=False, repr=False)
     _ids: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
-    _weight: Optional[Weight] = field(default=None, init=False, compare=False, repr=False)
+    # one slot for both: a seventh moves every GLSPath up one allocation size class
+    _weight: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.weights:
@@ -71,11 +74,13 @@ class GLSPath:
         return GLSPath(lam, (lam,), (Fraction(0), Fraction(1)))
 
     def weight(self) -> Weight:
-        """sum_k (a_k - a_{k-1}) nu_k, summed as numerators over D, divided once."""
+        """sum_k (a_k - a_{k-1}) nu_k, summed as numerators over D, divided once;
+        the end of the rendered path once there is one."""
         if self._weight is None:
             nums = self._nums
             _set(self, "_weight", combination(map(sub, nums[1:], nums), self.weights, nums[-1]))
-        return self._weight
+        kept = self._weight
+        return kept.weight if type(kept) is PiecewisePath else kept
 
     def offset(self, top: Weight) -> Tuple[int, ...]:
         """top - weight() as an int root vector, with no Weight built."""
@@ -84,9 +89,13 @@ class GLSPath:
 
     def render(self) -> PiecewisePath:
         """pi(a_k) as running sums over D.  Adjacent weights differ and ``_nums``
-        are coprime, so no break is collinear: the path needs no ``from_grid``."""
-        nums = self._nums
-        return PiecewisePath(nums, partial_sums(map(sub, nums[1:], nums), self.weights, nums[-1]))
+        are coprime, so no break is collinear: the path needs no ``from_grid``.
+        Built once, on first call."""
+        if type(self._weight) is not PiecewisePath:
+            nums = self._nums
+            _set(self, "_weight", PiecewisePath(
+                nums, partial_sums(map(sub, nums[1:], nums), self.weights, nums[-1])))
+        return self._weight
 
     def wt(self, ctx: WeightContext) -> Weight:
         return self.weight()

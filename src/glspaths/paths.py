@@ -36,7 +36,8 @@ class PiecewisePath:
     the least common denominator, with collinear points dropped, so equal
     functions compare equal.  Made by ``from_points`` or ``from_grid``, or
     by ``GLSPath.render`` from data already in this form.
-    ``_f_memo`` keeps the result of ``_f_data`` per (context, index).  As a
+    ``_f_memo`` keeps the result of ``_f_data`` per (context, index) and that
+    of ``apply_f``/``apply_e`` per (context, index, "f" or "e"), None too.  As a
     crystal element it carries the normal crystal structure of the path set:
     ``wt``, ``epsilon``, ``f``, ``e`` and ``key`` run the operators below."""
 
@@ -269,22 +270,27 @@ def _three_zone(pi: PiecewisePath, hs: Sequence[int], den: int, i: int,
 def apply_f(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[PiecewisePath]:
     """Lowering operator: reflect by r_i between f_plus and f_minus, then
     shift by -alpha_i; absent exactly when h_i never leaves its minimum
-    after f_plus."""
-    hs, den, _, f_plus, f_minus = _f_data(ctx, i, pi)
-    if f_plus == pi._nums[-1]:
-        return None
-    return _three_zone(pi, hs, den, i, f_plus, f_minus, -1, -1)
+    after f_plus.  Kept on pi per (ctx, i)."""
+    memo = pi._f_memo
+    if (ctx, i, "f") not in memo:
+        hs, den, _, f_plus, f_minus = _f_data(ctx, i, pi)
+        memo[ctx, i, "f"] = (None if f_plus == pi._nums[-1]
+                             else _three_zone(pi, hs, den, i, f_plus, f_minus, -1, -1))
+    return memo[ctx, i, "f"]
 
 
 def apply_e(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[PiecewisePath]:
     """Raising operator: reflect between e_minus and e_plus, by r_i for a real
-    index and by r_i^{-1} for an imaginary one, then shift by +alpha_i."""
-    e_plus, e_minus, e_defined = _e_data(ctx, i, pi)
-    if not e_defined:
-        return None
-    div = -1 if ctx.matrix.is_real(i) else 1 - ctx.matrix.entry(i, i)
-    hs, den = _f_data(ctx, i, pi)[:2]
-    return _three_zone(pi, hs, den, i, e_minus, e_plus, div, 1)
+    index and by r_i^{-1} for an imaginary one, then shift by +alpha_i.
+    Kept on pi per (ctx, i)."""
+    memo = pi._f_memo
+    if (ctx, i, "e") not in memo:
+        e_plus, e_minus, e_defined = _e_data(ctx, i, pi)
+        div = -1 if ctx.matrix.is_real(i) else 1 - ctx.matrix.entry(i, i)
+        hs, den = _f_data(ctx, i, pi)[:2]
+        memo[ctx, i, "e"] = (_three_zone(pi, hs, den, i, e_minus, e_plus, div, 1)
+                             if e_defined else None)
+    return memo[ctx, i, "e"]
 
 
 def concatenate(pi1: PiecewisePath, pi2: PiecewisePath, s: Fraction,

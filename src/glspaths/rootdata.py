@@ -374,6 +374,8 @@ class WeightContext:
             if not 1 <= i <= n:
                 raise ValueError(f"index {i} out of range")
             values[len(names) + i - 1] = exact(c)
+        if all(type(v) is int for v in values):  # already in lowest terms over 1
+            return Weight(names, 1, tuple(values))
         return _vector(names, values)
 
     def alpha(self, i: int) -> Weight:

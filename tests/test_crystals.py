@@ -1,6 +1,7 @@
 """Tensor rules, elementary crystals, B_J(infinity), validators, isomorphism."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -272,6 +273,58 @@ def test_embedding_theorem_samples():
     ctx2, lam2 = context_with_base([[2, -1], [-1, -2]], [9, 0],
                                    extra_bases={"mu": [0, 3]})
     assert check_embedding_theorem(ctx2, 2, lam2, ctx2.base("mu")) == []
+
+
+def reference_embedding_walk(ctx, i, lam, mu):
+    """check_embedding_theorem as it was first written: every word walked
+    from the start, letter by letter, and its first stop reported."""
+    out, n = [], ctx.matrix.n
+    for word in [w for length in range(5) for w in product(range(1, n + 1), repeat=length)]:
+        cur = TensorElement(GLSPath.linear(lam), GLSPath.linear(mu))
+        elem = TensorElement(GLSPath.linear(lam), ElementaryElement(i, 0))
+        for j in word:
+            goes_left = element_phi(ctx, j, cur.left) > cur.right.epsilon(ctx, j)
+            if not goes_left and j != i:
+                out.append(f"word {word}: f_{j} routed to the right factor")
+                break
+            if goes_left != (element_phi(ctx, j, elem.left) > elem.right.epsilon(ctx, j)):
+                out.append(f"word {word}: routing differs from the elementary model")
+                break
+            nxt, elem = cur.f(ctx, j), elem.f(ctx, j)
+            if elem is None:
+                out.append(f"word {word}: elementary side died")
+                break
+            if nxt is None:
+                if goes_left or element_phi(ctx, j, cur.right) != 0:
+                    out.append(f"word {word}: f_{j} died unexpectedly")
+                break
+            if nxt.left != elem.left:
+                out.append(f"word {word}: left factors diverge")
+                break
+            cur = nxt
+    return out
+
+
+def test_embedding_walk_reports_what_the_word_by_word_walk_reports(monkeypatch):
+    # on inputs that violate the hypotheses (mu off the index i, or not
+    # dominant) the prefix walk gives the reference's messages, in its order
+    kinds, failing, stepped = set(), 0, []
+    real_f = TensorElement.f
+    monkeypatch.setattr(TensorElement, "f", lambda self, ctx, j: stepped.append(j)
+                        or real_f(self, ctx, j))
+    for entries in ([[2, -1], [-1, -2]], [[-1, -1], [-1, 0]]):
+        for lam, mu in product(([0, 0], [0, 1], [1, 1]), ([2, 1], [0, 1], [-1, 0], [0, -2])):
+            for i in (1, 2):
+                ctx, l = context_with_base(entries, lam, extra_bases={"mu": mu})
+                del stepped[:]
+                got = check_embedding_theorem(ctx, i, l, ctx.base("mu"))
+                assert len(stepped) <= 2 * 30  # each of the 30 prefixes once, on both pairs
+                assert got == reference_embedding_walk(ctx, i, l, ctx.base("mu"))
+                failing += bool(got)
+                kinds |= {message.split(": ", 1)[1].lstrip("f_0123456789 ") for message in got}
+    assert 0 < failing < 48
+    assert kinds == {"routed to the right factor", "routing differs from the elementary model",
+                     "died unexpectedly"}
 
 
 def test_limit_crystal_stability():

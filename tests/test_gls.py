@@ -3,7 +3,7 @@
 import inspect
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction as F
 
 import pytest
@@ -761,6 +761,25 @@ def reference_render(pi):
     steps = [b - a for a, b in zip(nums, nums[1:])]
     return PiecewisePath.from_grid(nums, [weights[0] * 0, *(
         combination(steps[:k], weights[:k], nums[-1]) for k in range(1, len(nums)))])
+
+
+def test_render_is_built_once_and_is_no_part_of_the_value():
+    # a GLS path keeps its rendered path, constructor-made or operator-made,
+    # so every reader shares one path and its operator memo
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    made = GLSPath.linear(lam)
+    for pi in (made, gls_f(ctx, 1, made), gls_f(ctx, 2, gls_f(ctx, 1, made))):
+        weight = pi.weight()  # kept in the slot that the rendered path then takes
+        path = pi.render()
+        assert pi.render() is path and path == reference_render(pi)
+        assert pi.weight() is path.weight and path.weight == weight
+        twin = GLSPath(pi.shape, pi.weights, pi.breaks)
+        assert twin._weight is None and pi._weight is path
+        assert twin == pi and hash(twin) == hash(pi) and repr(twin) == repr(pi)
+        assert twin.render() is not path and twin.render() == path
+    # no memo slot takes part in == or hash
+    assert [f.name for f in fields(GLSPath) if f.compare] == ["shape", "weights", "_nums"]
+    assert [f.name for f in fields(PiecewisePath) if f.compare] == ["_nums", "_values"]
 
 
 def test_render_is_the_from_grid_construction():

@@ -185,6 +185,30 @@ def test_f_data_is_kept_per_context_and_index():
         hs[0] = 1
 
 
+def test_operator_results_are_kept_per_context_index_and_direction():
+    # apply_f and apply_e keep their result, None too, in the path's memo per
+    # (context, index, direction): a second call returns the same object, and
+    # each context, here with different matrices over the same basis, gets
+    # its own result, the one an un-memoised copy of the path gives
+    ctx_a, lam = context_with_base([[2, -1], [-1, -2]], [1, 1])
+    ctx_b, _ = context_with_base([[2, -1], [-2, -2]], [1, 1])
+    path = apply_f(ctx_a, 1, GLSPath.linear(lam).render())
+    results = {}
+    for ctx in (ctx_a, ctx_b):
+        for i in ctx.matrix.indices:
+            for op in (apply_f, apply_e):
+                got = results[ctx, i, op] = op(ctx, i, path)
+                assert op(ctx, i, path) is got
+                assert got == op(ctx, i, PiecewisePath(path._nums, path._values))
+    assert results[ctx_a, 2, apply_f] != results[ctx_b, 2, apply_f]
+    assert results[ctx_a, 2, apply_e] is None and results[ctx_b, 2, apply_e] is not None
+    assert results[ctx_a, 1, apply_f] is None and results[ctx_a, 1, apply_e] is not None
+    # the memo is no part of the path's value
+    fresh = PiecewisePath(path._nums, path._values)
+    assert not fresh._f_memo and path._f_memo
+    assert path == fresh and hash(path) == hash(fresh) and repr(path) == repr(fresh)
+
+
 # -- the scans and the collinearity test against their reference forms ----
 
 def per_segment_min(ts, hs, lo, hi):

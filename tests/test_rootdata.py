@@ -94,6 +94,11 @@ def test_weight_canonical_form():
     assert format_weight(ctx.weight()) == "0"
     assert format_weight(w - ctx.alpha(2)) == "lambda-1/2*a2"
     assert type(w.sort_key()[1][0][1]) is F and type((2 * w).sort_key()[1][0][1]) is int
+    # all-int coefficients, given as ints or as integral Fractions, skip the
+    # lcm but give the same weight as the general route
+    ints = ctx.weight(bases={"lambda": 2}, roots={1: -3, 3: F(4, 2)})
+    assert ints.den == 1 and ints == 2 * w - 3 * ctx.alpha(1) - ctx.alpha(2) + 2 * ctx.alpha(3)
+    assert ints.nums == (2, 0, 0, -3, 0, 2) and all(type(x) is int for x in ints.nums)
     with pytest.raises(TypeError):
         ctx.weight(roots={1: 0.5})
     with pytest.raises(TypeError):
