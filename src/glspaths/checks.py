@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .character import compare_characters
 from .crystals import (BJWord, ElementaryElement, GeneratorSequence,
@@ -177,8 +177,12 @@ def check_dist_lemmas(ctx, lam) -> List[str]:
     return out
 
 
-def _rendered_nodes(graph) -> List[Tuple[GLSPath, PiecewisePath]]:
-    return [(node.element, node.element.render()) for node in graph.nodes]
+def _rendered_nodes(graph) -> Tuple[List[PiecewisePath], Callable]:
+    """The graph's rendered nodes, and a map taking a path, or None, to the first
+    object of its value met in this call, whose memo then answers every walk."""
+    paths = [node.element.render() for node in graph.nodes]
+    table = {p: p for p in paths}
+    return paths, lambda p: table.setdefault(p, p)
 
 
 def check_operator_iteration(graph) -> List[str]:
@@ -186,8 +190,8 @@ def check_operator_iteration(graph) -> List[str]:
     level and its last attainment time are preserved and f never dies
     (checked to the eighth power); for a real index the minimum drops by one
     each step and the string length matches phi."""
-    ctx, out = graph.ctx, []
-    for el, path in _rendered_nodes(graph):
+    ctx, out, (paths, same) = graph.ctx, [], _rendered_nodes(graph)
+    for path in paths:
         for i in ctx.matrix.indices:
             prof = h_profile(ctx, i, path)
             if ctx.matrix.is_imaginary(i):
@@ -195,7 +199,7 @@ def check_operator_iteration(graph) -> List[str]:
                     continue
                 cur, last_minus = path, prof.f_minus
                 for _ in range(8):
-                    cur = apply_f(ctx, i, cur)
+                    cur = same(apply_f(ctx, i, cur))
                     if cur is None:
                         out.append(f"imaginary f_{i} died while iterating")
                         break
@@ -214,7 +218,7 @@ def check_operator_iteration(graph) -> List[str]:
                 phi = -prof.m + ctx.pairing(i, path.weight)
                 cur, steps, m = path, 0, prof.m
                 while True:
-                    nxt = apply_f(ctx, i, cur)
+                    nxt = same(apply_f(ctx, i, cur))
                     if nxt is None:
                         break
                     steps += 1
@@ -233,16 +237,16 @@ def check_operator_iteration(graph) -> List[str]:
 
 def check_inversion_and_weight_shift(graph) -> List[str]:
     """On every node, f and e are mutually inverse and shift weights by alpha_i."""
-    ctx, out = graph.ctx, []
-    for _, path in _rendered_nodes(graph):
+    ctx, out, (paths, same) = graph.ctx, [], _rendered_nodes(graph)
+    for path in paths:
         for i in ctx.matrix.indices:
-            down = apply_f(ctx, i, path)
+            down = same(apply_f(ctx, i, path))
             if down is not None:
                 if down.weight != path.weight - ctx.alpha(i):
                     out.append(f"f_{i} weight shift wrong")
                 if apply_e(ctx, i, down) != path:
                     out.append(f"e_{i} f_{i} != id")
-            up = apply_e(ctx, i, path)
+            up = same(apply_e(ctx, i, path))
             if up is not None:
                 if up.weight != path.weight + ctx.alpha(i):
                     out.append(f"e_{i} weight shift wrong")

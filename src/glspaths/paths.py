@@ -36,8 +36,9 @@ class PiecewisePath:
     the least common denominator, with collinear points dropped, so equal
     functions compare equal.  Made by ``from_points`` or ``from_grid``, or
     by ``GLSPath.render`` from data already in this form.
-    ``_f_memo`` keeps the result of ``_f_data`` per (context, index) and that
-    of ``apply_f``/``apply_e`` per (context, index, "f" or "e"), None too.  As a
+    ``_f_memo`` keeps the result of ``_f_data`` per (context, index), that of
+    ``h_profile`` per (context, index, "h") and that of ``apply_f``/``apply_e``
+    per (context, index, "f" or "e"), None too; a result's own memo starts empty.  As a
     crystal element it carries the normal crystal structure of the path set:
     ``wt``, ``epsilon``, ``f``, ``e`` and ``key`` run the operators below."""
 
@@ -231,11 +232,15 @@ def _e_data(ctx: WeightContext, i: int, pi: PiecewisePath):
 
 
 def h_profile(ctx: WeightContext, i: int, pi: PiecewisePath) -> HProfile:
-    """The operator arguments of h_i on pi, with Fraction times."""
-    _, _, m, f_plus, f_minus = _f_data(ctx, i, pi)
-    e_plus, e_minus, e_defined = _e_data(ctx, i, pi)
-    return HProfile(m, *(None if t is None else Fraction(t, pi._nums[-1])
-                         for t in (f_plus, f_minus, e_plus, e_minus)), e_defined)
+    """The operator arguments of h_i on pi, with Fraction times.  Kept on pi per (ctx, i)."""
+    prof = pi._f_memo.get((ctx, i, "h"))
+    if prof is None:
+        _, _, m, f_plus, f_minus = _f_data(ctx, i, pi)
+        e_plus, e_minus, e_defined = _e_data(ctx, i, pi)
+        prof = pi._f_memo[ctx, i, "h"] = HProfile(
+            m, *(None if t is None else Fraction(t, pi._nums[-1])
+                 for t in (f_plus, f_minus, e_plus, e_minus)), e_defined)
+    return prof
 
 
 def _three_zone(pi: PiecewisePath, hs: Sequence[int], den: int, i: int,

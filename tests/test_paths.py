@@ -1,6 +1,8 @@
 """Generic path operators: profiles, f/e, concatenation, integrality."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from glspaths import (GLSPath, HProfile, apply_e, apply_f, concatenate,
                       context_with_base, enumerate_crystal, format_weight,
                       h_profile, is_integral, is_monotone)
+from glspaths import checks, paths
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY,
                              check_inversion_and_weight_shift,
                              check_operator_iteration, fixture_context)
@@ -152,6 +155,73 @@ def test_inversion_and_iteration_suites():
         graph = enumerate_crystal(ctx, lam, 3)
         assert check_inversion_and_weight_shift(graph) == []
         assert check_operator_iteration(graph) == []
+
+
+def walking_checks(graph):
+    return check_operator_iteration(graph) + check_inversion_and_weight_shift(graph)
+
+
+def suite_graph(name):
+    ctx, lam = fixture_context(next(fx for fx in FIXTURES if fx[0] == name))
+    return enumerate_crystal(ctx, lam, 3)
+
+
+@pytest.mark.parametrize("name, rebuilds", [("mixed_rank2", 83), ("imaginary_k1_p2", 17)])
+def test_walking_checks_compute_each_operator_result_once(monkeypatch, name, rebuilds):
+    # each check call meets one object per path value, so the results kept on
+    # its memo answer every later walk: each (path, index, direction) is
+    # rebuilt once (148 and 44 rebuilds when every result was a fresh object)
+    seen, three_zone = [], paths._three_zone
+
+    def counted(pi, hs, den, i, u, v, div, shift):
+        seen.append((pi, i, shift))
+        return three_zone(pi, hs, den, i, u, v, div, shift)
+
+    monkeypatch.setattr(paths, "_three_zone", counted)
+    assert walking_checks(suite_graph(name)) == []
+    assert len(seen) == rebuilds == len(set(seen))
+
+
+def test_walking_checks_report_wrong_operator_results(monkeypatch):
+    # every comparison still reads an operator result really computed
+    real_e, real_f = checks.apply_e, checks.apply_f
+    graph = suite_graph("mixed_rank2")
+    top = graph.nodes[0].element.render()
+    monkeypatch.setattr(checks, "apply_e",
+                        lambda ctx, i, pi: top if i == 1 else real_e(ctx, i, pi))
+    assert "e_1 f_1 != id" in check_inversion_and_weight_shift(graph)
+    monkeypatch.setattr(checks, "apply_e", real_e)
+    monkeypatch.setattr(checks, "apply_f",
+                        lambda ctx, i, pi: pi if i == 1 else real_f(ctx, i, pi))
+    assert "real f_1 did not drop m by one" in check_operator_iteration(
+        suite_graph("mixed_rank2"))
+
+
+def test_walking_checks_keep_no_path_past_their_call():
+    # the table of one check call is reachable neither from the module nor
+    # from the context, so dropping the graph frees the context without a
+    # cycle collection
+    gc.collect()
+    gc.disable()
+    try:
+        graph = suite_graph("mixed_rank2")
+        assert walking_checks(graph) == []
+        ref = weakref.ref(graph.ctx)
+        del graph
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_h_profile_is_kept_per_context_and_index():
+    ctx_a, lam = ctx2(p=2)
+    ctx_b, _ = ctx2(p=4)
+    path = GLSPath.linear(lam).render()
+    for ctx in (ctx_a, ctx_b):
+        prof = h_profile(ctx, 1, path)
+        assert h_profile(ctx, 1, path) is prof
+        assert prof == h_profile(ctx, 1, PiecewisePath(path._nums, path._values))
+    assert h_profile(ctx_a, 1, path) != h_profile(ctx_b, 1, path)
 
 
 def test_three_zone_rejects_a_wrong_shift():
