@@ -97,8 +97,9 @@ def char_of_graph(graph: CrystalGraph) -> CharacterSeries:
     to the root weight, the one weight built.  Each vector must equal wt(root) -
     wt(node) from the node's own path data; else NonIntegralOffset names the node."""
     ctx, root = graph.ctx, graph.wt_func(graph.ctx, graph.elements[0])
+    top = ctx.orbit_table.intern(root)  # the packed test decides when it can
     for k, (el, vec) in enumerate(zip(graph.elements, graph.exponents)):
-        if el.offset(root) != vec:
+        if not el.offset_is(ctx, top, vec) and el.offset(root) != vec:
             raise NonIntegralOffset(f"node {k} {el!r}: offset {el.offset(root)} from its path, "
                                     f"depth vector {vec} from the graph")
     return CharacterSeries.from_dict(root, ctx.matrix.n, graph.depth, Counter(graph.exponents))

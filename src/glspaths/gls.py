@@ -87,6 +87,11 @@ class GLSPath:
         nums = self._nums
         return root_offset(top, map(sub, nums[1:], nums), self.weights, nums[-1])
 
+    def offset_is(self, ctx: WeightContext, top: int, vec) -> Optional[bool]:
+        """offset(T) == vec for T of id ``top`` in ctx.orbit_table, or None: see packed_offset."""
+        table, ids, _, nums = _integer_form(ctx, self)
+        return table.packed_offset(top, ids, nums, vec)
+
     def render(self) -> PiecewisePath:
         """pi(a_k) as running sums over D.  Adjacent weights differ and ``_nums``
         are coprime, so no break is collinear: the path needs no ``from_grid``.
@@ -155,9 +160,9 @@ def _h_profile(ctx: WeightContext, i: int, pi: GLSPath):
     den = nums[-1]
     column = table.pairings[i]
     hs = [0, *accumulate(map(mul, map(sub, nums[1:], nums), map(column.__getitem__, ids)))]
-    if min(hs) % den:
+    if (m := min(hs)) % den:
         raise NotAGLSPath("path is not integral; not a GLS path")
-    return table, ids, den, nums, hs, levels.setdefault(i, min(hs) // den)
+    return table, ids, den, nums, hs, levels.setdefault(i, m // den)
 
 
 def _surgery(shape: Weight, i: int, profile, rise: int, step: int,

@@ -252,8 +252,9 @@ def pair(f: Weight, w: Weight) -> Rational:
     return _over(sum(map(mul, f.nums, w.nums)), f.den * w.den)
 
 
-def _column_sums(coeffs: Iterable[int], weights: Sequence[Weight], den: int):
-    """(basis, den * m, numerators over m of sum_k coeffs[k] weights[k]), m the dens' lcm."""
+def combination(coeffs: Iterable[int], weights: Sequence[Weight], den: int) -> Weight:
+    """sum_k coeffs[k] weights[k] / den for int coefficients, over one basis: one
+    numerator sum per coordinate over m den, m the lcm of the weights' dens."""
     first, m = weights[0], 1
     for w in weights:
         if w.names is not first.names:
@@ -261,24 +262,18 @@ def _column_sums(coeffs: Iterable[int], weights: Sequence[Weight], den: int):
         if w.den != 1:
             m = lcm(m, w.den)
     coeffs = list(coeffs) if m == 1 else [c * (m // w.den) for c, w in zip(coeffs, weights)]
-    return first.names, den * m, [sum(map(mul, coeffs, column))
-                                  for column in zip(*[w.nums for w in weights])]
-
-
-def combination(coeffs: Iterable[int], weights: Sequence[Weight], den: int) -> Weight:
-    """sum_k coeffs[k] weights[k] / den for int coefficients, over one basis."""
-    names, den, sums = _column_sums(coeffs, weights, den)
-    return _reduced(names, den, tuple(sums))
+    return _reduced(first.names, den * m, tuple([sum(map(mul, coeffs, column))
+                                                 for column in zip(*[w.nums for w in weights])]))
 
 
 def root_offset(top: Weight, coeffs: Iterable[int], weights: Sequence[Weight],
                 den: int) -> Tuple[int, ...]:
-    """top - sum_k coeffs[k] weights[k] / den as ints c_i of alpha_i, with no Weight
-    built; NonIntegralOffset if the base parts do not cancel or a c_i is fractional."""
-    names, q, sums = _column_sums([*coeffs, -den], [*weights, top], -den)  # sums / q = top - sum
-    if any(sums[:len(names)]) or any(x % q for x in sums[len(names):]):
-        raise NonIntegralOffset(f"{format_weight(top)} - sum: {[_over(x, q) for x in sums]}")
-    return tuple(x // q for x in sums[len(names):])
+    """top - sum_k coeffs[k] weights[k] / den as ints c_i of alpha_i; NonIntegralOffset
+    if the base parts do not cancel or a c_i is fractional."""
+    d = top - combination(coeffs, weights, den)
+    if d.den != 1 or any(d.nums[:len(d.names)]):
+        raise NonIntegralOffset(f"{format_weight(top)} - sum: {[_over(x, d.den) for x in d.nums]}")
+    return d.nums[len(d.names):]
 
 
 def partial_sums(coeffs: Iterable[int], weights: Sequence[Weight], den: int) -> Tuple[Weight, ...]:
@@ -297,6 +292,9 @@ def add_root(w: Weight, i: int, c: Rational, d: int = 1) -> Weight:
     """w + (c / d) alpha_i for a nonzero int d: one numerator changes."""
     if not c:
         return w
+    if type(c) is int and d == 1:  # x + c * den is x mod den: still in lowest terms
+        j = len(w.names) + i - 1
+        return Weight(w.names, w.den, w.nums[:j] + (w.nums[j] + c * w.den,) + w.nums[j + 1:])
     c = exact(c)
     p, q = (c.numerator, c.denominator * d) if d > 0 else (-c.numerator, -c.denominator * d)
     den, nums = w.den, list(w.nums)
@@ -439,44 +437,78 @@ class WeightContext:
 class OrbitTable:
     """Path weights of one context, interned to integer ids.  Per id: the
     weight, its pairings ``pairings[i][id]`` and the images r_i(id) and
-    r_i^{-1}(id), filled on first use.  Also torbit's per-context caches:
-    orbit roots per height bound (inf when complete), dist per (mu, nu) and
-    a-chain search results per (p, q, id of mu, id of nu), level p/q in
-    lowest terms, frozen, shared."""
+    r_i^{-1}(id), filled on first use, and the packed form ``packs[id]`` that
+    ``packed_offset`` reads.  Also torbit's per-context caches: orbit roots per
+    height bound (inf when complete), dist per (mu, nu) and a-chain search results
+    per (p, q, id of mu, id of nu), level p/q in lowest terms, frozen, shared."""
+
+    width = 64  # W, the bits per coordinate of a packed weight
 
     def __init__(self, ctx: WeightContext):
         self.matrix = matrix = ctx.matrix
         self.coroots = ctx.coroots  # not the context: the context owns the table
         self.ids: Dict[Weight, int] = {}
         self.weights: List[Weight] = []
-        n = matrix.n
+        n, k = matrix.n, len(ctx.base_names)
         self.pairings: List[list] = [[] for _ in range(n + 1)]
         # r_i at [i], r_i^{-1} at [n + i]
         self._images: List[Dict[int, int]] = [{} for _ in range(2 * n + 1)]
+        self.packs, self.pack_size = [], 0  # P(weight) or None per id; the largest |numerator|
+        self._shifts = [1 << (self.width * j) for j in range(k + n)]  # 2^(W j) at basis index j
+        self._root_shifts = self._shifts[k:]
         self.roots: Dict[float, tuple] = {}
         self.dists: Dict[tuple, Optional[int]] = {}
         self.chains: Dict[tuple, object] = {}
         self.fractions: Dict[Tuple[int, int], Fraction] = {}  # GLS break values, see gls
 
-    def intern(self, w: Weight) -> int:
-        """Id of w; a new weight gets its coroot pairings."""
+    def intern(self, w: Weight, pairings: Optional[Iterable[Rational]] = None) -> int:
+        """Id of w; a new weight gets its coroot pairings, given or computed."""
         k = self.ids.get(w)
         if k is None:  # pairings first: over another basis the first one raises
-            for column, coroot in zip(self.pairings[1:], self.coroots[1:]):
-                column.append(pair(coroot, w))
+            pairings = pairings or [pair(coroot, w) for coroot in self.coroots[1:]]
+            for column, p in zip(self.pairings[1:], pairings):
+                column.append(p)
             k = self.ids[w] = len(self.weights)
             self.weights.append(w)
         return k
 
     def reflect(self, i: int, k: int, inverse: bool = False) -> int:
-        """Id of r_i, or of r_i^{-1} (i imaginary), applied to the weight with id k."""
+        """Id of r_i, or of r_i^{-1} (i imaginary), applied to the weight with id k.
+        A new image w + c alpha_i gets the pairings p_j + c a_ji from those of w when
+        c is an int, which keeps them exact; a fractional c, met only by r_i^{-1},
+        gets dot products, which cost less than Fraction arithmetic."""
         images = self._images[self.matrix.n + i if inverse else i]
         image = images.get(k)
         if image is None:
             c = self.pairings[i][k]
-            c = Fraction(c, 1 - self.matrix.entry(i, i)) if inverse else -c
-            image = images[k] = self.intern(add_root(self.weights[k], i, c))
+            c = exact(Fraction(c, 1 - self.matrix.entry(i, i))) if inverse else -c
+            derived = (p[k] + c * row[i - 1]  # a_ji = alpha_j^vee(alpha_i)
+                       for p, row in zip(self.pairings[1:], self.matrix.entries))
+            image = images[k] = self.intern(add_root(self.weights[k], i, c),
+                                            derived if type(c) is int else None)
         return image
+
+    def packed_offset(self, top: int, ids: Sequence[int], nums: Sequence[int],
+                      vec: Sequence[int]) -> Optional[bool]:
+        """Whether T - sum_k d_k nu_k / D is the root vector vec (n ints), for T, nu_k the
+        weights of ids top, ids[k], d_k = nums[k+1] - nums[k] > 0 and D = nums[-1]; None if
+        T or a nu_k is fractional or the bound D (S + max|vec|) < 2^(W-1) fails, S = pack_size
+        >= every |numerator| in the table.  Proof: the claim is x = y for the int vectors
+        x = D (T - V), V = (base 0, roots vec), and y = sum_k d_k nu_k.  P is linear: P(x) =
+        D (P(T) - P(V)), P(y) = sum_k d_k P(nu_k).  Each |x_j|, |y_j| is at most D (S +
+        max|vec|) < 2^(W-1), and P is injective there: x_0 is P(x) mod 2^W taken in
+        (-2^(W-1), 2^(W-1)), and (P(x) - x_0) / 2^W is P of the rest.  So P(x) = P(y)
+        exactly when x = y."""
+        packs = self.packs
+        for w in self.weights[len(packs):]:  # P(w) = sum_j nums_j 2^(W j), W = width
+            self.pack_size = max(self.pack_size, *map(abs, w.nums))
+            packs.append(sum(map(mul, w.nums, self._shifts)) if w.den == 1 else None)
+        ps, t, den = list(map(packs.__getitem__, ids)), packs[top], nums[-1]
+        bound = den * (self.pack_size + max(map(abs, vec)))
+        if t is None or None in ps or bound >> (self.width - 1):
+            return None
+        return (den * (t - sum(map(mul, vec, self._root_shifts)))
+                == sum(map(mul, map(sub, nums[1:], nums), ps)))
 
 
 def context_with_base(entries: Sequence[Sequence[int]],

@@ -3,6 +3,7 @@
 import re
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +12,7 @@ from glspaths import (CharacterSeries, GLSPath, GeneratorSequence, bj_word, char
                       generate_from, multiply, orthogonal_subsets, series_text, wkb_series)
 from glspaths import gls, rootdata
 from glspaths.character import NonIntegralOffset
-from glspaths.checks import TWO_IMAGINARY, fixture_context
+from glspaths.checks import FIXTURES, TWO_IMAGINARY, fixture_context
 
 # the base of the series built by hand: the zero weight of a rank-one context
 ZERO = context_with_base([[2]], [0])[0].weight()
@@ -86,6 +87,80 @@ def test_a_path_of_the_wrong_weight_is_caught_on_its_discovery_edge(monkeypatch)
     with pytest.raises(NonIntegralOffset,
                        match=r"node 1 .*offset \(0, 1, 0\) .*depth vector \(1, 0, 0\)"):
         compare_characters(enumerate_crystal(ctx, lam, 3))
+
+
+def _packed_verdicts(graph, vecs):
+    """(packed verdict, offset(root) == vec) for each node and its vector in vecs."""
+    ctx, root = graph.ctx, graph.weights[0]
+    top, out = ctx.orbit_table.intern(root), []
+    for el, vec in zip(graph.elements, vecs):
+        try:
+            expected = el.offset(root) == vec
+        except NonIntegralOffset:
+            expected = False
+        out.append((el.offset_is(ctx, top, vec), expected))
+    return out
+
+
+# the eight fixtures at depth 6, and the 3,045 nodes of two_imaginary at depth 9
+PACKED_CASES = [(fx, 6) for fx in FIXTURES + (TWO_IMAGINARY,)] + [(TWO_IMAGINARY, 9)]
+
+
+def test_the_packed_verdict_is_the_offset_comparison():
+    # on every node the packed test decides, and agrees with the path's offset; on
+    # vectors off by alpha_i, or those of another node, it says False or nothing
+    sizes = []
+    for fx, depth in PACKED_CASES:
+        ctx, lam = fixture_context(fx)
+        graph = enumerate_crystal(ctx, lam, depth)
+        vecs, n = graph.exponents, ctx.matrix.n
+        assert _packed_verdicts(graph, vecs) == [(True, True)] * len(graph)
+        shifted = [v[:k % n] + (v[k % n] + 1,) + v[k % n + 1:] for k, v in enumerate(vecs)]
+        for wrong in (shifted, vecs[1:] + vecs[:1]):
+            verdicts = _packed_verdicts(graph, wrong)
+            assert all(verdict in (expected, None) for verdict, expected in verdicts)
+            assert len(graph) == 1 or (False, False) in verdicts
+        sizes.append(len(graph))
+    assert sizes[-1] == 3045
+
+
+def test_the_packed_verdict_defers_when_its_bound_fails(monkeypatch):
+    # with packs 16 bits wide, or a table whose largest numerator is 2^70, the bound
+    # fails on some or all nodes: there the offset decides, and the characters stay
+    decided = deferred = 0
+    for fx, depth in PACKED_CASES:
+        ctx, lam = fixture_context(fx)
+        graph = enumerate_crystal(ctx, lam, depth)
+        expected = char_of_graph(graph)
+        ctx.orbit_table.pack_size = 1 << 70
+        assert _packed_verdicts(graph, graph.exponents) == [(None, True)] * len(graph)
+        assert char_of_graph(graph) == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(rootdata.OrbitTable, "width", 16)
+            ctx, lam = fixture_context(fx)
+            graph = enumerate_crystal(ctx, lam, depth)
+            verdicts = _packed_verdicts(graph, graph.exponents)
+            assert char_of_graph(graph) == expected
+        assert all(verdict in (True, None) and offset for verdict, offset in verdicts)
+        decided += verdicts.count((True, True))
+        deferred += verdicts.count((None, True))
+    assert decided > 100 and deferred > 1000
+
+
+def test_the_packed_verdict_defers_on_a_large_denominator_or_a_fractional_weight():
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    graph = enumerate_crystal(ctx, lam, 4)
+    top = ctx.orbit_table.intern(lam)
+    el = next(el for el in graph.elements if len(el.weights) > 1)
+    vec = graph.exponents[graph.index[el]]
+    assert el.offset_is(ctx, top, vec) is True
+    tiny = Fraction(1, 1 << 70)  # D = 2^70 at least: the bound fails
+    near = GLSPath(lam, el.weights, (0, el.breaks[1] + tiny, *el.breaks[2:]))
+    third = GLSPath(lam, (lam, lam - ctx.alpha(2) * Fraction(1, 3)), (0, Fraction(1, 2), 1))
+    for path in (near, third):
+        assert path.offset_is(ctx, top, vec) is None
+        with pytest.raises(NonIntegralOffset):
+            path.offset(lam)
 
 
 def test_the_character_builds_no_weight_per_node(monkeypatch):

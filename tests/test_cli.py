@@ -1,7 +1,13 @@
 """Command-line driver: subcommands, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import glspaths
 from glspaths import cli, gls
 from glspaths.character import CharacterComparison, CharacterSeries, NonIntegralOffset
 from glspaths.gls import GLSPath, NotAGLSPath
@@ -145,6 +151,18 @@ def test_binf_rejects_a_malformed_or_partial_period(tmp_path, capsys):
                             ("1 2", "period must cover all indices")):
         assert cli.run(["binf", "-m", str(rank3), "-d", "2", "--period", period]) == 1
         assert message in capsys.readouterr().err
+
+
+def test_the_package_runs_as_a_module(matrices):
+    # python -m glspaths runs the same front end as python -m glspaths.cli
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(glspaths.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    runs = [subprocess.run([sys.executable, "-m", module, "validate", "-m", str(matrices[name])],
+                           capture_output=True, text=True, env=env)
+            for name in ("mixed", "bad") for module in ("glspaths", "glspaths.cli")]
+    assert [run.returncode for run in runs] == [0, 0, 1, 1]
+    assert runs[0].stdout == runs[1].stdout == "ok: rank 2, real {1}, imaginary {2}\n"
+    assert runs[2].stderr == runs[3].stderr and "AsymmetricZero(1,2)" in runs[2].stderr
 
 
 def test_file_bases_are_available(matrices, capsys):

@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +16,8 @@ from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_coroot_signs,
                              check_reflections, fixture_context)
 from glspaths.gls import enumerate_crystal, gls_e
 from glspaths.torbit import dist
-from glspaths.rootdata import (NonIntegralOffset, UnknownBase, WeightContext, combination, exact,
-                               offset_vector, pair, root_offset)
+from glspaths.rootdata import (NonIntegralOffset, UnknownBase, WeightContext, add_root, combination,
+                               exact, offset_vector, pair, root_offset)
 
 # two declared bases with fractional pairings over a rank-3 matrix with a
 # real, an imaginary and a zero diagonal entry; rho pairs as a_ii / 2
@@ -224,6 +225,31 @@ def test_orbit_table_images_are_the_reflections():
     assert checked > 300
 
 
+# item 7's non-symmetrizable matrix A, where a_12 = -1 but a_21 = -2
+NONSYMMETRIZABLE_A = ("nonsym_a", [[2, -1, -1], [-2, 2, -1], [-1, -1, -2]], [1, 1, 1])
+
+
+def test_derived_pairings_are_the_dot_products():
+    # OrbitTable.reflect derives an image's pairings from its parent's as p_j + c a_ji
+    # for an int c; each must be the dot product pair(coroot_j, w), in the same exact
+    # form, for the forward images of the crystals and the inverse images of the
+    # imaginary e_i (c an int or a Fraction), over two matrices whose a_ij and a_ji differ
+    for fx in (FIXTURES[-1], NONSYMMETRIZABLE_A):
+        ctx, lam = fixture_context(fx)
+        assert any(ctx.matrix.entry(i, j) != ctx.matrix.entry(j, i)
+                   for i in ctx.matrix.indices for j in ctx.matrix.indices)
+        for node in enumerate_crystal(ctx, lam, 6).nodes:
+            for i in sorted(ctx.matrix.imaginary_indices):
+                gls_e(ctx, i, node.element)
+        table, n = ctx.orbit_table, ctx.matrix.n
+        inverse = sum(len(table._images[n + i]) for i in ctx.matrix.imaginary_indices)
+        assert inverse > 30 and any(w.den != 1 for w in table.weights)
+        for j in ctx.matrix.indices:
+            assert len(table.pairings[j]) == len(table.weights) > 40
+            for p, w in zip(table.pairings[j], table.weights):
+                assert p == pair(ctx.coroots[j], w) and type(p) is type(pair(ctx.coroots[j], w))
+
+
 COEFFICIENTS = st.one_of(st.integers(-4, 4),
                          st.fractions(min_value=-3, max_value=3, max_denominator=4))
 BASES = st.dictionaries(st.sampled_from(["lambda", "mu", "rho"]), COEFFICIENTS, max_size=3)
@@ -274,6 +300,20 @@ def test_root_offset_is_the_offset_of_the_combination(base, terms, den, lift):
         root_offset(ctx.weight(top_base, lift), coeffs, weights, den)
     with pytest.raises(UnknownBase):
         root_offset(top, coeffs, weights + [context_with_base([[2]], [1])[1]], den)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(BASES, ROOTS, st.integers(1, 3), st.integers(-6, 6))
+def test_add_root_with_an_int_coefficient_changes_one_numerator(bases, roots, i, c):
+    # the int path of add_root: w + c alpha_i over the same den, still in lowest terms
+    ctx = PAIRING_CONTEXT
+    w = ctx.weight(bases, roots)
+    assert w.den >= 1 and gcd(w.den, *w.nums) == 1
+    got = add_root(w, i, c)
+    assert got == w + c * ctx.alpha(i) and hash(got) == hash(w + c * ctx.alpha(i))
+    assert got.den == w.den and gcd(got.den, *got.nums) == 1
+    assert [k for k, (x, y) in enumerate(zip(w.nums, got.nums)) if x != y] == (
+        [len(w.names) + i - 1] if c else [])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
