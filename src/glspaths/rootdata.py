@@ -292,9 +292,6 @@ def add_root(w: Weight, i: int, c: Rational, d: int = 1) -> Weight:
     """w + (c / d) alpha_i for a nonzero int d: one numerator changes."""
     if not c:
         return w
-    if type(c) is int and d == 1:  # x + c * den is x mod den: still in lowest terms
-        j = len(w.names) + i - 1
-        return Weight(w.names, w.den, w.nums[:j] + (w.nums[j] + c * w.den,) + w.nums[j + 1:])
     c = exact(c)
     p, q = (c.numerator, c.denominator * d) if d > 0 else (-c.numerator, -c.denominator * d)
     den, nums = w.den, list(w.nums)
@@ -461,31 +458,24 @@ class OrbitTable:
         self.chains: Dict[tuple, object] = {}
         self.fractions: Dict[Tuple[int, int], Fraction] = {}  # GLS break values, see gls
 
-    def intern(self, w: Weight, pairings: Optional[Iterable[Rational]] = None) -> int:
-        """Id of w; a new weight gets its coroot pairings, given or computed."""
+    def intern(self, w: Weight) -> int:
+        """Id of w; a new weight gets its coroot pairings."""
         k = self.ids.get(w)
         if k is None:  # pairings first: over another basis the first one raises
-            pairings = pairings or [pair(coroot, w) for coroot in self.coroots[1:]]
-            for column, p in zip(self.pairings[1:], pairings):
-                column.append(p)
+            for column, coroot in zip(self.pairings[1:], self.coroots[1:]):
+                column.append(pair(coroot, w))
             k = self.ids[w] = len(self.weights)
             self.weights.append(w)
         return k
 
     def reflect(self, i: int, k: int, inverse: bool = False) -> int:
-        """Id of r_i, or of r_i^{-1} (i imaginary), applied to the weight with id k.
-        A new image w + c alpha_i gets the pairings p_j + c a_ji from those of w when
-        c is an int, which keeps them exact; a fractional c, met only by r_i^{-1},
-        gets dot products, which cost less than Fraction arithmetic."""
+        """Id of r_i, or of r_i^{-1} (i imaginary), applied to the weight with id k."""
         images = self._images[self.matrix.n + i if inverse else i]
         image = images.get(k)
         if image is None:
             c = self.pairings[i][k]
-            c = exact(Fraction(c, 1 - self.matrix.entry(i, i))) if inverse else -c
-            derived = (p[k] + c * row[i - 1]  # a_ji = alpha_j^vee(alpha_i)
-                       for p, row in zip(self.pairings[1:], self.matrix.entries))
-            image = images[k] = self.intern(add_root(self.weights[k], i, c),
-                                            derived if type(c) is int else None)
+            c = Fraction(c, 1 - self.matrix.entry(i, i)) if inverse else -c
+            image = images[k] = self.intern(add_root(self.weights[k], i, c))
         return image
 
     def packed_offset(self, top: int, ids: Sequence[int], nums: Sequence[int],

@@ -229,11 +229,10 @@ def test_orbit_table_images_are_the_reflections():
 NONSYMMETRIZABLE_A = ("nonsym_a", [[2, -1, -1], [-2, 2, -1], [-1, -1, -2]], [1, 1, 1])
 
 
-def test_derived_pairings_are_the_dot_products():
-    # OrbitTable.reflect derives an image's pairings from its parent's as p_j + c a_ji
-    # for an int c; each must be the dot product pair(coroot_j, w), in the same exact
-    # form, for the forward images of the crystals and the inverse images of the
-    # imaginary e_i (c an int or a Fraction), over two matrices whose a_ij and a_ji differ
+def test_orbit_table_pairings_are_the_dot_products():
+    # every pairing the orbit table keeps is the dot product pair(coroot_j, w), in the
+    # same exact form, for the forward images of the crystals and the inverse images of
+    # the imaginary e_i (c an int or a Fraction), over two matrices whose a_ij and a_ji differ
     for fx in (FIXTURES[-1], NONSYMMETRIZABLE_A):
         ctx, lam = fixture_context(fx)
         assert any(ctx.matrix.entry(i, j) != ctx.matrix.entry(j, i)
@@ -305,7 +304,7 @@ def test_root_offset_is_the_offset_of_the_combination(base, terms, den, lift):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(BASES, ROOTS, st.integers(1, 3), st.integers(-6, 6))
 def test_add_root_with_an_int_coefficient_changes_one_numerator(bases, roots, i, c):
-    # the int path of add_root: w + c alpha_i over the same den, still in lowest terms
+    # add_root with an int c: w + c alpha_i over the same den, still in lowest terms
     ctx = PAIRING_CONTEXT
     w = ctx.weight(bases, roots)
     assert w.den >= 1 and gcd(w.den, *w.nums) == 1
