@@ -15,7 +15,8 @@ from itertools import combinations, product
 from typing import Dict, List, Optional, Tuple
 
 from .gls import CrystalGraph
-from .rootdata import InvariantViolation, NonIntegralOffset, Weight, WeightContext, format_weight
+from .rootdata import (InvariantViolation, NonIntegralOffset, Weight, WeightContext, add_root,
+                       format_weight, offset_vector)
 
 Exponent = Tuple[int, ...]
 
@@ -93,14 +94,20 @@ def series_text(series: CharacterSeries) -> str:
 
 
 def char_of_graph(graph: CrystalGraph) -> CharacterSeries:
-    """Multiplicity count of the depth vectors of a graph of GLS paths, relative
-    to the root weight, the one weight built.  Each vector must equal wt(root) -
-    wt(node) from the node's own path data; else NonIntegralOffset names the node."""
+    """Multiplicity count of the depth vectors of a graph of GLS paths, relative to
+    the root weight.  Each vector must equal wt(root) - wt(node), by the packed test
+    or else by ``offset_vector``; NonIntegralOffset names a node where it does not."""
     ctx, root = graph.ctx, graph.wt_func(graph.ctx, graph.elements[0])
-    top = ctx.orbit_table.intern(root)  # the packed test decides when it can
+    top = ctx.orbit_table.intern(root)
     for k, (el, vec) in enumerate(zip(graph.elements, graph.exponents)):
-        if not el.offset_is(ctx, top, vec) and el.offset(root) != vec:
-            raise NonIntegralOffset(f"node {k} {el!r}: offset {el.offset(root)} from its path, "
+        if el.offset_is(ctx, top, vec):
+            continue
+        try:
+            offset = offset_vector(root, el.wt(ctx))
+        except ValueError as exc:  # the base parts do not cancel
+            raise NonIntegralOffset(f"node {k} {el!r}: {exc}") from None
+        if offset != vec:
+            raise NonIntegralOffset(f"node {k} {el!r}: offset {offset} from its path, "
                                     f"depth vector {vec} from the graph")
     return CharacterSeries.from_dict(root, ctx.matrix.n, graph.depth, Counter(graph.exponents))
 
@@ -149,7 +156,7 @@ def _signed_orbit_terms(ctx: WeightContext, start: Weight, budget: int,
                                   for k, v in enumerate(vec, start=1))
                 if sum(child_vec) + sum(shift) > budget:
                     continue
-                child = point - c * ctx.alpha(j)
+                child = add_root(point, j, -c)
                 if child in seen:
                     if seen[child] != (parity + 1) % 2:
                         raise InvariantViolation("parity is ill-defined")

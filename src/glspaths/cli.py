@@ -67,6 +67,12 @@ def _context(args) -> WeightContext:
     return load_context(args.matrix, not args.reject_zero_diag, extra_bases)
 
 
+def _crystal(args):
+    """The GLS crystal of the base lambda at the requested depth."""
+    ctx = _context(args)
+    return enumerate_crystal(ctx, ctx.base("lambda"), args.depth)
+
+
 def _emit(text: str, path: Optional[str]):
     if path is None:
         sys.stdout.write(text)
@@ -95,9 +101,7 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    ctx = _context(args)
-    lam = ctx.base("lambda")
-    graph = enumerate_crystal(ctx, lam, args.depth)
+    graph = _crystal(args)
     frontier = graph.depths.count(args.depth)  # from the BFS: no node table
     _emit(f"nodes {len(graph)} edges {len(graph.f_edges)} frontier {frontier}\n", args.output)
     if args.dot_output:
@@ -106,23 +110,17 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    ctx = _context(args)
-    graph = enumerate_crystal(ctx, ctx.base("lambda"), args.depth)
-    _emit(export_dot(graph), args.output)
+    _emit(export_dot(_crystal(args)), args.output)
     return 0
 
 
 def _cmd_char(args) -> int:
-    ctx = _context(args)
-    graph = enumerate_crystal(ctx, ctx.base("lambda"), args.depth)
-    _emit(series_text(char_of_graph(graph)), args.output)
+    _emit(series_text(char_of_graph(_crystal(args))), args.output)
     return 0
 
 
 def _cmd_compare_char(args) -> int:
-    ctx = _context(args)
-    graph = enumerate_crystal(ctx, ctx.base("lambda"), args.depth)
-    report = compare_characters(graph)
+    report = compare_characters(_crystal(args))
     if report.equal:
         _emit(f"equal, {len(report.crystal)} terms\n", args.output)
         return 0

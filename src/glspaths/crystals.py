@@ -2,10 +2,11 @@
 
 Every crystal element answers the same five methods: ``wt(ctx)``,
 ``epsilon(ctx, i)``, ``f(ctx, i)``, ``e(ctx, i)`` (None where the operator
-vanishes) and ``key()``, a canonical sort key tagged by kind.  GLS paths
-(``gls.GLSPath``), ambient paths (``paths.PiecewisePath``), tensor pairs,
-elementary elements b_i(-n) and words in B_J(infinity) implement them; phi
-is always epsilon + pairing(i, wt), with -infinity saturating.
+vanishes, ValueError for i outside 1..n) and ``key()``, a canonical sort key
+tagged by kind.  GLS paths (``gls.GLSPath``), ambient paths
+(``paths.PiecewisePath``), tensor pairs, elementary elements b_i(-n) and words
+in B_J(infinity) implement them; phi is always epsilon + pairing(i, wt), with
+-infinity saturating.
 """
 
 from __future__ import annotations
@@ -108,8 +109,14 @@ class ElementaryElement:
     def wt(self, ctx: WeightContext) -> Weight:
         return -self.n * ctx.alpha(self.index)
 
+    def _acts(self, ctx: WeightContext, i: int) -> bool:
+        """Whether i is the element's index; ValueError for an index outside 1..n."""
+        if not 1 <= i <= ctx.matrix.n:
+            raise ValueError(f"index {i} out of range")
+        return i == self.index
+
     def epsilon(self, ctx: WeightContext, i: int):
-        if i != self.index:
+        if not self._acts(ctx, i):
             return NEG_INF
         return self.n if ctx.matrix.is_real(i) else 0
 
@@ -117,12 +124,12 @@ class ElementaryElement:
         return ("elementary", self.index, self.n)
 
     def f(self, ctx: WeightContext, i: int) -> Optional[ElementaryElement]:
-        if i != self.index:
+        if not self._acts(ctx, i):
             return None
         return ElementaryElement(i, self.n + 1)
 
     def e(self, ctx: WeightContext, i: int) -> Optional[ElementaryElement]:
-        if i != self.index or self.n == 0:
+        if not self._acts(ctx, i) or self.n == 0:
             return None
         return ElementaryElement(i, self.n - 1)
 
@@ -175,9 +182,7 @@ class BJWord:
         return ctx.weight(roots=dict(enumerate(vec, start=1)))
 
     def epsilon(self, ctx: WeightContext, i: int):
-        if ctx.matrix.is_real(i):
-            return _bj_maximum(ctx, self, i)[0]
-        return 0
+        return 0 if ctx.matrix.is_imaginary(i) else _bj_maximum(ctx, self, i)[0]
 
     def key(self):
         return ("bj", self.ms)
@@ -207,6 +212,8 @@ def _bj_maximum(ctx: WeightContext, word: BJWord, i: int) -> Tuple[int, int, int
     Beyond the support every r_i^k is 0, so the first i-place past it closes
     the range; every period holds i, so it lies within one period of
     max(support, preperiod).  One right-to-left sweep keeps the suffix sum."""
+    if not 1 <= i <= ctx.matrix.n:
+        raise ValueError(f"index {i} out of range")
     seq, ms = word.seq, word.ms
     places = seq.prefix(max(len(ms), len(seq.preperiod)) + len(seq.period))
     best = 0

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 # apply_e is not called here; perfbench/test_perfbench.py checks that gls binds it
 from .paths import PiecewisePath, apply_e
 from .rootdata import (InvariantViolation, OrbitTable, Weight, WeightContext, combination,
-                       format_weight, offset_vector, partial_sums, root_offset)
+                       format_weight, offset_vector, partial_sums)
 from .torbit import AChain, find_a_chain
 
 
@@ -82,13 +82,9 @@ class GLSPath:
         kept = self._weight
         return kept.weight if type(kept) is PiecewisePath else kept
 
-    def offset(self, top: Weight) -> Tuple[int, ...]:
-        """top - weight() as an int root vector, with no Weight built."""
-        nums = self._nums
-        return root_offset(top, map(sub, nums[1:], nums), self.weights, nums[-1])
-
     def offset_is(self, ctx: WeightContext, top: int, vec) -> Optional[bool]:
-        """offset(T) == vec for T of id ``top`` in ctx.orbit_table, or None: see packed_offset."""
+        """Whether T - weight() is the root vector vec, T the weight of id ``top`` in
+        ctx.orbit_table; None if undecided: see packed_offset."""
         table, ids, _, nums = _integer_form(ctx, self)
         return table.packed_offset(top, ids, nums, vec)
 
@@ -243,10 +239,10 @@ def gls_e(ctx: WeightContext, i: int, pi: GLSPath) -> Optional[GLSPath]:
 
 def gls_epsilon(ctx: WeightContext, i: int, pi: GLSPath):
     """-m_i for a real index (the level recorded on pi if any), 0 for an imaginary one."""
-    if ctx.matrix.is_real(i):
-        levels = _integer_form(ctx, pi)[2]
-        return -(levels[i] if i in levels else _h_profile(ctx, i, pi)[-1])
-    return 0
+    if ctx.matrix.is_imaginary(i):
+        return 0
+    levels = _integer_form(ctx, pi)[2]  # only _h_profile records a level, after its range check
+    return -(levels[i] if i in levels else _h_profile(ctx, i, pi)[-1])
 
 
 @dataclass(frozen=True)

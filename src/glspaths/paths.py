@@ -92,7 +92,7 @@ class PiecewisePath:
 
     def epsilon(self, ctx: WeightContext, i: int):
         """-m_i for a real index, 0 for an imaginary one."""
-        return -_f_data(ctx, i, self)[2] if ctx.matrix.is_real(i) else 0
+        return 0 if ctx.matrix.is_imaginary(i) else -_f_data(ctx, i, self)[2]
 
     def f(self, ctx: WeightContext, i: int) -> Optional[PiecewisePath]:
         return apply_f(ctx, i, self)

@@ -266,16 +266,6 @@ def combination(coeffs: Iterable[int], weights: Sequence[Weight], den: int) -> W
                                                  for column in zip(*[w.nums for w in weights])]))
 
 
-def root_offset(top: Weight, coeffs: Iterable[int], weights: Sequence[Weight],
-                den: int) -> Tuple[int, ...]:
-    """top - sum_k coeffs[k] weights[k] / den as ints c_i of alpha_i; NonIntegralOffset
-    if the base parts do not cancel or a c_i is fractional."""
-    d = top - combination(coeffs, weights, den)
-    if d.den != 1 or any(d.nums[:len(d.names)]):
-        raise NonIntegralOffset(f"{format_weight(top)} - sum: {[_over(x, d.den) for x in d.nums]}")
-    return d.nums[len(d.names):]
-
-
 def partial_sums(coeffs: Iterable[int], weights: Sequence[Weight], den: int) -> Tuple[Weight, ...]:
     """(sum_{j < k} coeffs[j] weights[j] / den for k = 0..len(weights)) over
     one basis: running numerator sums, each reduced once."""

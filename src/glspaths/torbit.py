@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .rootdata import (InvariantViolation, Rational, Weight, WeightContext,
-                       add_root, format_weight, offset_vector, pair)
+                       format_weight, offset_vector, pair)
 
 TWord = Tuple[int, ...]
 
@@ -155,7 +155,7 @@ def positive_wpi_roots(ctx: WeightContext, height_bound: int) -> Tuple[OrbitRoot
     while queue:
         r = queue.popleft()
         for k in sorted(ctx.matrix.real_indices):
-            new_root = add_root(r.root, k, -ctx.pairing(k, r.root))
+            new_root = ctx.reflect(k, r.root)
             vec = new_root.root_vector()
             if any(v < 0 for v in vec) or new_root.is_zero():
                 continue

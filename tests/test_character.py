@@ -13,6 +13,7 @@ from glspaths import (CharacterSeries, GLSPath, GeneratorSequence, bj_word, char
 from glspaths import gls, rootdata
 from glspaths.character import NonIntegralOffset
 from glspaths.checks import FIXTURES, TWO_IMAGINARY, fixture_context
+from glspaths.rootdata import offset_vector
 
 # the base of the series built by hand: the zero weight of a rank-one context
 ZERO = context_with_base([[2]], [0])[0].weight()
@@ -89,17 +90,27 @@ def test_a_path_of_the_wrong_weight_is_caught_on_its_discovery_edge(monkeypatch)
         compare_characters(enumerate_crystal(ctx, lam, 3))
 
 
+@pytest.mark.parametrize("kind", ["fractional", "base-mismatched"])
+def test_a_node_whose_offset_is_no_int_root_vector_is_named(kind):
+    # node 1 replaced by a path of weight lambda - alpha_2/6, or of weight 2 lambda:
+    # no packed verdict, and the exact offset names the node as well
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    graph = enumerate_crystal(ctx, lam, 3)
+    graph.elements[1] = {
+        "fractional": GLSPath(lam, (lam, lam - ctx.alpha(2) * Fraction(1, 3)),
+                              (0, Fraction(1, 2), 1)),
+        "base-mismatched": GLSPath(lam, (lam * 2,), (0, 1)),
+    }[kind]
+    with pytest.raises(NonIntegralOffset, match=r"^node 1 "):
+        char_of_graph(graph)
+
+
 def _packed_verdicts(graph, vecs):
-    """(packed verdict, offset(root) == vec) for each node and its vector in vecs."""
+    """(packed verdict, offset_vector(root, wt) == vec) for each node and its vector in vecs."""
     ctx, root = graph.ctx, graph.weights[0]
-    top, out = ctx.orbit_table.intern(root), []
-    for el, vec in zip(graph.elements, vecs):
-        try:
-            expected = el.offset(root) == vec
-        except NonIntegralOffset:
-            expected = False
-        out.append((el.offset_is(ctx, top, vec), expected))
-    return out
+    top = ctx.orbit_table.intern(root)
+    return [(el.offset_is(ctx, top, vec), offset_vector(root, el.wt(ctx)) == vec)
+            for el, vec in zip(graph.elements, vecs)]
 
 
 # the eight fixtures at depth 6, and the 3,045 nodes of two_imaginary at depth 9
@@ -159,8 +170,7 @@ def test_the_packed_verdict_defers_on_a_large_denominator_or_a_fractional_weight
     third = GLSPath(lam, (lam, lam - ctx.alpha(2) * Fraction(1, 3)), (0, Fraction(1, 2), 1))
     for path in (near, third):
         assert path.offset_is(ctx, top, vec) is None
-        with pytest.raises(NonIntegralOffset):
-            path.offset(lam)
+        assert any(type(c) is Fraction for c in offset_vector(lam, path.wt(ctx)))
 
 
 def test_the_character_builds_no_weight_per_node(monkeypatch):

@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, exit codes, determinism."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -234,3 +235,31 @@ def test_non_integral_offset_exit_code(matrices, monkeypatch, capsys):
     monkeypatch.setattr(cli, "compare_characters", broken)
     assert cli.run(["compare-char", "-m", str(matrices["im"]), "-l", "2", "-d", "3"]) == 2
     assert "invariant violated: node of weight" in capsys.readouterr().err
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_the_benchmark_tracer_wraps_the_cli_without_changing_its_output(capsys, monkeypatch):
+    # perfbench/tracing.py wraps the package's functions by name and signature from
+    # outside; a change to what it wraps fails here, not first in the benchmark
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # write nothing under perfbench/
+    spec = importlib.util.spec_from_file_location("tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    matrix = str(PERFBENCH / "fixtures" / "two_imaginary.txt")
+    commands = [["compare-char", "-m", matrix, "-l", "1 1 1", "-d", "4"],
+                ["tensor-iso", "-m", matrix, "-l", "1 1 1", "-r", "1 1 1", "-d", "2"],
+                ["binf", "-m", matrix, "-d", "3"]]
+
+    def outputs():
+        return [(cli.run(argv), capsys.readouterr().out) for argv in commands]
+
+    plain, gls_f, tracer = outputs(), gls.gls_f, tracing.Tracer()
+    with tracer:
+        assert glspaths.gls.gls_f is not gls_f
+        traced = outputs()
+    assert glspaths.gls.gls_f is gls_f
+    assert traced == plain and all(code == 0 for code, _ in plain)
+    metrics = tracing.snapshot(tracer)
+    assert metrics["gls.bfs.nodes"] > 0 and metrics["gls.gls_f.calls"] > 0

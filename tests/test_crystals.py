@@ -404,3 +404,23 @@ def test_raising_undoes_every_f_edge_of_each_element_kind():
         bad = [(src, i, dst) for (src, i), dst in graph.f_edges.items()
                if graph.nodes[dst].element.e(context, i) != graph.nodes[src].element]
         assert bad == [], (root, bad[:3])
+
+
+# one element of each kind over two_imaginary (rank 3)
+ELEMENT_KINDS = {
+    "GLSPath": lambda lam: GLSPath.linear(lam),
+    "PiecewisePath": lambda lam: GLSPath.linear(lam).render(),
+    "TensorElement": lambda lam: TensorElement(GLSPath.linear(lam), GLSPath.linear(lam)),
+    "ElementaryElement": lambda lam: ElementaryElement(1, 2),
+    "BJWord": lambda lam: bj_word(GeneratorSequence(3, (), (1, 2, 3)), [1]),
+}
+
+
+@pytest.mark.parametrize("beyond", [False, True], ids=["0", "n+1"])
+@pytest.mark.parametrize("kind", ELEMENT_KINDS)
+def test_every_element_kind_rejects_an_index_out_of_range(kind, beyond):
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    el, i = ELEMENT_KINDS[kind](lam), ctx.matrix.n + 1 if beyond else 0
+    for op in (el.epsilon, el.f, el.e):
+        with pytest.raises(ValueError, match=f"^index {i} out of range$"):
+            op(ctx, i)

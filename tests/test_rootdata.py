@@ -16,8 +16,7 @@ from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_coroot_signs,
                              check_reflections, fixture_context)
 from glspaths.gls import enumerate_crystal, gls_e
 from glspaths.torbit import dist
-from glspaths.rootdata import (NonIntegralOffset, UnknownBase, WeightContext, add_root, combination,
-                               exact, offset_vector, pair, root_offset)
+from glspaths.rootdata import UnknownBase, WeightContext, add_root, exact, offset_vector, pair
 
 # two declared bases with fractional pairings over a rank-3 matrix with a
 # real, an imaginary and a zero diagonal entry; rho pairs as a_ii / 2
@@ -273,32 +272,6 @@ def test_offset_vector_is_the_root_vector_of_the_difference(b1, b2, r1, r2):
     if _items(b1) != _items(b2):
         with pytest.raises(ValueError):
             offset_vector(higher, lower)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(BASES, st.lists(st.tuples(ROOTS, st.integers(0, 4)), min_size=1, max_size=4),
-       st.integers(1, 6), ROOTS)
-def test_root_offset_is_the_offset_of_the_combination(base, terms, den, lift):
-    # root_offset(top, ...) is offset_vector(top, combination(...)) when that
-    # is an int vector; NonIntegralOffset when it is not or when the base
-    # parts do not cancel; UnknownBase across bases, as for combination
-    ctx = PAIRING_CONTEXT
-    weights = [ctx.weight(base, roots) for roots, _ in terms]
-    coeffs = [c for _, c in terms]
-    total = combination(coeffs, weights, den)
-    top_base = dict(total.sort_key()[0])
-    top = ctx.weight(top_base, lift)
-    expected = offset_vector(top, total)
-    if all(type(c) is int for c in expected):
-        assert root_offset(top, iter(coeffs), weights, den) == expected
-    else:
-        with pytest.raises(NonIntegralOffset, match="- sum"):
-            root_offset(top, coeffs, weights, den)
-    top_base["mu"] = top_base.get("mu", 0) + 1
-    with pytest.raises(NonIntegralOffset):
-        root_offset(ctx.weight(top_base, lift), coeffs, weights, den)
-    with pytest.raises(UnknownBase):
-        root_offset(top, coeffs, weights + [context_with_base([[2]], [1])[1]], den)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
