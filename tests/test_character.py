@@ -13,7 +13,6 @@ from glspaths import (CharacterSeries, GLSPath, GeneratorSequence, bj_word, char
 from glspaths import gls, rootdata
 from glspaths.character import NonIntegralOffset
 from glspaths.checks import FIXTURES, TWO_IMAGINARY, fixture_context
-from glspaths.rootdata import offset_vector
 
 # the base of the series built by hand: the zero weight of a rank-one context
 ZERO = context_with_base([[2]], [0])[0].weight()
@@ -109,7 +108,7 @@ def _packed_verdicts(graph, vecs):
     """(packed verdict, offset_vector(root, wt) == vec) for each node and its vector in vecs."""
     ctx, root = graph.ctx, graph.weights[0]
     top = ctx.orbit_table.intern(root)
-    return [(el.offset_is(ctx, top, vec), offset_vector(root, el.wt(ctx)) == vec)
+    return [(el.offset_is(ctx, top, vec), rootdata.offset_vector(root, el.wt(ctx)) == vec)
             for el, vec in zip(graph.elements, vecs)]
 
 
@@ -170,7 +169,7 @@ def test_the_packed_verdict_defers_on_a_large_denominator_or_a_fractional_weight
     third = GLSPath(lam, (lam, lam - ctx.alpha(2) * Fraction(1, 3)), (0, Fraction(1, 2), 1))
     for path in (near, third):
         assert path.offset_is(ctx, top, vec) is None
-        assert any(type(c) is Fraction for c in offset_vector(lam, path.wt(ctx)))
+        assert any(type(c) is Fraction for c in rootdata.offset_vector(lam, path.wt(ctx)))
 
 
 def test_the_character_builds_no_weight_per_node(monkeypatch):
