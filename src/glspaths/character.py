@@ -106,7 +106,8 @@ def char_of_graph(graph: CrystalGraph) -> CharacterSeries:
             offset = offset_vector(root, el.wt(ctx))
         except ValueError as exc:  # the base parts do not cancel
             raise NonIntegralOffset(f"node {k} {el!r}: {exc}") from None
-        if offset != vec:
+        if offset != vec:  # exact values as 1/6, the tuple form kept: (0, 1, 0), (1,)
+            offset = f"({', '.join(map(str, offset))}{',' * (len(offset) == 1)})"
             raise NonIntegralOffset(f"node {k} {el!r}: offset {offset} from its path, "
                                     f"depth vector {vec} from the graph")
     return CharacterSeries.from_dict(root, ctx.matrix.n, graph.depth, Counter(graph.exponents))

@@ -106,6 +106,11 @@ class ElementaryElement:
     index: int
     n: int
 
+    def __post_init__(self):
+        if self.index < 1 or self.n < 0:
+            raise ValueError(f"elementary element needs index >= 1 and n >= 0, got "
+                             f"index {self.index}, n {self.n}")
+
     def wt(self, ctx: WeightContext) -> Weight:
         return -self.n * ctx.alpha(self.index)
 

@@ -422,12 +422,13 @@ class WeightContext:
 
 
 class OrbitTable:
-    """Path weights of one context, interned to integer ids.  Per id: the
-    weight, its pairings ``pairings[i][id]`` and the images r_i(id) and
-    r_i^{-1}(id), filled on first use, and the packed form ``packs[id]`` that
-    ``packed_offset`` reads.  Also torbit's per-context caches: orbit roots per
-    height bound (inf when complete), dist per (mu, nu) and a-chain search results
-    per (p, q, id of mu, id of nu), level p/q in lowest terms, frozen, shared."""
+    """Path weights of one context, interned to integer ids.  Per id: the weight, its
+    pairings ``pairings[i][id]``, its packed form ``packs[id]`` for ``packed_offset``, and
+    the images r_i(id) and r_i^{-1}(id), filled on first use: an r_i image with an int
+    pairing c moves one numerator, its pairings p_j - c a_ji and its pack follow in ints.
+    Also torbit's per-context caches: orbit roots per height bound (inf when complete),
+    dist per (mu, nu) and a-chain search results per (p, q, id of mu, id of nu), level
+    p/q in lowest terms, frozen, shared."""
 
     width = 64  # W, the bits per coordinate of a packed weight
 
@@ -442,7 +443,7 @@ class OrbitTable:
         self._images: List[Dict[int, int]] = [{} for _ in range(2 * n + 1)]
         self.packs, self.pack_size = [], 0  # P(weight) or None per id; the largest |numerator|
         self._shifts = [1 << (self.width * j) for j in range(k + n)]  # 2^(W j) at basis index j
-        self._root_shifts = self._shifts[k:]
+        self._root_shifts, self._alpha_at = self._shifts[k:], k  # basis index of alpha_1
         self.roots: Dict[float, tuple] = {}
         self.dists: Dict[tuple, Optional[int]] = {}
         self.chains: Dict[tuple, object] = {}
@@ -455,7 +456,9 @@ class OrbitTable:
             for column, coroot in zip(self.pairings[1:], self.coroots[1:]):
                 column.append(pair(coroot, w))
             k = self.ids[w] = len(self.weights)
-            self.weights.append(w)
+            self.weights.append(w)  # P(w) = sum_j nums_j 2^(W j), W = width
+            self.packs.append(sum(map(mul, w.nums, self._shifts)) if w.den == 1 else None)
+            self.pack_size = max(self.pack_size, *map(abs, w.nums))
         return k
 
     def reflect(self, i: int, k: int, inverse: bool = False) -> int:
@@ -463,9 +466,22 @@ class OrbitTable:
         images = self._images[self.matrix.n + i if inverse else i]
         image = images.get(k)
         if image is None:
-            c = self.pairings[i][k]
-            c = Fraction(c, 1 - self.matrix.entry(i, i)) if inverse else -c
-            image = images[k] = self.intern(add_root(self.weights[k], i, c))
+            c, w = self.pairings[i][k], self.weights[k]
+            if inverse or type(c) is not int:
+                c = Fraction(c, 1 - self.matrix.entry(i, i)) if inverse else -c
+                image = images[k] = self.intern(add_root(w, i, c))
+            else:  # one numerator moves by -c den; gcd(den, x - c den) = gcd(den, x)
+                at, nums = self._alpha_at + i - 1, list(w.nums)
+                nums[at] -= c * w.den
+                r = Weight(w.names, w.den, tuple(nums))
+                image = images[k] = self.ids.setdefault(r, len(self.weights))
+                if image == len(self.weights):
+                    self.weights.append(r)
+                    for column, row in zip(self.pairings[1:], self.matrix.entries):
+                        column.append(column[k] - c * row[i - 1])  # a_ji
+                    p = self.packs[k]
+                    self.packs.append(None if p is None else p - c * self._shifts[at])
+                    self.pack_size = max(self.pack_size, abs(nums[at]))
         return image
 
     def packed_offset(self, top: int, ids: Sequence[int], nums: Sequence[int],
@@ -480,9 +496,6 @@ class OrbitTable:
         (-2^(W-1), 2^(W-1)), and (P(x) - x_0) / 2^W is P of the rest.  So P(x) = P(y)
         exactly when x = y."""
         packs = self.packs
-        for w in self.weights[len(packs):]:  # P(w) = sum_j nums_j 2^(W j), W = width
-            self.pack_size = max(self.pack_size, *map(abs, w.nums))
-            packs.append(sum(map(mul, w.nums, self._shifts)) if w.den == 1 else None)
         ps, t, den = list(map(packs.__getitem__, ids)), packs[top], nums[-1]
         bound = den * (self.pack_size + max(map(abs, vec)))
         if t is None or None in ps or bound >> (self.width - 1):

@@ -92,15 +92,19 @@ def test_a_path_of_the_wrong_weight_is_caught_on_its_discovery_edge(monkeypatch)
 @pytest.mark.parametrize("kind", ["fractional", "base-mismatched"])
 def test_a_node_whose_offset_is_no_int_root_vector_is_named(kind):
     # node 1 replaced by a path of weight lambda - alpha_2/6, or of weight 2 lambda:
-    # no packed verdict, and the exact offset names the node as well
+    # no packed verdict, and the exact offset names the node as well, a fractional
+    # one written as the program writes exact values
     ctx, lam = fixture_context(TWO_IMAGINARY)
     graph = enumerate_crystal(ctx, lam, 3)
-    graph.elements[1] = {
-        "fractional": GLSPath(lam, (lam, lam - ctx.alpha(2) * Fraction(1, 3)),
-                              (0, Fraction(1, 2), 1)),
-        "base-mismatched": GLSPath(lam, (lam * 2,), (0, 1)),
+    graph.elements[1], message = {
+        "fractional": (GLSPath(lam, (lam, lam - ctx.alpha(2) * Fraction(1, 3)),
+                               (0, Fraction(1, 2), 1)),
+                       r"^node 1 .*: offset \(0, 1/6, 0\) from its path, "
+                       r"depth vector \(1, 0, 0\) from the graph$"),
+        "base-mismatched": (GLSPath(lam, (lam * 2,), (0, 1)),
+                            r"^node 1 .*: weights differ in base part: -lambda$"),
     }[kind]
-    with pytest.raises(NonIntegralOffset, match=r"^node 1 "):
+    with pytest.raises(NonIntegralOffset, match=message):
         char_of_graph(graph)
 
 

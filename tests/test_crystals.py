@@ -424,3 +424,13 @@ def test_every_element_kind_rejects_an_index_out_of_range(kind, beyond):
     for op in (el.epsilon, el.f, el.e):
         with pytest.raises(ValueError, match=f"^index {i} out of range$"):
             op(ctx, i)
+
+
+@pytest.mark.parametrize("index, n", [(1, -1), (0, 0), (-2, 3)])
+def test_an_elementary_element_rejects_a_negative_n_or_an_index_below_one(index, n):
+    # b_i(-n) exists for i >= 1 and n >= 0 only; before, b_5(2) with n = -2 built and
+    # answered epsilon = -inf
+    with pytest.raises(ValueError, match=f"^elementary element needs index >= 1 and n >= 0, "
+                                         f"got index {index}, n {n}$"):
+        ElementaryElement(index, n)
+    assert ElementaryElement(1, 0).e(fixture_context(TWO_IMAGINARY)[0], 1) is None

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from glspaths import (AsymmetricZero, AxisViolation, MatrixError,
                       MatrixFormatError, context_with_base, format_weight,
-                      parse_context_text, validate_matrix)
+                      parse_context_text, rootdata, validate_matrix)
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_coroot_signs,
                              check_reflections, fixture_context)
 from glspaths.gls import enumerate_crystal, gls_e
@@ -224,28 +224,91 @@ def test_orbit_table_images_are_the_reflections():
     assert checked > 300
 
 
-# item 7's non-symmetrizable matrix A, where a_12 = -1 but a_21 = -2
-NONSYMMETRIZABLE_A = ("nonsym_a", [[2, -1, -1], [-2, 2, -1], [-1, -1, -2]], [1, 1, 1])
+# item 7's non-symmetrizable matrices: a_12 = -1 but a_21 = -2 in A; B has an infinite
+# Weyl group; D is all imaginary, with a zero diagonal entry
+NONSYMMETRIZABLE = (("nonsym_a", [[2, -1, -1], [-2, 2, -1], [-1, -1, -2]], [1, 1, 1]),
+                    ("nonsym_b", [[2, -2, -1], [-3, 2, -1], [-1, -2, -2]], [1, 1, 1]),
+                    ("nonsym_c", [[2, -1, -2], [-1, -1, -1], [-1, -1, -2]], [1, 1, 1]),
+                    ("nonsym_d", [[-1, -1, -2], [-2, -2, -1], [-1, -1, 0]], [1, 1, 1]))
+
+
+def _checked_table(ctx, lam, depth):
+    """ctx's orbit table filled from the crystal of lam (forward images from f, inverse ones
+    from the imaginary e) and closed by one more r_i and r_i^{-1} of every id, after checking
+    every id: its pairings are pair(coroot_j, w) in the same exact form, its pack is P(w)
+    (None for a fractional w), pack_size is the largest |numerator|, and its images are the
+    reflections, equal hashes included."""
+    for node in enumerate_crystal(ctx, lam, depth).nodes:
+        for i in sorted(ctx.matrix.imaginary_indices):
+            gls_e(ctx, i, node.element)
+    table, n = ctx.orbit_table, ctx.matrix.n
+    for k in range(len(table.weights)):
+        for i in ctx.matrix.indices:
+            table.reflect(i, k)
+            if ctx.matrix.is_imaginary(i):
+                table.reflect(i, k, inverse=True)
+    assert len(table.packs) == len(table.weights) == len(table.ids)
+    for k, w in enumerate(table.weights):
+        assert table.ids[w] == k
+        for j in ctx.matrix.indices:
+            p, q = table.pairings[j][k], pair(ctx.coroots[j], w)
+            assert p == q and type(p) is type(q)
+        packed = sum(x << (table.width * b) for b, x in enumerate(w.nums))
+        assert table.packs[k] == (packed if w.den == 1 else None)
+    assert table.pack_size == max(abs(x) for w in table.weights for x in w.nums)
+    for i in ctx.matrix.indices:
+        for inverse, reflect in ((False, ctx.reflect), (True, ctx.reflect_inverse)):
+            for k, image in table._images[n + i if inverse else i].items():
+                w = reflect(i, table.weights[k])
+                assert table.weights[image] == w and hash(table.weights[image]) == hash(w)
+    return table
 
 
 def test_orbit_table_pairings_are_the_dot_products():
-    # every pairing the orbit table keeps is the dot product pair(coroot_j, w), in the
-    # same exact form, for the forward images of the crystals and the inverse images of
-    # the imaginary e_i (c an int or a Fraction), over two matrices whose a_ij and a_ji differ
-    for fx in (FIXTURES[-1], NONSYMMETRIZABLE_A):
+    # the orbit table's rows over the bundled fixtures and item 7's matrices A-D: images
+    # with an int pairing, derived in ints, on integral and fractional weights; images
+    # with a Fraction pairing and inverse ones, reflected and interned
+    fractional = forward_fraction = inverse = 0
+    for fx in FIXTURES + (TWO_IMAGINARY,) + NONSYMMETRIZABLE:
         ctx, lam = fixture_context(fx)
-        assert any(ctx.matrix.entry(i, j) != ctx.matrix.entry(j, i)
-                   for i in ctx.matrix.indices for j in ctx.matrix.indices)
-        for node in enumerate_crystal(ctx, lam, 6).nodes:
-            for i in sorted(ctx.matrix.imaginary_indices):
-                gls_e(ctx, i, node.element)
-        table, n = ctx.orbit_table, ctx.matrix.n
-        inverse = sum(len(table._images[n + i]) for i in ctx.matrix.imaginary_indices)
-        assert inverse > 30 and any(w.den != 1 for w in table.weights)
-        for j in ctx.matrix.indices:
-            assert len(table.pairings[j]) == len(table.weights) > 40
-            for p, w in zip(table.pairings[j], table.weights):
-                assert p == pair(ctx.coroots[j], w) and type(p) is type(pair(ctx.coroots[j], w))
+        table, n = _checked_table(ctx, lam, 6), ctx.matrix.n
+        fractional += sum(w.den != 1 for w in table.weights)
+        forward_fraction += sum(type(table.pairings[i][k]) is not int
+                                for i in ctx.matrix.indices for k in table._images[i])
+        inverse += sum(len(table._images[n + i]) for i in ctx.matrix.imaginary_indices)
+    assert min(fractional, forward_fraction, inverse) > 100, (fractional, forward_fraction, inverse)
+
+
+@st.composite
+def small_matrices(draw):
+    """(Borcherds-Cartan matrix of rank 2 or 3, dominant integral pairings of lambda)."""
+    n = draw(st.integers(2, 3))
+    rows = [[draw(st.sampled_from([2, 0, -1, -2])) if i == j else 0 for j in range(n)]
+            for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j], rows[j][i] = draw(st.sampled_from(
+                [(0, 0)] + [(-a, -b) for a in (1, 2) for b in (1, 2, 3)]))
+    return rows, draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_matrices())
+def test_orbit_table_rows_are_exact_on_small_matrices(case):
+    rows, pairings = case
+    ctx, lam = context_with_base(rows, pairings)
+    _checked_table(ctx, lam, 4)
+
+
+def test_the_crystal_fills_its_orbit_table_without_dot_products(monkeypatch):
+    # the 3,045 nodes of two_imaginary at depth 9 reach 1,809 orbit weights, nearly all
+    # of them forward images with int pairings, whose pairings are derived in ints; a
+    # dot product per new weight and coroot would make 5,433 calls
+    calls = []
+    monkeypatch.setattr(rootdata, "pair", lambda f, w: calls.append(1) or pair(f, w))
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    assert len(enumerate_crystal(ctx, lam, 9)) == 3045
+    assert len(ctx.orbit_table.weights) == 1809 and len(calls) < 3 * 20
 
 
 COEFFICIENTS = st.one_of(st.integers(-4, 4),
