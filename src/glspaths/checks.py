@@ -296,7 +296,9 @@ def check_gls_membership(graph) -> List[str]:
         el: GLSPath = node.element
         cert = verify_gls(ctx, el)
         if not cert:
-            out.append(f"node {idx} fails GLS verification: {cert.failing_pair}")
+            mu, nu, a = cert.failing_pair
+            out.append(f"node {idx} fails GLS verification: {format_weight(mu)} -> "
+                       f"{format_weight(nu)} at level {a}")
         path = el.render()
         if not is_integral(ctx, path):
             out.append(f"node {idx} not integral")

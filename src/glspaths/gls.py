@@ -260,17 +260,17 @@ class GLSVerification:
 def verify_gls(ctx: WeightContext, pi: GLSPath) -> GLSVerification:
     """Check the chain conditions: an a_k-chain for each consecutive pair of
     weights and, when the last weight differs from the shape, a 1-chain
-    down to it.  The levels come from the integer form, not from ``breaks``."""
+    down to it, on the integer form: level nums[k] / D and orbit ids, not ``breaks``."""
     chains: List[AChain] = []
-    table, _, _, nums = _integer_form(ctx, pi)
-    weights, levels = pi.weights, _fractions(table, nums)
-    pairs = list(zip(weights, weights[1:], levels[1:]))
-    if weights[-1] != pi.shape:
-        pairs.append((weights[-1], pi.shape, levels[-1]))  # levels[-1] is 1
-    for mu, nu, level in pairs:
-        chain = find_a_chain(ctx, level, mu, nu)
+    table, ids, _, nums = _integer_form(ctx, pi)
+    den, top, ws = nums[-1], table.intern(pi.shape), table.weights
+    pairs = list(zip(nums[1:], ids, ids[1:]))
+    if ids[-1] != top:
+        pairs.append((den, ids[-1], top))
+    for p, mu, nu in pairs:
+        chain = find_a_chain(ctx, p, den, mu, nu)
         if chain is None:
-            return GLSVerification(False, tuple(chains), (mu, nu, level))
+            return GLSVerification(False, tuple(chains), (ws[mu], ws[nu], Fraction(p, den)))
         chains.append(chain)
     return GLSVerification(True, tuple(chains))
 
@@ -471,7 +471,8 @@ def properly_join(ctx: WeightContext, pi: GLSPath, pi_prime: GLSPath,
     if bad is not None:
         raise JoinRejected(2, bad)
     last = pi.weights[-1]
-    if last != x and find_a_chain(ctx, s, last, x) is None:
+    p, q, intern = s.numerator, s.denominator, ctx.orbit_table.intern
+    if last != x and find_a_chain(ctx, p, q, intern(last), intern(x)) is None:
         raise JoinRejected(1, (format_weight(last), format_weight(x)))
     breaks = [*pi.breaks[:-1], s, s_prime, *pi_prime.breaks[1:]]
     den = lcm(*(b.denominator for b in breaks))

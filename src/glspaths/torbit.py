@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .rootdata import (InvariantViolation, Rational, Weight, WeightContext,
@@ -258,27 +259,28 @@ def _step_admissible(a: Fraction, r: OrbitRoot, c: Rational) -> bool:
     return v == 1 if r.imaginary else v.denominator == 1 and v >= 1
 
 
-def find_a_chain(ctx: WeightContext, a: Rational, mu: Weight, nu: Weight) -> Optional[AChain]:
-    """Search for an a-chain for the pair (mu, nu); None if there is none.
+def find_a_chain(ctx: WeightContext, p: int, q: int, mu: int, nu: int) -> Optional[AChain]:
+    """Search for an a-chain, a = p/q in (0, 1] (else ValueError), for the pair of weights
+    with ids (mu, nu) from ``ctx.orbit_table.intern``; None if there is none.
 
     Depth-first over covering steps from nu down to mu.  Each candidate
     step must be a covering (dist 1) and satisfy the integrality condition
     at level a; failures are memoized per intermediate weight.  The roots
     and the covering tests come from the context's caches (see dist).
     Results, None too, are kept in the orbit table's ``chains`` per int key
-    (p, q, id of mu, id of nu): a = p/q (int or Fraction) in lowest terms, ids
-    from ``intern``.  Callers share each frozen AChain; raises are not kept.
-    """
-    table, p, q = ctx.orbit_table, a.numerator, a.denominator
-    chains, key = table.chains, (p, q, table.intern(mu), table.intern(nu))
+    (p, q, mu, nu), p/q reduced here; only a miss makes the Fraction a and reads
+    the weights.  Callers share each frozen AChain; raises are not kept."""
+    if not 0 < p <= q:
+        raise ValueError(f"chain level must lie in (0,1], got {p}/{q}")
+    g, table = gcd(p, q), ctx.orbit_table
+    chains, key = table.chains, (p // g, q // g, mu, nu)
     if (chain := chains.get(key, key)) is key:  # the key itself marks a miss
+        mu, nu = table.weights[mu], table.weights[nu]
         chain = chains[key] = _search_a_chain(ctx, Fraction(p, q), mu, nu)
     return chain
 
 
 def _search_a_chain(ctx: WeightContext, a: Fraction, mu: Weight, nu: Weight) -> Optional[AChain]:
-    if not 0 < a <= 1:
-        raise ValueError(f"chain level must lie in (0,1], got {a}")
     if mu == nu:
         return AChain(a, (mu,), ())
     roots = _descent_roots(ctx, mu, nu)

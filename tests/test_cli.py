@@ -255,11 +255,26 @@ def test_the_benchmark_tracer_wraps_the_cli_without_changing_its_output(capsys, 
     def outputs():
         return [(cli.run(argv), capsys.readouterr().out) for argv in commands]
 
+    def membership():  # the membership workload's calls, on mixed_rank2 at depth 5
+        ctx = cli.load_context(str(PERFBENCH / "fixtures" / "mixed_rank2.txt"), True,
+                               {"lambda": (1, 1)})
+        elements = gls.enumerate_crystal(ctx, ctx.base("lambda"), 5).elements
+        return ([bool(gls.verify_gls(ctx, pi)) for pi in elements],
+                [gls.gls_e(ctx, i, pi) for pi in elements for i in ctx.matrix.indices])
+
     plain, gls_f, tracer = outputs(), gls.gls_f, tracing.Tracer()
+    plain_membership = membership()
     with tracer:
         assert glspaths.gls.gls_f is not gls_f
-        traced = outputs()
+        traced, traced_membership = outputs(), membership()
     assert glspaths.gls.gls_f is gls_f
     assert traced == plain and all(code == 0 for code, _ in plain)
+    assert traced_membership == plain_membership and all(plain_membership[0])
     metrics = tracing.snapshot(tracer)
     assert metrics["gls.bfs.nodes"] > 0 and metrics["gls.gls_f.calls"] > 0
+    # verify_gls reaches the a-chain memo through torbit.find_a_chain, so the
+    # benchmark's membership predictions on it hold
+    assert metrics["gls.verify_gls.calls"] > 0 and metrics["gls.gls_e.calls"] > 0
+    assert metrics["torbit.find_a_chain.calls"] > 0
+    assert metrics["torbit.find_a_chain.found_ratio"] > 0
+    assert metrics["torbit.roots_builds_per_chain"] > 0

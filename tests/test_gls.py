@@ -182,7 +182,9 @@ def test_rejected_candidates_keep_their_failing_pair():
             continue
         ws, bs = candidate.weights, candidate.breaks
         pairs = list(zip(ws, ws[1:], bs[1:])) + [(ws[-1], lam, F(1))]
-        chains = [find_a_chain(ctx, a, mu, nu) for mu, nu, a in pairs]
+        table = ctx.orbit_table
+        chains = [find_a_chain(ctx, a.numerator, a.denominator, table.intern(mu),
+                               table.intern(nu)) for mu, nu, a in pairs]
         k = chains.index(None)
         assert cert.failing_pair == pairs[k] and type(cert.failing_pair[2]) is F
         assert cert.chains == tuple(chains[:k])
@@ -199,6 +201,79 @@ def test_verify_gls_powers():
                 bool(verify_gls(ctx, GLSPath(lam, (rpow(ctx, lam, s),), (F(0), F(1)))))
                 for s in range(1, 5))
             assert accepted == (m == 1 and k == 0)
+
+
+def _verify_by_breaks(ctx, pi):
+    """verify_gls from the definition: the levels are the breaks as Fractions and each
+    pair of weights is interned for find_a_chain.  (ok, chains, failing_pair)."""
+    table, ws, bs = ctx.orbit_table, pi.weights, pi.breaks
+    pairs = list(zip(ws, ws[1:], bs[1:])) + [(ws[-1], pi.shape, F(1))] * (ws[-1] != pi.shape)
+    chains = []
+    for mu, nu, a in pairs:
+        chain = find_a_chain(ctx, a.numerator, a.denominator, table.intern(mu), table.intern(nu))
+        if chain is None:
+            return False, chains, (mu, nu, a)
+        chains.append(chain)
+    return True, chains, None
+
+
+def _imaginary_candidates(ctx, pi):
+    """The candidates of the imaginary e_i on pi, before their membership test."""
+    out = []
+    for i in sorted(ctx.matrix.imaginary_indices):
+        rise = 1 - ctx.matrix.entry(i, i)
+        candidate = gls._surgery(pi.shape, i, _h_profile(ctx, i, pi), rise, 1, inverse=True)
+        out += [candidate] * (candidate is not None)
+    return out
+
+
+# item 7's non-symmetrizable matrices A and C
+MATRICES_A_C = ([[2, -1, -1], [-2, 2, -1], [-1, -1, -2]], [[2, -1, -2], [-1, -1, -1], [-1, -1, -2]])
+
+
+def test_verification_on_ids_matches_the_definition():
+    # every node and imaginary e_i candidate of the eight fixtures at depth 6 and of
+    # A and C at depth 5: the same verdict, the same shared AChain objects and the
+    # same failing pair, its level a Fraction
+    cases = [(fixture_context(fx), 6) for fx in FIXTURES + (TWO_IMAGINARY,)]
+    cases += [(context_with_base(entries, [1, 1, 1]), 5) for entries in MATRICES_A_C]
+    seen = failed = 0
+    for (ctx, lam), depth in cases:
+        for pi in enumerate_crystal(ctx, lam, depth).elements:
+            for candidate in [pi] + _imaginary_candidates(ctx, pi):
+                cert = verify_gls(ctx, candidate)
+                ok, chains, failing = _verify_by_breaks(ctx, candidate)
+                assert cert.ok == ok and cert.failing_pair == failing, candidate
+                assert len(cert.chains) == len(chains)
+                assert all(a is b for a, b in zip(cert.chains, chains))
+                if not ok:
+                    assert type(cert.failing_pair[2]) is F
+                seen, failed = seen + 1, failed + (not ok)
+    assert seen == 2344 and failed == 803
+
+
+def test_failing_imaginary_raisings_keep_their_failing_pair():
+    # the membership workload: mixed_rank2 at depth 9
+    ctx, lam = fixture_context(FIXTURES[5])
+    failing = []
+    for pi in enumerate_crystal(ctx, lam, 9).elements:
+        for candidate in _imaginary_candidates(ctx, pi):
+            cert = verify_gls(ctx, candidate)
+            if not cert:
+                assert cert.failing_pair == _verify_by_breaks(ctx, candidate)[2]
+                failing.append(cert.failing_pair)
+    assert len(failing) == 87 and all(type(a) is F for _, _, a in failing)
+
+
+def test_a_failing_node_names_its_pair_in_words():
+    # (lambda - alpha_1, lambda; 0, 1/2, 1) is integral, but the one step down from
+    # lambda, by alpha_1^vee(lambda) alpha_1 = 2 alpha_1, passes lambda - alpha_1
+    ctx, lam = ctx1()
+    pi = GLSPath(lam, (lam - ctx.alpha(1), lam), (F(0), F(1, 2), F(1)))
+    graph = build_crystal_graph(ctx, pi, 0, gls_f, lambda ctx, pi: pi.weight(),
+                                gls_epsilon, GLSPath.key)
+    assert check_gls_membership(graph) == [
+        "node 0 fails GLS verification: lambda-a1 -> lambda at level 1/2"]
 
 
 def test_enumerate_rank_one_chain():

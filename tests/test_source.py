@@ -82,9 +82,9 @@ def test_the_path_operators_run_on_ints():
 
 
 # the functions of gls.py that make Fractions: the memo of break values
-# (the breaks built on first read and the chain levels of verify_gls), the
-# straight path and the joining entry point
-GLS_FRACTION_BOUNDARY = {"_fractions", "linear", "properly_join"}
+# (the breaks built on first read), the level of a failing pair in
+# verify_gls, the straight path and the joining entry point
+GLS_FRACTION_BOUNDARY = {"_fractions", "verify_gls", "linear", "properly_join"}
 
 
 def test_the_gls_operators_run_on_ints():
@@ -96,6 +96,31 @@ def test_the_gls_operators_run_on_ints():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert not imported & {"first_time_at", "last_time_at"}
+
+
+def _chain_table_uses(tree, module):
+    """(module, function, load or store) of every ``.chains`` under tree that is not the
+    chain list of a GLSVerification, a name bound to a verify_gls call in its function."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        verifications = {target.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                         and isinstance(node.value, ast.Call)
+                         and getattr(node.value.func, "id", None) == "verify_gls"
+                         for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute) and node.attr == "chains"
+                    and getattr(node.value, "id", None) not in verifications):
+                yield module, fn.name, type(node.ctx).__name__
+
+
+def test_only_find_a_chain_reads_the_chain_memo():
+    # the orbit table's a-chain memo has one entry point, keyed by ints: the table
+    # makes it, and torbit.find_a_chain reads and fills it
+    uses = sorted(use for path in sorted(SOURCE.glob("*.py"))
+                  for use in _chain_table_uses(ast.parse(path.read_text(encoding="utf-8")),
+                                               path.stem))
+    assert uses == [("rootdata", "__init__", "Store"), ("torbit", "find_a_chain", "Load")]
 
 
 def test_crystal_elements_dispatch_by_method_not_by_type():

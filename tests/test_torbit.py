@@ -25,6 +25,12 @@ def ctx3():
     return context_with_base([[2, -1], [-1, -2]], [1, 1])
 
 
+def chain_at(ctx, a, mu, nu):
+    """find_a_chain at the level a (int or Fraction) for two weights, interned first."""
+    table, a = ctx.orbit_table, F(a)
+    return find_a_chain(ctx, a.numerator, a.denominator, table.intern(mu), table.intern(nu))
+
+
 def test_apply_word():
     ctx, lam = ctx1()
     assert apply_word(ctx, [], lam) == lam
@@ -77,23 +83,23 @@ def test_dist_examples():
 
 def test_find_a_chain_examples():
     ctx, lam = ctx1()
-    chain = find_a_chain(ctx, F(1, 2), lam - 2 * ctx.alpha(1), lam)
+    chain = chain_at(ctx, F(1, 2), lam - 2 * ctx.alpha(1), lam)
     assert chain is not None and len(chain) == 1
     assert chain.weights == (lam - 2 * ctx.alpha(1), lam)
     assert chain.roots[0].root == ctx.alpha(1)
-    assert find_a_chain(ctx, F(1, 3), lam - 2 * ctx.alpha(1), lam) is None
+    assert chain_at(ctx, F(1, 3), lam - 2 * ctx.alpha(1), lam) is None
     # a = 1 makes the real integrality automatic
     c2, l2 = ctx2()
-    chain2 = find_a_chain(c2, F(1), l2 - 2 * c2.alpha(1), l2)
+    chain2 = chain_at(c2, F(1), l2 - 2 * c2.alpha(1), l2)
     assert chain2 is not None and len(chain2) == 1
     with pytest.raises(ValueError):
-        find_a_chain(ctx, F(0), lam, lam)
+        chain_at(ctx, F(0), lam, lam)
 
 
 def test_chain_invariants():
     c3, l3 = ctx3()
     mu = l3 - 2 * c3.alpha(1) - c3.alpha(2)
-    chain = find_a_chain(c3, F(1), mu, l3)
+    chain = chain_at(c3, F(1), mu, l3)
     assert chain is not None and len(chain) == 2
     for t in range(len(chain)):
         lower, upper = chain.weights[t], chain.weights[t + 1]
@@ -113,7 +119,7 @@ def test_caches_agree_with_a_fresh_context():
         def results(ctx):
             roots = [positive_wpi_roots(ctx, b) for b in range(6)]
             dists = [dist(ctx, mu, nu) for mu, nu in pairs]
-            chains = [find_a_chain(ctx, a, mu, nu) for a in (F(1), F(1, 2)) for mu, nu in pairs]
+            chains = [chain_at(ctx, a, mu, nu) for a in (F(1), F(1, 2)) for mu, nu in pairs]
             return roots, dists, chains
 
         first = results(warm)
@@ -134,8 +140,8 @@ def test_caches_are_per_context():
     for _ in range(2):
         assert dist(ci, li - 6 * ci.alpha(1), li) == 2
         assert dist(cr, lr - 6 * cr.alpha(1), lr) is None
-        assert find_a_chain(ci, F(1, 2), li - 2 * ci.alpha(1), li).roots[0].imaginary
-        assert not find_a_chain(cr, F(1, 2), lr - 2 * cr.alpha(1), lr).roots[0].imaginary
+        assert chain_at(ci, F(1, 2), li - 2 * ci.alpha(1), li).roots[0].imaginary
+        assert not chain_at(cr, F(1, 2), lr - 2 * cr.alpha(1), lr).roots[0].imaginary
     (c3, _), (c4, _) = ctx3(), context_with_base([[-1, -1], [-1, -2]], [1, 1])
     for _ in range(2):
         assert [r.root for r in positive_wpi_roots(c3, 2)] == [c3.alpha(1), c3.alpha(2),
@@ -175,7 +181,10 @@ def test_chain_memo_does_not_keep_a_rejected_level():
     ctx, lam = ctx1()
     for _ in range(2):
         with pytest.raises(ValueError):
-            find_a_chain(ctx, F(3, 2), lam - 2 * ctx.alpha(1), lam)
+            chain_at(ctx, F(3, 2), lam - 2 * ctx.alpha(1), lam)
+        for p, q in ((0, 1), (-1, 2), (3, 2), (1, 0), (-1, -2)):
+            with pytest.raises(ValueError, match=rf"\(0,1\], got {p}/{q}$"):
+                find_a_chain(ctx, p, q, 0, 1)
     assert not ctx.orbit_table.chains
 
 
@@ -184,20 +193,23 @@ def test_chain_memo_serves_int_and_fraction_levels_alike():
     mu = l3 - 2 * c3.alpha(1) - c3.alpha(2)
     for levels in ((1, F(1)), (F(1), 1)):
         ctx = ctx3()[0]
-        chains = [find_a_chain(ctx, a, mu, l3) for a in levels]
-        assert chains[0] == chains[1] == find_a_chain(c3, F(1), mu, l3)
+        chains = [chain_at(ctx, a, mu, l3) for a in levels]
+        assert chains[0] == chains[1] == chain_at(c3, F(1), mu, l3)
         assert all(type(chain.level) is F for chain in chains)
 
 
 def test_chain_memo_keys_on_reduced_levels_and_weight_ids():
     c3, l3 = ctx3()
     table, mu = c3.orbit_table, l3 - 2 * c3.alpha(1) - c3.alpha(2)
-    one, half = find_a_chain(c3, 1, mu, l3), find_a_chain(c3, F(1, 2), mu, l3)
+    one, half = chain_at(c3, 1, mu, l3), chain_at(c3, F(1, 2), mu, l3)
     assert one is not None and len(table.chains) == 2
     # the same level as an int or a Fraction, and an equal weight made otherwise
     other_mu = (l3 - c3.alpha(2)) - c3.alpha(1) - c3.alpha(1)
-    assert other_mu is not mu and find_a_chain(c3, F(1), other_mu, l3) is one
-    assert find_a_chain(c3, F(2, 4), mu, l3 + c3.alpha(1) - c3.alpha(1)) is half
+    assert other_mu is not mu and chain_at(c3, F(1), other_mu, l3) is one
+    assert chain_at(c3, F(2, 4), mu, l3 + c3.alpha(1) - c3.alpha(1)) is half
+    # find_a_chain reduces an int level itself
+    ids = table.ids[mu], table.ids[l3]
+    assert find_a_chain(c3, 3, 3, *ids) is one and find_a_chain(c3, 3, 6, *ids) is half
     assert set(table.chains) == {(1, 1, table.ids[mu], table.ids[l3]),
                                  (1, 2, table.ids[mu], table.ids[l3])}
     # every key of a membership pass: ints, p/q in lowest terms in (0, 1]
@@ -221,7 +233,7 @@ def test_a_weight_over_another_basis_is_not_interned():
     table.intern(lam)
     for _ in range(2):
         with pytest.raises(UnknownBase):
-            find_a_chain(ctx, 1, other, lam)
+            chain_at(ctx, 1, other, lam)
         with pytest.raises(UnknownBase):
             table.intern(other)
     assert not table.chains and list(table.ids) == table.weights == [lam]
@@ -232,9 +244,9 @@ def test_a_weight_over_another_basis_is_not_interned():
 def test_chain_memo_holds_one_entry_per_distinct_call(monkeypatch):
     seen = set()
 
-    def recording(ctx, a, mu, nu):
-        seen.add((a, mu, nu))
-        return find_a_chain(ctx, a, mu, nu)
+    def recording(ctx, p, q, mu, nu):  # verify_gls passes ids; p/q may be unreduced
+        seen.add((F(p, q), mu, nu))
+        return find_a_chain(ctx, p, q, mu, nu)
 
     monkeypatch.setattr(gls, "find_a_chain", recording)
     ctx, lam = fixture_context(FIXTURES[5])
