@@ -66,7 +66,8 @@ class GLSPath:
     def __getattr__(self, name):  # only for the slot breaks, unset in operator-made paths
         if name != "breaks":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        _set(self, "breaks", _fractions(self._ids[0], self._nums))
+        den = self._nums[-1]
+        _set(self, "breaks", tuple(Fraction(a, den) for a in self._nums))
         return self.breaks
 
     @staticmethod
@@ -136,15 +137,6 @@ def _integer_form(ctx: WeightContext, pi: GLSPath):
     if pi._ids is None or pi._ids[0] is not table:
         _set(pi, "_ids", (table, tuple(table.intern(w) for w in pi.weights), {}))
     return (*pi._ids, pi._nums)
-
-
-def _fractions(table: OrbitTable, nums) -> Tuple[Fraction, ...]:
-    """nums[k] / nums[-1] for every k: one shared Fraction per value, in table.fractions."""
-    memo, den, out = table.fractions, nums[-1], []
-    for a, g in zip(nums, map(gcd, nums, repeat(den))):
-        key = (a // g, den // g)  # in lowest terms
-        out.append(memo[key] if key in memo else memo.setdefault(key, Fraction(*key)))
-    return tuple(out)
 
 
 def _h_profile(ctx: WeightContext, i: int, pi: GLSPath):

@@ -186,14 +186,10 @@ class Weight:
         return self._key
 
     def __add__(self, other: "Weight") -> "Weight":
-        if self.den == other.den == 1 and self.names is other.names:  # integral: no gcd
-            return Weight(self.names, 1, tuple(map(add, self.nums, other.nums)))
         names, den, a, b = _common(self, other)
         return _reduced(names, den, tuple(map(add, a, b)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        if self.den == other.den == 1 and self.names is other.names:
-            return Weight(self.names, 1, tuple(map(sub, self.nums, other.nums)))
         names, den, a, b = _common(self, other)
         return _reduced(names, den, tuple(map(sub, a, b)))
 
@@ -201,8 +197,6 @@ class Weight:
         return self * -1
 
     def __mul__(self, c: Rational) -> "Weight":
-        if type(c) is int and self.den == 1:
-            return Weight(self.names, 1, tuple(x * c for x in self.nums))
         c = exact(c)
         return _reduced(self.names, self.den * c.denominator,
                         tuple(x * c.numerator for x in self.nums))
@@ -254,10 +248,8 @@ def _common(a: Weight, b: Weight):
 def pair(f: Weight, w: Weight) -> Rational:
     """f(w) for a functional f given by its values on the basis (a coroot):
     one dot product, in the exact form."""
-    if f.names is not w.names:
-        _basis(f, w)
-    s, d = sum(map(mul, f.nums, w.nums)), f.den * w.den
-    return s if d == 1 else _over(s, d)
+    _basis(f, w)
+    return _over(sum(map(mul, f.nums, w.nums)), f.den * w.den)
 
 
 def combination(coeffs: Iterable[int], weights: Sequence[Weight], den: int) -> Weight:
@@ -297,8 +289,7 @@ def add_root(w: Weight, i: int, c: Rational, d: int = 1) -> Weight:
         den = lcm(den, q)
         nums = [x * (den // w.den) for x in nums]
     nums[len(w.names) + i - 1] += p * (den // q)
-    # an integral c / d keeps den, and gcd(den, x + p den) = gcd(den, x): no reduction
-    return Weight(w.names, den, tuple(nums)) if q == 1 else _reduced(w.names, den, tuple(nums))
+    return _reduced(w.names, den, tuple(nums))
 
 
 def format_weight(w: Weight) -> str:
@@ -456,7 +447,6 @@ class OrbitTable:
         self.roots: Dict[float, tuple] = {}
         self.dists: Dict[tuple, Optional[int]] = {}
         self.chains: Dict[tuple, object] = {}
-        self.fractions: Dict[Tuple[int, int], Fraction] = {}  # GLS break values, see gls
 
     def intern(self, w: Weight) -> int:
         """Id of w; a new weight gets its coroot pairings."""

@@ -4,11 +4,10 @@ import gc
 import random
 import weakref
 from fractions import Fraction as F
-from math import gcd, lcm
-from operator import add, mul, sub
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from glspaths import (AsymmetricZero, AxisViolation, MatrixError,
                       MatrixFormatError, context_with_base, format_weight,
@@ -382,78 +381,6 @@ def test_column_pairing_is_the_sum_over_the_items(bases, roots):
     for i in (0, -1, 4):
         with pytest.raises(ValueError):
             ctx.pairing(i, w)
-
-
-# the general route of each weight operation, which its integral fast path must match
-def _general_pair(f, w):
-    rootdata._basis(f, w)
-    return rootdata._over(sum(map(mul, f.nums, w.nums)), f.den * w.den)
-
-
-def _general_combine(op, a, b):
-    names, den, x, y = rootdata._common(a, b)
-    return rootdata._reduced(names, den, tuple(map(op, x, y)))
-
-
-def _general_scale(w, c):
-    c = exact(c)
-    return rootdata._reduced(w.names, w.den * c.denominator, tuple(x * c.numerator for x in w.nums))
-
-
-def _general_add_root(w, i, c, d):
-    c = exact(F(c, d))
-    den = lcm(w.den, c.denominator)
-    nums = [x * (den // w.den) for x in w.nums]
-    nums[len(w.names) + i - 1] += c.numerator * (den // c.denominator)
-    return rootdata._reduced(w.names, den, tuple(nums))
-
-
-def _same(got, expected):
-    """The same value in the same exact form: den and nums of a weight, the type of a number."""
-    if isinstance(expected, rootdata.Weight):
-        return ((got.names, got.den, got.nums) == (expected.names, expected.den, expected.nums)
-                and all(type(x) is int for x in got.nums))
-    return got == expected and type(got) is type(expected)
-
-
-INTEGRAL_BASES = st.dictionaries(st.sampled_from(["lambda", "mu", "rho"]), st.integers(-4, 4),
-                                 max_size=3)
-INTEGRAL_ROOTS = st.dictionaries(st.integers(1, 3), st.integers(-4, 4), max_size=3)
-SCALARS = st.one_of(st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.one_of(INTEGRAL_BASES, BASES), st.one_of(INTEGRAL_ROOTS, ROOTS),
-       st.one_of(INTEGRAL_BASES, BASES), st.one_of(INTEGRAL_ROOTS, ROOTS), SCALARS, st.integers(1, 3), st.sampled_from([1, 1, -1, 2]))
-@example({}, {1: 2}, {"lambda": 1}, {2: -1}, 0, 1, 1)  # den 1 on both sides, c = 0
-@example({"mu": F(1, 2)}, {1: 1}, {}, {3: F(2, 3)}, -3, 2, 1)  # den > 1, negative c
-@example({"rho": 2}, {}, {"lambda": -1}, {}, F(-3, 2), 3, 1)  # den 1, a Fraction c
-def test_integral_fast_paths_match_the_general_route(b1, r1, b2, r2, c, i, d):
-    ctx = PAIRING_CONTEXT
-    w, x = ctx.weight(b1, r1), ctx.weight(b2, r2)
-    for f in ctx.coroots[1:] + [w, x]:
-        assert _same(pair(f, w), _general_pair(f, w))
-    for i_ in ctx.matrix.indices:
-        assert _same(ctx.pairing(i_, w), _general_pair(ctx.coroots[i_], w))
-    assert _same(w + x, _general_combine(add, w, x))
-    assert _same(w - x, _general_combine(sub, w, x))
-    assert _same(w * c, _general_scale(w, c)) and _same(c * w, _general_scale(w, c))
-    assert _same(-w, _general_scale(w, -1))
-    assert _same(add_root(w, i, c, d), _general_add_root(w, i, c, d))
-    # equal names that are not the same tuple take the general route, with equal results
-    twin = rootdata.Weight(tuple(list(x.names)), x.den, x.nums)
-    assert twin.names is not x.names
-    assert _same(w + twin, w + x) and _same(w - twin, w - x) and pair(twin, w) == pair(x, w)
-
-
-def test_integral_weights_over_different_bases_do_not_mix():
-    ctx, w = PAIRING_CONTEXT, PAIRING_CONTEXT.weight({"lambda": 1}, {1: 2})
-    other, v = context_with_base([[2, -1, 0], [-1, 2, 0], [0, 0, -1]], [1, 0, 0], name="nu")
-    assert w.den == v.den == 1
-    for operation in (lambda: w + v, lambda: v - w, lambda: pair(ctx.coroots[1], v),
-                      lambda: pair(other.coroots[2], w), lambda: ctx.pairing(2, v)):
-        with pytest.raises(UnknownBase):
-            operation()
 
 
 def test_weights_over_different_bases_do_not_mix():

@@ -81,10 +81,10 @@ def test_the_path_operators_run_on_ints():
     assert {owner for owner, _ in calls} == FRACTION_BOUNDARY  # the list stays current
 
 
-# the functions of gls.py that make Fractions: the memo of break values
-# (the breaks built on first read), the level of a failing pair in
-# verify_gls, the straight path and the joining entry point
-GLS_FRACTION_BOUNDARY = {"_fractions", "verify_gls", "linear", "properly_join"}
+# the functions of gls.py that make Fractions: the breaks built on first read
+# (GLSPath.__getattr__), the level of a failing pair in verify_gls, the
+# straight path and the joining entry point
+GLS_FRACTION_BOUNDARY = {"__getattr__", "verify_gls", "linear", "properly_join"}
 
 
 def test_the_gls_operators_run_on_ints():
