@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import le, sub
 from typing import Dict, List, Optional, Tuple
 
 from .gls import CrystalGraph
@@ -70,16 +71,16 @@ def divide(num: CharacterSeries, den: CharacterSeries) -> CharacterSeries:
     if unit not in (1, -1):
         raise ValueError(f"denominator constant term {unit} is not a unit")
     nterms = num.term_dict()
+    rest = [(d, vd) for d, vd in dterms.items() if any(d)]
     q: Dict[Exponent, int] = {}
     # lex order puts every c - d with d <= c before c
     for c in product(range(depth + 1), repeat=n):
         if sum(c) > depth:
             continue
         acc = nterms.get(c, 0)
-        for d, vd in dterms.items():
-            if d == (0,) * n or any(x > y for x, y in zip(d, c)):
-                continue
-            acc -= vd * q.get(tuple(y - x for x, y in zip(d, c)), 0)
+        for d, vd in rest:
+            if all(map(le, d, c)):
+                acc -= vd * q.get(tuple(map(sub, c, d)), 0)
         q[c] = acc // unit
     return CharacterSeries.from_dict(num.base - den.base, n, depth, q)
 

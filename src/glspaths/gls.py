@@ -34,11 +34,14 @@ _set = object.__setattr__
 @dataclass(frozen=True, slots=True)
 class GLSPath:
     """Orbit-weight sequence with break points; shape is the orbit anchor.
-    Paths compare and hash on ``_nums``, the break numerators over their least
-    common denominator D (the last one); operator-made paths build ``breaks``
-    from them on first read.  ``_ids`` caches the integer form (below); ``_weight`` the
-    weight, and from the first ``render`` on the rendered path, which ends at the weight,
-    so every reader shares one path and its operator memo.
+    A path's value is (shape, weights, ``_nums``), ``_nums`` the break numerators
+    over their least common denominator D (the last one).  ``_ids`` caches the
+    integer form (below): paths with ids from one orbit table compare them in place
+    of the weights, and the hash reads (``_nums``, last weight), so operator-made
+    paths, which build ``breaks`` and ``weights`` on first read, hash no weight
+    tuple.  ``_weight`` keeps the weight, and from the first ``render`` on the
+    rendered path, which ends at the weight, so every reader shares one path and
+    its operator memo.
     As a crystal element, ``epsilon``, ``f`` and ``e`` run the closed forms below."""
 
     shape: Weight
@@ -63,12 +66,28 @@ class GLSPath:
         den = lcm(*(b.denominator for b in self.breaks))
         _set(self, "_nums", tuple(b.numerator * (den // b.denominator) for b in self.breaks))
 
-    def __getattr__(self, name):  # only for the slot breaks, unset in operator-made paths
-        if name != "breaks":
+    def __getattr__(self, name):  # only for breaks and weights, unset in operator-made paths
+        if name == "breaks":
+            den = self._nums[-1]
+            _set(self, "breaks", tuple(Fraction(a, den) for a in self._nums))
+        elif name == "weights":
+            _set(self, "weights", tuple(map(self._ids[0].weights.__getitem__, self._ids[1])))
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        den = self._nums[-1]
-        _set(self, "breaks", tuple(Fraction(a, den) for a in self._nums))
-        return self.breaks
+        return getattr(self, name)
+
+    def __eq__(self, other):
+        if type(other) is not GLSPath:
+            return NotImplemented
+        shape = other.shape
+        if self._nums != other._nums or (self.shape is not shape and self.shape != shape):
+            return False
+        a, b = self._ids, other._ids
+        return a[1] == b[1] if a and b and a[0] is b[0] else self.weights == other.weights
+
+    def __hash__(self):  # the last weight from the table, to build no weight tuple
+        ids = self._ids
+        return hash((self._nums, ids[0].weights[ids[1][-1]] if ids else self.weights[-1]))
 
     @staticmethod
     def linear(lam: Weight) -> "GLSPath":
@@ -200,9 +219,8 @@ def _from_integer_form(shape: Weight, table: OrbitTable, ids, den: int, nums,
     if (len(nums) != len(ids) + 1 or nums[0] != 0 or nums[-1] != den
             or not all(map(lt, nums, nums[1:])) or any(map(eq, ids, ids[1:]))):
         raise InvariantViolation(f"integer path data breaks an invariant: {ids}, {nums} / {den}")
-    pi = object.__new__(GLSPath)  # breaks left unset: see GLSPath.__getattr__
+    pi = object.__new__(GLSPath)  # breaks and weights left unset: see GLSPath.__getattr__
     _set(pi, "shape", shape)
-    _set(pi, "weights", tuple(map(table.weights.__getitem__, ids)))
     _set(pi, "_nums", tuple(nums) if reduced else tuple(map(floordiv, nums, repeat(gcd(*nums)))))
     _set(pi, "_ids", (table, tuple(ids), {}))
     _set(pi, "_weight", None)

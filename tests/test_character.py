@@ -6,6 +6,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glspaths import (CharacterSeries, GLSPath, GeneratorSequence, bj_word, char_of_graph,
                       compare_characters, context_with_base, divide, enumerate_crystal,
@@ -31,6 +32,25 @@ def test_multiply_divide_roundtrip():
     c = series(base, 2, 4, {(1, 0): 1})
     with pytest.raises(ValueError):
         divide(a, c)
+
+
+@st.composite
+def numerator_and_unit_denominator(draw):
+    n, depths = draw(st.integers(1, 3)), draw(st.tuples(st.integers(0, 6), st.integers(0, 6)))
+    exponents = st.tuples(*[st.integers(0, max(depths))] * n)
+    a, b = (draw(st.dictionaries(exponents, st.integers(-5, 5), max_size=12)) for _ in depths)
+    b[(0,) * n] = draw(st.sampled_from((1, -1)))
+    return series(ZERO, n, depths[0], a), series(ZERO, n, depths[1], b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(numerator_and_unit_denominator())
+def test_multiplying_the_quotient_back_gives_the_numerator(pair):
+    a, b = pair
+    depth = min(a.depth, b.depth)
+    back = multiply(divide(a, b), b)
+    assert back.depth == depth and back.base == a.base
+    assert back.terms == series(a.base, a.n, depth, a.term_dict()).terms
 
 
 def test_truncation_in_multiplication():

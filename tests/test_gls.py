@@ -3,8 +3,10 @@
 import inspect
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,7 @@ from glspaths import (GLSPath, JoinRejected, NotAGLSPath, apply_e, apply_f,
                       export_dot, gls_e, gls_f, hw_crystal_isomorphic,
                       find_a_chain, properly_join, validate_axioms,
                       verify_gls)
-from glspaths import checks, crystals, gls
+from glspaths import checks, cli, crystals, gls
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_gls_membership,
                              check_highest_weight_unique,
                              check_non_strictness_witness,
@@ -502,21 +504,80 @@ def test_build_crystal_graph_signature_is_pinned():
 
 
 def test_operator_made_breaks_are_built_on_first_read():
-    # every node of two_imaginary at depth 6 and its f-images: the breaks are
-    # built only when read and equal the constructor's, the endpoints included
+    # every node of two_imaginary at depth 6 and its f-images: the breaks and the
+    # weights are built only when read, the weights from the path's orbit ids, and
+    # the breaks equal the constructor's, the endpoints included
     ctx, lam = fixture_context(TWO_IMAGINARY)
     graph = enumerate_crystal(ctx, lam, 6)
     paths = [gls_f(ctx, i, node.element) for node in graph.nodes for i in ctx.matrix.indices]
     paths = [p for p in paths if p is not None]
     assert len(paths) > 500
     for p in paths:
+        for name in ("breaks", "weights"):
+            with pytest.raises(AttributeError):
+                object.__getattribute__(p, name)  # not built yet
+        assert p.weights == tuple(ctx.orbit_table.weights[k] for k in p._ids[1])
+        assert object.__getattribute__(p, "weights") is p.weights
         fresh = GLSPath(p.shape, p.weights, tuple(F(a, p._nums[-1]) for a in p._nums))
         assert p == fresh and hash(p) == hash(fresh)
-        with pytest.raises(AttributeError):
-            object.__getattribute__(p, "breaks")  # not built yet
         assert p.breaks == fresh.breaks and p.key() == fresh.key()
         assert all(type(b) is F for b in p.breaks + fresh.breaks)
         assert p.breaks[0] == fresh.breaks[0] == 0 and p.breaks[-1] == fresh.breaks[-1] == 1
+
+
+def _value(pi):
+    return pi.shape, pi.weights, pi._nums
+
+
+def test_equality_and_hash_agree_with_the_value():
+    # == compares ids where both paths hold them from one orbit table, and the hash
+    # reads (_nums, last weight); both must agree with the value (shape, weights,
+    # _nums) on every pair of nodes that share _nums, within one context, against
+    # the equal nodes of a second context and against constructor-made twins
+    for fx, depth in [(fx, 5) for fx in FIXTURES + (TWO_IMAGINARY,)] + [(TWO_IMAGINARY, 9)]:
+        (ctx, lam), (other, lam2) = fixture_context(fx), fixture_context(fx)
+        other.orbit_table.intern(other.rho())  # so that equal weights differ in id
+        nodes = enumerate_crystal(ctx, lam, depth).elements
+        again = enumerate_crystal(other, lam2, depth).elements
+        assert nodes[0]._ids[1] != again[0]._ids[1]
+        buckets, shared = defaultdict(list), defaultdict(set)
+        for k, pi in enumerate(nodes):
+            buckets[pi._nums].append(k)
+        for ks in buckets.values():
+            for a in ks:
+                for b in ks:
+                    p, q = nodes[a], nodes[b]
+                    equal = [p == q, q == p]  # on ids
+                    twin = GLSPath(q.shape, q.weights, q.breaks)
+                    for r in (again[b], twin):  # ids of another table, and none
+                        equal += [p == r, r == p]
+                    assert equal == [_value(p) == _value(q)] * 6 == [a == b] * 6
+                    if a == b:
+                        assert hash(p) == hash(again[b]) == hash(twin)
+                        assert p != GLSPath(q.shape * 2, q.weights, q.breaks)  # another shape
+                    elif p.weights[-1] == q.weights[-1]:  # interior weights differ
+                        shared[p._nums, p._ids[1][-1]].add(a)
+        if depth == 9:
+            assert max(map(len, shared.values())) == 9
+
+
+def test_a_compare_char_pass_builds_no_weight_tuple(monkeypatch, capsys):
+    # the crystal benchmark's pass compares and hashes every operator-made path
+    # on its integer form, and never reads a path's weights
+    reads, getattr_ = Counter(), GLSPath.__getattr__
+
+    def counted(self, name):
+        reads[name] += 1
+        return getattr_(self, name)
+
+    monkeypatch.setattr(GLSPath, "__getattr__", counted)
+    matrix = str(Path(__file__).parent / "golden" / "two_imaginary.mat")
+    assert cli.run(["compare-char", "-m", matrix, "-l", "1 1 1", "-d", "9"]) == 0
+    assert capsys.readouterr().out == "equal, 180 terms\n"
+    assert reads["weights"] == 0
+    ctx, lam = fixture_context(TWO_IMAGINARY)
+    gls_f(ctx, 1, GLSPath.linear(lam)).weights  # the count sees a first read
+    assert reads["weights"] == 1
 
 
 def test_paths_cannot_be_assigned():
