@@ -2,17 +2,15 @@
 
 Each check returns a list of violation strings (empty means pass) so the
 suites can be exercised both by pytest and by the CLI without duplicating
-the mathematics.  Checks are exhaustive over small truncations; the few
-randomized samples draw from an explicit seeded generator.  A check on a
-GLS crystal takes the graph it checks, builds none and reads its context
-as ``graph.ctx``, so it cannot be handed a mismatched one: ``run_suite``
-builds each fixture's crystal once and hands the same graph to every such
-check.
+the mathematics.  Checks are exhaustive over small truncations and draw no
+random number, so the suite's report is fixed.  A check on a GLS crystal
+takes the graph it checks, builds none and reads its context as
+``graph.ctx``, so it cannot be handed a mismatched one: ``run_suite`` builds
+each fixture's crystal once and hands the same graph to every such check.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -51,61 +49,46 @@ def fixture_context(fx: Fixture):
     return context_with_base(entries, pairings)
 
 
-def _sample_weights(ctx, lam, rng) -> List[Weight]:
-    n = ctx.matrix.n
-    out = [lam, ctx.rho(), ctx.weight()]
-    for _ in range(6):
-        out.append(lam - ctx.weight(roots={i: rng.randint(0, 3) for i in range(1, n + 1)}))
-    return out
-
-
-def check_reflections(ctx, lam, rng) -> List[str]:
-    """Involutivity of real reflections, unbounded order of imaginary ones,
-    linearity of the pairing, and stability of the lattice P."""
+def check_reflections(ctx, lam) -> List[str]:
+    """Involutivity of real reflections, invertibility of imaginary ones and
+    stability of the lattice P, on the orbit of lam to depth 4, rho and 0;
+    unbounded order of the imaginary reflections on lam."""
     out = []
-    sample = _sample_weights(ctx, lam, rng)
+    weights = sorted(orbit(ctx, lam, 4), key=Weight.sort_key) + [ctx.rho(), ctx.weight()]
     for i in ctx.matrix.indices:
-        for w in sample:
+        for w in weights:
             if ctx.matrix.is_real(i):
                 if ctx.reflect(i, ctx.reflect(i, w)) != w:
                     out.append(f"r_{i} not an involution on {format_weight(w)}")
-            else:
-                if ctx.reflect_inverse(i, ctx.reflect(i, w)) != w:
-                    out.append(f"r_{i}^-1 r_{i} != id on {format_weight(w)}")
-                if ctx.pairing(i, lam) > 0:
-                    cur = lam
-                    for _ in range(8):
-                        cur = ctx.reflect(i, cur)
-                        if cur == lam:
-                            out.append(f"r_{i} has finite order on {format_weight(lam)}")
-                            break
+            elif ctx.reflect_inverse(i, ctx.reflect(i, w)) != w:
+                out.append(f"r_{i}^-1 r_{i} != id on {format_weight(w)}")
             if ctx.is_in_P(w) and not ctx.is_in_P(ctx.reflect(i, w)):
                 out.append(f"r_{i} leaves P on {format_weight(w)}")
-    for _ in range(10):
-        a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        b = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        u, v = rng.choice(sample), rng.choice(sample)
-        for i in ctx.matrix.indices:
-            if ctx.pairing(i, a * u + b * v) != a * ctx.pairing(i, u) + b * ctx.pairing(i, v):
-                out.append(f"pairing not linear at index {i}")
+        if ctx.matrix.is_imaginary(i) and ctx.pairing(i, lam) > 0:
+            cur = lam
+            for _ in range(8):
+                cur = ctx.reflect(i, cur)
+                if cur == lam:
+                    out.append(f"r_{i} has finite order on {format_weight(lam)}")
+                    break
     return out
 
 
-def check_coroot_signs(ctx, rng) -> List[str]:
+def check_coroot_signs(ctx) -> List[str]:
     """Coroots of positive orbit roots (height <= 4) pair nonpositively with
-    imaginary simple roots, and imaginary coroots are nonpositive on Q+."""
+    imaginary simple roots, and imaginary coroots are nonpositive on every
+    simple root, hence on Q+."""
     out = []
     roots = positive_wpi_roots(ctx, 4)
-    n = ctx.matrix.n
+    imaginary = sorted(ctx.matrix.imaginary_indices)
     for r in roots:
-        for i in sorted(ctx.matrix.imaginary_indices):
+        for i in imaginary:
             if r.coroot_pairing(ctx.alpha(i)) > 0:
                 out.append(f"coroot of {format_weight(r.root)} positive on alpha_{i}")
-    for _ in range(10):
-        beta = ctx.weight(roots={j: rng.randint(0, 3) for j in range(1, n + 1)})
-        for i in sorted(ctx.matrix.imaginary_indices):
-            if ctx.pairing(i, beta) > 0:
-                out.append(f"pairing({i}, {format_weight(beta)}) > 0 on Q+")
+    for i in imaginary:
+        for j in ctx.matrix.indices:
+            if ctx.pairing(i, ctx.alpha(j)) > 0:
+                out.append(f"pairing({i}, {format_weight(ctx.alpha(j))}) > 0 on Q+")
     return out
 
 
@@ -470,14 +453,13 @@ def check_non_strictness_witness(graph) -> List[str]:
     return ["no non-strictness witness found"]
 
 
-def run_suite(seed: int):
+def run_suite():
     """Yield (name, violations) pairs over the bundled fixtures."""
-    rng = random.Random(seed)
     for fx in FIXTURES:
         name = fx[0]
         ctx, lam = fixture_context(fx)
-        yield f"{name}: reflections", check_reflections(ctx, lam, rng)
-        yield f"{name}: coroot signs", check_coroot_signs(ctx, rng)
+        yield f"{name}: reflections", check_reflections(ctx, lam)
+        yield f"{name}: coroot signs", check_coroot_signs(ctx)
         yield f"{name}: orbit", check_orbit_properties(ctx, lam)
         yield f"{name}: dist lemmas", check_dist_lemmas(ctx, lam)
         graph = enumerate_crystal(ctx, lam, 3)

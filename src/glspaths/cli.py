@@ -166,7 +166,7 @@ def _cmd_suite(args) -> int:
     """Run every check, print a FAIL block for each failing one, and exit 1
     at the end if any failed."""
     failed = False
-    for name, violations in checks.run_suite(seed=args.seed):
+    for name, violations in checks.run_suite():
         if violations:
             failed = True
             sys.stdout.write(f"FAIL {name}\n")
@@ -233,7 +233,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--period", default=(), type=_parse_indices,
                    help="space-separated indices")
     p = sub.add_parser("suite", help="run the bundled invariant suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted for older scripts; it has no effect")
     return parser
 
 

@@ -181,11 +181,11 @@ def test_outputs_are_deterministic(matrices, capsys):
 
 def test_suite_reports_every_failure(monkeypatch, capsys):
     checks = [("first", []), ("second", ["bad a"]), ("third", ["bad b", "bad c"])]
-    monkeypatch.setattr(cli.checks, "run_suite", lambda seed: iter(checks))
+    monkeypatch.setattr(cli.checks, "run_suite", lambda: iter(checks))
     assert cli.run(["suite"]) == 1
     assert capsys.readouterr().out == ("ok first\nFAIL second\n  bad a\n"
                                        "FAIL third\n  bad b\n  bad c\n")
-    monkeypatch.setattr(cli.checks, "run_suite", lambda seed: iter(checks[:1]))
+    monkeypatch.setattr(cli.checks, "run_suite", lambda: iter(checks[:1]))
     assert cli.run(["suite"]) == 0
     assert capsys.readouterr().out == "ok first\n"
 

@@ -377,7 +377,7 @@ def test_element_key_is_injective_on_the_suite_graphs(monkeypatch):
         return graphs[-1]
 
     monkeypatch.setattr(checks, "generate_from", recording)
-    assert all(not violations for _, violations in checks.run_suite(seed=0))
+    assert all(not violations for _, violations in checks.run_suite())
     kinds = {type(graph.elements[0]).__name__ for graph in graphs}
     assert {"TensorElement", "BJWord", "PiecewisePath"} <= kinds
     for graph in graphs:

@@ -3,9 +3,9 @@
 The recorded files hold DOT graphs whose breaks have denominators up to 10,
 two truncated characters, one of a non-symmetrizable matrix, a tensor
 isomorphism on that matrix, the B_J(infinity) counts on that matrix over a
-sequence with a preperiod, and the report of ``glspaths suite --seed 0``;
-any drift in node order, break points, weights, terms, counts or checks
-fails here.
+sequence with a preperiod, and the report of ``glspaths suite``, which draws
+no random number, so ``--seed`` leaves it unchanged; any drift in node
+order, break points, weights, terms, counts or checks fails here.
 To record them again after an intended change, run the command of each case
 with ``-o tests/golden/<file>``, and redirect the suite's standard output.
 """
@@ -47,6 +47,7 @@ def test_cli_output_matches_golden_file(argv, expected, tmp_path):
     assert out.read_bytes() == (GOLDEN / expected).read_bytes()
 
 
-def test_suite_output_matches_golden_file(capsys):
-    assert cli.run(["suite", "--seed", "0"]) == 0
+@pytest.mark.parametrize("seed", ["0", "1"], ids=["seed0", "seed1"])
+def test_suite_output_matches_golden_file(seed, capsys):
+    assert cli.run(["suite", "--seed", seed]) == 0
     assert capsys.readouterr().out == (GOLDEN / "suite_seed0.txt").read_text(encoding="utf-8")

@@ -1,7 +1,6 @@
 """Matrices, weights, pairings, reflections, and the matrix file format."""
 
 import gc
-import random
 import weakref
 from fractions import Fraction as F
 from math import gcd
@@ -117,11 +116,15 @@ def test_weight_canonical_form():
 
 
 def test_reflection_properties():
-    rng = random.Random(7)
-    for entries, pairings in ([[-1]], [2]), ([[2]], [3]), ([[2, -1], [-1, -2]], [1, 1]):
+    # the bundled fixtures, sl2 at an odd pairing, and item 7's non-symmetrizable
+    # matrices A-D at two highest weights each
+    cases = [fx[1:] for fx in FIXTURES + (TWO_IMAGINARY,)] + [([[2]], [3])]
+    cases += [(entries, pairings) for _, entries, _ in NONSYMMETRIZABLE
+              for pairings in ([1, 1, 1], [2, 0, 1])]
+    for entries, pairings in cases:
         ctx, lam = context_with_base(entries, pairings)
-        assert check_reflections(ctx, lam, rng) == []
-        assert check_coroot_signs(ctx, rng) == []
+        assert check_reflections(ctx, lam) == []
+        assert check_coroot_signs(ctx) == []
 
 
 def test_parse_context_text():
@@ -381,6 +384,15 @@ def test_column_pairing_is_the_sum_over_the_items(bases, roots):
     for i in (0, -1, 4):
         with pytest.raises(ValueError):
             ctx.pairing(i, w)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(COEFFICIENTS, COEFFICIENTS, BASES, ROOTS, BASES, ROOTS)
+def test_the_pairing_is_linear(a, b, b1, r1, b2, r2):
+    ctx = PAIRING_CONTEXT
+    u, v = ctx.weight(b1, r1), ctx.weight(b2, r2)
+    for i in ctx.matrix.indices:
+        assert ctx.pairing(i, a * u + b * v) == a * ctx.pairing(i, u) + b * ctx.pairing(i, v)
 
 
 def test_weights_over_different_bases_do_not_mix():

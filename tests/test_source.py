@@ -38,6 +38,23 @@ def test_no_module_level_caches_in_the_package():
     assert found == []
 
 
+def test_no_module_imports_random():
+    # every check runs on a whole truncation, so the suite's report and every
+    # other output depend on their inputs alone
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {m}" for m in modules
+                      if m.split(".")[0] == "random"]
+    assert found == []
+
+
 def test_the_path_oracle_uses_nothing_of_the_gls_side():
     # paths.py is the brute-force reference the closed forms are checked
     # against: it may use rootdata weights, never the GLS kernel, the orbit
