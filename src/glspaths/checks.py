@@ -4,9 +4,11 @@ Each check returns a list of violation strings (empty means pass) so the
 suites can be exercised both by pytest and by the CLI without duplicating
 the mathematics.  Checks are exhaustive over small truncations and draw no
 random number, so the suite's report is fixed.  A check on a GLS crystal
-takes the graph it checks, builds none and reads its context as
-``graph.ctx``, so it cannot be handed a mismatched one: ``run_suite`` builds
-each fixture's crystal once and hands the same graph to every such check.
+takes the graph it checks and reads its context as ``graph.ctx``, so it
+cannot be handed a mismatched one: ``run_suite`` builds each fixture's
+crystal once and hands the same graph to every such check.  The ambient and
+tensor checks take the fixture crystal too and build only their depth-2
+closure of its root.
 """
 
 from __future__ import annotations
@@ -306,21 +308,21 @@ def check_crystal_axioms(graph) -> List[str]:
     return validate_axioms(graph) + validate_category_B(graph) + validate_normality(graph)
 
 
-def check_ambient_axioms(ctx, lam) -> List[str]:
-    """Crystal axioms on the closure to depth 2 inside the ambient path set."""
-    graph = generate_from(ctx, GLSPath.linear(lam).render(), 2)
-    return validate_axioms(graph) + validate_normality(graph)
+def check_ambient_axioms(graph) -> List[str]:
+    """Crystal axioms on the closure to depth 2 of the graph's root inside the
+    ambient path set."""
+    closure = generate_from(graph.ctx, graph.elements[0].render(), 2)
+    return validate_axioms(closure) + validate_normality(closure)
 
 
-def check_concatenation_tensor_compat(ctx, lam) -> List[str]:
-    """Operators on the concatenation pi_lam * pi_lam agree with the tensor
-    rules applied to the ambient crystal structures of the halves, to depth 2."""
-    out = []
-    straight = GLSPath.linear(lam).render()
-    root = TensorElement(straight, straight)
-    graph = generate_from(ctx, root, 2)
+def check_concatenation_tensor_compat(graph) -> List[str]:
+    """Operators on the concatenation pi_lam * pi_lam, pi_lam the graph's root,
+    agree with the tensor rules applied to the ambient crystal structures of
+    the halves, to depth 2."""
+    ctx, out, straight = graph.ctx, [], graph.elements[0].render()
+    closure = generate_from(ctx, TensorElement(straight, straight), 2)
     half = Fraction(1, 2)
-    for idx, node in enumerate(graph.nodes):
+    for idx, node in enumerate(closure.nodes):
         el = node.element
         joined = concatenate(el.left, el.right, half, ctx)
         for i in ctx.matrix.indices:
@@ -350,11 +352,11 @@ def check_concatenation_tensor_compat(ctx, lam) -> List[str]:
     return out
 
 
-def check_tensor_closure(ctx, lam) -> List[str]:
-    """The tensor square pi_lam (x) pi_lam, to depth 2, stays in category B
-    and stays normal for real indices."""
-    root = TensorElement(GLSPath.linear(lam), GLSPath.linear(lam))
-    return check_crystal_axioms(generate_from(ctx, root, 2))
+def check_tensor_closure(graph) -> List[str]:
+    """The tensor square pi_lam (x) pi_lam, pi_lam the graph's root, to depth 2,
+    stays in category B and stays normal for real indices."""
+    root = graph.elements[0]
+    return check_crystal_axioms(generate_from(graph.ctx, TensorElement(root, root), 2))
 
 
 def check_bj_properties(ctx, seq: GeneratorSequence, depth: int) -> List[str]:
@@ -469,9 +471,9 @@ def run_suite():
         yield f"{name}: membership", check_gls_membership(graph)
         yield f"{name}: highest weight", check_highest_weight_unique(graph)
         yield f"{name}: axioms", check_crystal_axioms(graph)
-        yield f"{name}: ambient axioms", check_ambient_axioms(ctx, lam)
-        yield f"{name}: tensor closure", check_tensor_closure(ctx, lam)
-        yield f"{name}: concatenation", check_concatenation_tensor_compat(ctx, lam)
+        yield f"{name}: ambient axioms", check_ambient_axioms(graph)
+        yield f"{name}: tensor closure", check_tensor_closure(graph)
+        yield f"{name}: concatenation", check_concatenation_tensor_compat(graph)
         yield (f"{name}: character",
                [] if compare_characters(graph).equal
                else ["character mismatch"])

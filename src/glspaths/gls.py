@@ -35,13 +35,13 @@ _set = object.__setattr__
 class GLSPath:
     """Orbit-weight sequence with break points; shape is the orbit anchor.
     A path's value is (shape, weights, ``_nums``), ``_nums`` the break numerators
-    over their least common denominator D (the last one).  ``_ids`` caches the
-    integer form (below): paths with ids from one orbit table compare them in place
-    of the weights, and the hash reads (``_nums``, last weight), so operator-made
-    paths, which build ``breaks`` and ``weights`` on first read, hash no weight
-    tuple.  ``_weight`` keeps the weight, and from the first ``render`` on the
-    rendered path, which ends at the weight, so every reader shares one path and
-    its operator memo.
+    over their least common denominator D (the last one).  ``_ids`` caches
+    (orbit table, weight ids) of the integer form (below): paths with ids from one
+    table compare them in place of the weights, and the hash reads (``_nums``, last
+    weight), so operator-made paths, which build ``breaks`` and ``weights`` on first
+    read, hash no weight tuple.  ``_weight`` keeps the weight, and from the first
+    ``render`` on the rendered path, which ends at the weight, so every reader
+    shares one path and its operator memo.  A path keeps no state per index i.
     As a crystal element, ``epsilon``, ``f`` and ``e`` run the closed forms below."""
 
     shape: Weight
@@ -105,7 +105,7 @@ class GLSPath:
     def offset_is(self, ctx: WeightContext, top: int, vec) -> Optional[bool]:
         """Whether T - weight() is the root vector vec, T the weight of id ``top`` in
         ctx.orbit_table; None if undecided: see packed_offset."""
-        table, ids, _, nums = _integer_form(ctx, self)
+        table, ids, nums = _integer_form(ctx, self)
         return table.packed_offset(top, ids, nums, vec)
 
     def render(self) -> PiecewisePath:
@@ -151,25 +151,25 @@ class GLSPath:
 
 
 def _integer_form(ctx: WeightContext, pi: GLSPath):
-    """(orbit table, weight ids and {i: minimal level of h_i} in it, _nums) of pi."""
+    """(orbit table, weight ids in it, _nums) of pi."""
     table = ctx.orbit_table
     if pi._ids is None or pi._ids[0] is not table:
-        _set(pi, "_ids", (table, tuple(table.intern(w) for w in pi.weights), {}))
+        _set(pi, "_ids", (table, tuple(table.intern(w) for w in pi.weights)))
     return (*pi._ids, pi._nums)
 
 
 def _h_profile(ctx: WeightContext, i: int, pi: GLSPath):
     """(table, ids, D, nums, hs, m): h_i(nums[k] / D) = hs[k] / D, and m is
-    the minimal level of h_i, which must be an integer (recorded on pi)."""
+    the minimal level of h_i, which must be an integer."""
     if not 1 <= i <= ctx.matrix.n:
         raise ValueError(f"index {i} out of range")
-    table, ids, levels, nums = _integer_form(ctx, pi)
+    table, ids, nums = _integer_form(ctx, pi)
     den = nums[-1]
     column = table.pairings[i]
     hs = [0, *accumulate(map(mul, map(sub, nums[1:], nums), map(column.__getitem__, ids)))]
     if (m := min(hs)) % den:
         raise NotAGLSPath("path is not integral; not a GLS path")
-    return table, ids, den, nums, hs, levels.setdefault(i, m // den)
+    return table, ids, den, nums, hs, m // den
 
 
 def _surgery(shape: Weight, i: int, profile, rise: int, step: int,
@@ -222,7 +222,7 @@ def _from_integer_form(shape: Weight, table: OrbitTable, ids, den: int, nums,
     pi = object.__new__(GLSPath)  # breaks and weights left unset: see GLSPath.__getattr__
     _set(pi, "shape", shape)
     _set(pi, "_nums", tuple(nums) if reduced else tuple(map(floordiv, nums, repeat(gcd(*nums)))))
-    _set(pi, "_ids", (table, tuple(ids), {}))
+    _set(pi, "_ids", (table, tuple(ids)))
     _set(pi, "_weight", None)
     return pi
 
@@ -248,11 +248,8 @@ def gls_e(ctx: WeightContext, i: int, pi: GLSPath) -> Optional[GLSPath]:
 
 
 def gls_epsilon(ctx: WeightContext, i: int, pi: GLSPath):
-    """-m_i for a real index (the level recorded on pi if any), 0 for an imaginary one."""
-    if ctx.matrix.is_imaginary(i):
-        return 0
-    levels = _integer_form(ctx, pi)[2]  # only _h_profile records a level, after its range check
-    return -(levels[i] if i in levels else _h_profile(ctx, i, pi)[-1])
+    """-m_i for a real index, m_i the minimal level of h_i; 0 for an imaginary one."""
+    return 0 if ctx.matrix.is_imaginary(i) else -_h_profile(ctx, i, pi)[-1]
 
 
 @dataclass(frozen=True)
@@ -272,7 +269,7 @@ def verify_gls(ctx: WeightContext, pi: GLSPath) -> GLSVerification:
     weights and, when the last weight differs from the shape, a 1-chain
     down to it, on the integer form: level nums[k] / D and orbit ids, not ``breaks``."""
     chains: List[AChain] = []
-    table, ids, _, nums = _integer_form(ctx, pi)
+    table, ids, nums = _integer_form(ctx, pi)
     den, top, ws = nums[-1], table.intern(pi.shape), table.weights
     pairs = list(zip(nums[1:], ids, ids[1:]))
     if ids[-1] != top:

@@ -215,7 +215,7 @@ def test_criterion_7_invariant_suites():
             ctx, lam = fixture_context(fx)
             graph = enumerate_crystal(ctx, lam, 3)
             assert check_crystal_axioms(graph) == [], fx[0]
-            assert check_ambient_axioms(ctx, lam) == [], fx[0]
+            assert check_ambient_axioms(graph) == [], fx[0]
             assert check_gls_membership(graph) == [], fx[0]
             assert check_inversion_and_weight_shift(graph) == [], fx[0]
             assert check_operator_iteration(graph) == [], fx[0]

@@ -242,10 +242,10 @@ def test_hw_crystal_isomorphic_examples():
 
 def test_tensor_closure_and_concatenation_suites():
     for entries, pairings in ([[-1]], [1]), ([[2, -1], [-1, -2]], [1, 1]):
-        ctx, lam = context_with_base(entries, pairings)
-        assert check_tensor_closure(ctx, lam) == []
-        assert check_concatenation_tensor_compat(ctx, lam) == []
-        assert check_ambient_axioms(ctx, lam) == []
+        graph = enumerate_crystal(*context_with_base(entries, pairings), 3)
+        assert check_tensor_closure(graph) == []
+        assert check_concatenation_tensor_compat(graph) == []
+        assert check_ambient_axioms(graph) == []
 
 
 def test_bj_properties_suite():

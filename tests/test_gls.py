@@ -231,6 +231,8 @@ def _imaginary_candidates(ctx, pi):
 
 # item 7's non-symmetrizable matrices A and C
 MATRICES_A_C = ([[2, -1, -1], [-2, 2, -1], [-1, -1, -2]], [[2, -1, -2], [-1, -1, -1], [-1, -1, -2]])
+# and B (infinite Weyl group) and D (all imaginary, a zero diagonal entry)
+MATRICES_B_D = ([[2, -2, -1], [-3, 2, -1], [-1, -2, -2]], [[-1, -1, -2], [-2, -2, -1], [-1, -1, 0]])
 
 
 def test_verification_on_ids_matches_the_definition():
@@ -644,8 +646,8 @@ def test_paths_cannot_be_assigned():
 
 def test_epsilon_follows_the_context_of_each_call():
     # A2 and a matrix with a_12 = -3: the paths of the A2 crystal, read in
-    # both contexts in turn, get each context's own epsilon_i (the value the
-    # operators recorded on a path is not carried over to the other context)
+    # both contexts in turn, get each context's own epsilon_i (the integer
+    # form cached on a path for one context is not read in the other)
     (ca, lam), (cb, _) = (context_with_base(m, [1, 1])
                           for m in ([[2, -1], [-1, 2]], [[2, -3], [-1, 2]]))
 
@@ -664,6 +666,22 @@ def test_epsilon_follows_the_context_of_each_call():
         assert expected[ca] == node.eps
         differ += expected[ca] != expected[cb]
     assert differ >= 2
+
+
+def test_epsilon_closed_form_matches_the_ambient_oracle():
+    # eps_i of every node, read by gls_epsilon from the integer form, against
+    # epsilon of the node's rendered path, read from the generic h-profile, on
+    # the eight fixtures at depth 6 and A-D at depth 5
+    cases = [(fixture_context(fx), 6) for fx in FIXTURES + (TWO_IMAGINARY,)]
+    cases += [(context_with_base(m, [1, 1, 1]), 5) for m in MATRICES_A_C + MATRICES_B_D]
+    pairs = 0
+    for (ctx, lam), depth in cases:
+        for idx, node in enumerate(enumerate_crystal(ctx, lam, depth).nodes):
+            path = node.element.render()
+            for i in ctx.matrix.indices:
+                assert node.eps[i - 1] == path.epsilon(ctx, i), (ctx.matrix.entries, idx, i)
+                pairs += 1
+    assert pairs == 4272
 
 
 def test_the_node_table_does_not_depend_on_what_is_read_first():
