@@ -36,11 +36,12 @@ class PiecewisePath:
     the least common denominator, with collinear points dropped, so equal
     functions compare equal.  Made by ``from_points`` or ``from_grid``, or
     by ``GLSPath.render`` from data already in this form.
-    ``_f_memo`` keeps the result of ``_f_data`` per (context, index), that of
-    ``h_profile`` per (context, index, "h") and that of ``apply_f``/``apply_e``
-    per (context, index, "f" or "e"), None too; a result's own memo starts empty.  As a
-    crystal element it carries the normal crystal structure of the path set:
-    ``wt``, ``epsilon``, ``f``, ``e`` and ``key`` run the operators below."""
+    ``_f_memo`` keeps the h-record of ``_h_data`` per (context, index), the
+    ``HProfile`` of ``h_profile`` per (context, index, "h") and the result of
+    ``apply_f``/``apply_e`` per (context, index, "f" or "e"), None too; a
+    result's own memo starts empty.  As a crystal element it carries the
+    normal crystal structure of the path set: ``wt``, ``epsilon``, ``f``,
+    ``e`` and ``key`` run the operators below."""
 
     _nums: Tuple[int, ...]
     _values: Tuple[Weight, ...]
@@ -92,7 +93,7 @@ class PiecewisePath:
 
     def epsilon(self, ctx: WeightContext, i: int):
         """-m_i for a real index, 0 for an imaginary one."""
-        return 0 if ctx.matrix.is_imaginary(i) else -_f_data(ctx, i, self)[2]
+        return 0 if ctx.matrix.is_imaginary(i) else -_h_data(ctx, i, self)[2]
 
     def f(self, ctx: WeightContext, i: int) -> Optional[PiecewisePath]:
         return apply_f(ctx, i, self)
@@ -198,48 +199,42 @@ class HProfile:
     e_defined: bool
 
 
-def _f_data(ctx: WeightContext, i: int, pi: PiecewisePath):
-    """(hs, H, m, f_plus, f_minus): h_i(nums[k] / T) = hs[k] / H at the
-    breakpoints (hs a tuple of ints), the minimal level m and the
-    f-arguments in units of 1/T; the e-data is left to _e_data.  Kept on
-    pi per (ctx, i)."""
+def _h_data(ctx: WeightContext, i: int, pi: PiecewisePath):
+    """(hs, H, m, f_plus, f_minus, e_plus, e_minus, e_defined): h_i(nums[k] / T)
+    = ``ctx.pairing(i, values[k])`` = hs[k] / H at the breakpoints, H their least
+    common denominator, and the fields of HProfile with times in units of 1/T.
+    Kept on pi per (ctx, i)."""
     data = pi._f_memo.get((ctx, i))
     if data is None:
-        ts = pi._nums
-        hs, den = ctx.pairings(i, pi._values)
+        ts, ps = pi._nums, [ctx.pairing(i, v) for v in pi._values]
+        den = lcm(*(p.denominator for p in ps))
+        hs = tuple(p.numerator * (den // p.denominator) for p in ps)
         m = -(-min(hs) // den)
         f_plus = last_time_at(ts, hs, m * den)
         if m > 0 or f_plus is None:  # h(0) = 0, so the level m <= 0 is reached
             raise InvariantViolation(f"h_{i} never reaches its minimal level {m}")
-        data = pi._f_memo[ctx, i] = (  # f_minus is None if f_plus = 1
-            hs, den, m, f_plus, first_time_at(ts, hs, (m + 1) * den, f_plus))
+        f_minus = first_time_at(ts, hs, (m + 1) * den, f_plus)  # None if f_plus = 1
+        if ctx.matrix.is_real(i):
+            e_plus = first_time_at(ts, hs, m * den, 0)
+            e_minus = None if e_plus == 0 else last_time_at(ts, hs, (m + 1) * den, e_plus)
+            e_defined = e_plus != 0
+        else:
+            a = ctx.matrix.entry(i, i)
+            e_plus, e_minus = first_time_at(ts, hs, (m + 1 - a) * den, f_plus), f_plus
+            # h(e_plus) = m + 1 - a lies above m - a, so the minimum after it is at a breakpoint
+            e_defined = e_plus is not None and all(
+                h > (m - a) * den for h in hs[bisect_right(ts, e_plus):])
+        data = pi._f_memo[ctx, i] = (hs, den, m, f_plus, f_minus, e_plus, e_minus, e_defined)
     return data
-
-
-def _e_data(ctx: WeightContext, i: int, pi: PiecewisePath):
-    """(e_plus, e_minus, e_defined) of HProfile in units of 1/T, from ``_f_data``."""
-    ts = pi._nums
-    hs, den, m, f_plus, _ = _f_data(ctx, i, pi)
-    if ctx.matrix.is_real(i):
-        e_plus = first_time_at(ts, hs, m * den, 0)
-        return (e_plus, None if e_plus == 0 else last_time_at(ts, hs, (m + 1) * den, e_plus),
-                e_plus != 0)
-    a = ctx.matrix.entry(i, i)
-    e_plus = first_time_at(ts, hs, (m + 1 - a) * den, f_plus)  # None if f_plus = 1
-    # h(e_plus) = m + 1 - a lies above m - a, so the minimum after it is at a breakpoint
-    return e_plus, f_plus, e_plus is not None and all(
-        h > (m - a) * den for h in hs[bisect_right(ts, e_plus):])
 
 
 def h_profile(ctx: WeightContext, i: int, pi: PiecewisePath) -> HProfile:
     """The operator arguments of h_i on pi, with Fraction times.  Kept on pi per (ctx, i)."""
     prof = pi._f_memo.get((ctx, i, "h"))
     if prof is None:
-        _, _, m, f_plus, f_minus = _f_data(ctx, i, pi)
-        e_plus, e_minus, e_defined = _e_data(ctx, i, pi)
+        _, _, m, *times, e_defined = _h_data(ctx, i, pi)
         prof = pi._f_memo[ctx, i, "h"] = HProfile(
-            m, *(None if t is None else Fraction(t, pi._nums[-1])
-                 for t in (f_plus, f_minus, e_plus, e_minus)), e_defined)
+            m, *(None if t is None else Fraction(t, pi._nums[-1]) for t in times), e_defined)
     return prof
 
 
@@ -278,7 +273,7 @@ def apply_f(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[Piecewise
     after f_plus.  Kept on pi per (ctx, i)."""
     memo = pi._f_memo
     if (ctx, i, "f") not in memo:
-        hs, den, _, f_plus, f_minus = _f_data(ctx, i, pi)
+        hs, den, _, f_plus, f_minus, *_ = _h_data(ctx, i, pi)
         memo[ctx, i, "f"] = (None if f_plus == pi._nums[-1]
                              else _three_zone(pi, hs, den, i, f_plus, f_minus, -1, -1))
     return memo[ctx, i, "f"]
@@ -290,9 +285,8 @@ def apply_e(ctx: WeightContext, i: int, pi: PiecewisePath) -> Optional[Piecewise
     Kept on pi per (ctx, i)."""
     memo = pi._f_memo
     if (ctx, i, "e") not in memo:
-        e_plus, e_minus, e_defined = _e_data(ctx, i, pi)
+        hs, den, _, _, _, e_plus, e_minus, e_defined = _h_data(ctx, i, pi)
         div = -1 if ctx.matrix.is_real(i) else 1 - ctx.matrix.entry(i, i)
-        hs, den = _f_data(ctx, i, pi)[:2]
         memo[ctx, i, "e"] = (_three_zone(pi, hs, den, i, e_minus, e_plus, div, 1)
                              if e_defined else None)
     return memo[ctx, i, "e"]
@@ -320,7 +314,7 @@ def concatenate(pi1: PiecewisePath, pi2: PiecewisePath, s: Fraction,
 def is_integral(ctx: WeightContext, pi: PiecewisePath) -> bool:
     """The global minimum of every h_i is an integer."""
     return all(min(hs) % den == 0
-               for hs, den, *_ in (_f_data(ctx, i, pi) for i in ctx.matrix.indices))
+               for hs, den, *_ in (_h_data(ctx, i, pi) for i in ctx.matrix.indices))
 
 
 def is_monotone(ctx: WeightContext, pi: PiecewisePath, strict: bool = True) -> bool:
@@ -329,7 +323,7 @@ def is_monotone(ctx: WeightContext, pi: PiecewisePath, strict: bool = True) -> b
     the weakened form appropriate for joined paths."""
     ts = pi._nums
     for i in ctx.matrix.indices:
-        hs, den, m, f_plus, f_minus = _f_data(ctx, i, pi)
+        hs, den, m, f_plus, f_minus, *_ = _h_data(ctx, i, pi)
         if f_plus == ts[-1]:
             continue
         for k in range(1, len(ts)):

@@ -388,17 +388,6 @@ class WeightContext:
             raise ValueError(f"index {i} out of range")
         return pair(self.coroots[i], w)
 
-    def pairings(self, i: int, ws: Sequence[Weight]) -> Tuple[Tuple[int, ...], int]:
-        """(hs, H) with alpha_i^vee(ws[k]) = hs[k] / H, H the least common denominator."""
-        if not 1 <= i <= self.matrix.n:
-            raise ValueError(f"index {i} out of range")
-        f, m = self.coroots[i], lcm(*(w.den for w in ws))
-        for w in ws:
-            _basis(f, w)
-        hs = [sum(map(mul, f.nums, w.nums)) * (m // w.den) for w in ws]
-        g = gcd(f.den * m, *hs)
-        return tuple(h // g for h in hs), f.den * m // g
-
     def reflect(self, i: int, w: Weight) -> Weight:
         """r_i(w) = w - alpha_i^vee(w) alpha_i."""
         return add_root(w, i, -self.pairing(i, w))

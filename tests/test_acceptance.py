@@ -19,15 +19,14 @@ from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_ambient_axioms,
                              check_operator_iteration, check_oracle_equivalence,
                              fixture_context)
 from glspaths.crystals import GeneratorSequence
+from matrices import A, B, C, D, rpow
 
 # rank 3 with every off-diagonal entry nonzero and a_12 a_23 a_31 != a_21 a_32 a_13
-NON_SYMMETRIZABLE = ([[2, -1, -1], [-2, 2, -1], [-1, -1, -2]],
-                     [[2, -1, -2], [-1, -1, -1], [-1, -1, -2]])
-# two more, for criterion 4 only: the first has an infinite Weyl group, the
-# second is all imaginary with a zero diagonal entry.  Criterion 6's oracle
-# check on them would add about 2 s, so they stay out of CHARACTER_CASES.
-TENSOR_NON_SYMMETRIZABLE = ([[2, -2, -1], [-3, 2, -1], [-1, -2, -2]],
-                            [[-1, -1, -2], [-2, -2, -1], [-1, -1, 0]])
+NON_SYMMETRIZABLE = (A, C)
+# two more, for criterion 4 only: B has an infinite Weyl group, D is all
+# imaginary with a zero diagonal entry.  Criterion 6's oracle check on them
+# would add about 2 s, so they stay out of CHARACTER_CASES.
+TENSOR_NON_SYMMETRIZABLE = (B, D)
 
 # matrices of criterion 3: (entries, pairing vector, depth)
 CHARACTER_CASES = (
@@ -104,12 +103,6 @@ class Budget:
             assert elapsed < self.seconds, \
                 f"criterion {self.criterion} exceeded {self.seconds}s budget"
         return False
-
-
-def rpow(ctx, lam, s):
-    for _ in range(s):
-        lam = ctx.reflect(1, lam)
-    return lam
 
 
 def test_criterion_1_rank_one_reproduction():

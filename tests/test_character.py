@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from glspaths import (CharacterSeries, GLSPath, GeneratorSequence, bj_word, char_of_graph,
                       compare_characters, context_with_base, divide, enumerate_crystal,
                       generate_from, multiply, orthogonal_subsets, series_text, wkb_series)
-from glspaths import gls, rootdata
+from glspaths import character, gls, rootdata
 from glspaths.character import NonIntegralOffset
 from glspaths.checks import FIXTURES, TWO_IMAGINARY, fixture_context
+from matrices import A, B, C, D
 
 # the base of the series built by hand: the zero weight of a rank-one context
 ZERO = context_with_base([[2]], [0])[0].weight()
@@ -267,6 +268,22 @@ def test_compare_characters_examples():
     assert report.crystal.term_dict() == report.formula.term_dict()
 
 
+def test_compare_characters_names_a_moved_coefficient(monkeypatch):
+    # the formula side with one coefficient moved by one: the report is not
+    # equal and names that exponent alone, with both coefficients
+    ctx, lam = context_with_base([[2, -1], [-1, -2]], [1, 1])
+    graph = enumerate_crystal(ctx, lam, 3)
+    formula = wkb_series(ctx, lam, 3)
+    exponent, coefficient = formula.terms[-1]
+    moved = {**formula.term_dict(), exponent: coefficient + 1}
+    monkeypatch.setattr(character, "wkb_series", lambda *args: CharacterSeries.from_dict(
+        formula.base, formula.n, formula.depth, moved))
+    report = compare_characters(graph)
+    assert not report.equal
+    assert report.differences == ((exponent, coefficient, coefficient + 1),)
+    assert report.crystal.term_dict()[exponent] == coefficient
+
+
 def test_series_text_format():
     ctx, lam = context_with_base([[2, -1], [-1, -2]], [1, 1])
     text = series_text(char_of_graph(enumerate_crystal(ctx, lam, 1)))
@@ -329,8 +346,7 @@ def test_character_times_denominator_is_numerator():
 LIMIT_MATRICES = (
     [TWO_IMAGINARY[1], [[2, -1], [-1, -2]], [[2, -1], [-2, -2]], [[2, -1], [-1, 2]],
      [[0, -1], [-1, 0]], [[-1, 0], [0, -2]]]
-    + [[[2, -1, -1], [-2, 2, -1], [-1, -1, -2]], [[2, -2, -1], [-3, 2, -1], [-1, -2, -2]],
-       [[2, -1, -2], [-1, -1, -1], [-1, -1, -2]], [[-1, -1, -2], [-2, -2, -1], [-1, -1, 0]]]
+    + [A, B, C, D]
 )
 
 

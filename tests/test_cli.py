@@ -67,6 +67,13 @@ def test_negative_depth_is_a_usage_error(matrices, capsys):
     assert "depth must be nonnegative" in capsys.readouterr().err
 
 
+def test_a_weight_of_the_wrong_length_is_a_domain_error(tmp_path, capsys):
+    rank3 = tmp_path / "rank3.mat"
+    rank3.write_text("3\n2 -1 0\n-1 2 -1\n0 -1 2\n")
+    assert cli.run(["enumerate", "-m", str(rank3), "-l", "1", "-d", "2"]) == 1
+    assert capsys.readouterr().err == "error: base 'lambda' has 1 pairings, expected 3\n"
+
+
 def test_orbit_output(matrices, capsys):
     assert cli.run(["orbit", "-m", str(matrices["im"]), "-l", "2", "-d", "6"]) == 0
     assert capsys.readouterr().out == "lambda\nlambda-2*a1\nlambda-6*a1\n"

@@ -17,8 +17,8 @@ from glspaths.checks import (TWO_IMAGINARY, check_ambient_axioms,
                              check_concatenation_tensor_compat,
                              check_embedding_theorem, check_tensor_closure,
                              fixture_context)
-from glspaths.crystals import (element_epsilon, element_f, element_key, element_phi,
-                               element_wt)
+from glspaths.crystals import (BJWord, element_epsilon, element_f, element_key,
+                               element_phi, element_wt)
 from glspaths.gls import build_crystal_graph, gls_epsilon, gls_f
 
 
@@ -85,6 +85,28 @@ def test_generator_sequence_validation():
     seq = GeneratorSequence(2, (2,), (1, 2))
     assert seq.prefix(5) == (2, 1, 2, 1, 2)
     assert seq.prefix(1) == (2,) and seq.prefix(0) == ()
+
+
+@pytest.mark.parametrize("case,message", [
+    ("empty period", "period must be nonempty"),
+    ("index out of range", "sequence indices out of range"),
+    ("untrimmed word", "multiplicities must be trimmed"),
+    ("negative multiplicity", "multiplicities are nonnegative"),
+    ("unknown direction", "direction must be 'f' or 'e', got 'g'"),
+])
+def test_b_infinity_input_checks(case, message):
+    ctx, _ = context_with_base([[2, -1], [-1, -2]], [1, 1])
+    seq = GeneratorSequence(2, (), (1, 2))
+    build = {
+        "empty period": lambda: GeneratorSequence(2, (1,), ()),
+        "index out of range": lambda: GeneratorSequence(2, (), (1, 3)),
+        "untrimmed word": lambda: BJWord(seq, (1, 0)),
+        "negative multiplicity": lambda: BJWord(seq, (-1, 1)),
+        "unknown direction": lambda: bj_apply(ctx, bj_word(seq, [1]), "g", 1),
+    }[case]
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 def test_bj_apply_examples():

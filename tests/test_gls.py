@@ -23,6 +23,7 @@ from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_gls_membership,
 from glspaths.gls import _from_integer_form, _h_profile, build_crystal_graph, gls_epsilon
 from glspaths.paths import PiecewisePath, first_time_at, last_time_at
 from glspaths.rootdata import InvariantViolation, combination, offset_vector
+from matrices import A, B, C, D, rpow
 
 
 def ctx1(p=2, k=1):
@@ -33,12 +34,6 @@ def ctx2(p=2):
     return context_with_base([[2]], [p])
 
 
-def rpow(ctx, lam, s):
-    for _ in range(s):
-        lam = ctx.reflect(1, lam)
-    return lam
-
-
 def test_gls_path_validation():
     _, lam = ctx1()
     with pytest.raises(ValueError):
@@ -47,6 +42,29 @@ def test_gls_path_validation():
         GLSPath(lam, (lam, lam), (F(0), F(1, 2), F(1)))
     with pytest.raises(ValueError):
         GLSPath(lam, (lam,), (F(0), F(0), F(1)))
+
+
+@pytest.mark.parametrize("case,message", [
+    ("no weight", "a GLS path needs at least one weight"),
+    ("breaks that do not increase", "breaks must increase strictly"),
+    ("join onto a path that fails verification",
+     "second path failed GLS verification; cannot join"),
+])
+def test_gls_input_checks(case, message):
+    ctx, lam = ctx1()
+    a1 = ctx.alpha(1)
+    # lambda - a1 at 1/2 is no GLS path: f_1 of the straight path has lambda - 2 a1 there
+    unverified = GLSPath(lam, (lam - a1, lam), (F(0), F(1, 2), F(1)))
+    build = {
+        "no weight": lambda: GLSPath(lam, (), (F(0), F(1))),
+        "breaks that do not increase": lambda: GLSPath(
+            lam, (lam - 2 * a1, lam - a1, lam), (F(0), F(2, 3), F(1, 3), F(1))),
+        "join onto a path that fails verification": lambda: properly_join(
+            ctx, GLSPath.linear(lam), unverified, F(1, 4), F(1, 4)),
+    }[case]
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 def test_gls_f_rank_one_family():
@@ -230,9 +248,9 @@ def _imaginary_candidates(ctx, pi):
 
 
 # item 7's non-symmetrizable matrices A and C
-MATRICES_A_C = ([[2, -1, -1], [-2, 2, -1], [-1, -1, -2]], [[2, -1, -2], [-1, -1, -1], [-1, -1, -2]])
+MATRICES_A_C = (A, C)
 # and B (infinite Weyl group) and D (all imaginary, a zero diagonal entry)
-MATRICES_B_D = ([[2, -2, -1], [-3, 2, -1], [-1, -2, -2]], [[-1, -1, -2], [-2, -2, -1], [-1, -1, 0]])
+MATRICES_B_D = (B, D)
 
 
 def test_verification_on_ids_matches_the_definition():
@@ -455,7 +473,7 @@ def test_operators_across_a_genuine_stall():
 JOIN_CASES = [([[-1]], [1], 4), ([[-1]], [2], 4), ([[0]], [1], 4), ([[-2]], [2], 4),
               ([[2]], [2], 4), ([[2, -1], [-1, -2]], [1, 1], 4), ([[2, -1], [-2, -2]], [1, 1], 4),
               (TWO_IMAGINARY[1], [1, 1, 1], 3),
-              ([[2, -1, -1], [-2, 2, -1], [-1, -1, -2]], [1, 1, 1], 3)]
+              (A, [1, 1, 1], 3)]
 
 
 def test_properly_join_accepts_exactly_the_splices_that_are_gls_paths():

@@ -15,7 +15,7 @@ from glspaths import checks, paths
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY,
                              check_inversion_and_weight_shift,
                              check_operator_iteration, fixture_context)
-from glspaths.paths import (PiecewisePath, _e_data, _f_data, _three_zone, first_time_at,
+from glspaths.paths import (PiecewisePath, _h_data, _three_zone, first_time_at,
                             last_time_at)
 from glspaths.rootdata import InvariantViolation
 
@@ -37,6 +37,38 @@ def test_linear_path_and_normalization():
     # collinear interior points are dropped
     half = PiecewisePath.from_points([(0, ctx.weight()), (F(1, 2), F(1, 2) * lam), (1, lam)])
     assert half == path
+
+
+@pytest.mark.parametrize("case,message", [
+    ("from_points past 1", "parameter range must be [0, 1]"),
+    ("from_points before 0", "parameter range must be [0, 1]"),
+    ("from_grid with two values at one time", "conflicting values at t=1/2"),
+    ("from_grid with times that do not increase", "times must increase strictly from 0"),
+    ("from_grid starting after time 0", "times must increase strictly from 0"),
+    ("from_grid starting away from weight 0", "paths start at 0"),
+    ("value_at past 1", "parameter 3/2 outside [0, 1]"),
+    ("value_at before 0", "parameter -1 outside [0, 1]"),
+])
+def test_path_input_checks(case, message):
+    ctx, lam = ctx2()
+    zero, a1 = ctx.weight(), ctx.alpha(1)
+    straight = GLSPath.linear(lam).render()
+    build = {
+        "from_points past 1": lambda: PiecewisePath.from_points([(F(0), zero), (F(2), lam)]),
+        "from_points before 0": lambda: PiecewisePath.from_points([(F(-1), zero), (F(1), lam)]),
+        "from_grid with two values at one time":
+            lambda: PiecewisePath.from_grid([0, 1, 1, 2], [zero, a1, lam, lam]),
+        "from_grid with times that do not increase":
+            lambda: PiecewisePath.from_grid([0, 2, 1], [zero, a1, lam]),
+        "from_grid starting after time 0": lambda: PiecewisePath.from_grid([1, 2], [zero, lam]),
+        "from_grid starting away from weight 0":
+            lambda: PiecewisePath.from_grid([0, 2], [a1, lam]),
+        "value_at past 1": lambda: straight.value_at(F(3, 2)),
+        "value_at before 0": lambda: straight.value_at(-1),
+    }[case]
+    with pytest.raises(ValueError) as err:
+        build()
+    assert type(err.value) is ValueError and str(err.value) == message
 
 
 def test_h_profile_examples():
@@ -227,29 +259,29 @@ def test_h_profile_is_kept_per_context_and_index():
 def test_three_zone_rejects_a_wrong_shift():
     ctx, lam = ctx2()
     path = GLSPath.linear(lam).render()
-    hs, den = _f_data(ctx, 1, path)[:2]  # times in units of 1/T, T = 1 here
+    hs, den = _h_data(ctx, 1, path)[:2]  # times in units of 1/T, T = 1 here
     assert _three_zone(path, hs, den, 1, 0, F(1, 2), -1, -1) == apply_f(ctx, 1, path)
     with pytest.raises(InvariantViolation):
         _three_zone(path, hs, den, 1, 0, F(1, 2), -1, 1)
 
 
-def test_f_data_is_kept_per_context_and_index():
+def test_h_data_is_kept_per_context_and_index():
     ctx_a, lam = ctx2(p=2)
     ctx_b, _ = ctx2(p=4)  # the same base weight lambda, paired differently
     path = GLSPath.linear(lam).render()
     twin = PiecewisePath.from_points(path.points)
-    assert _f_data(ctx_a, 1, path)[:2] == ((0, 2), 1)
-    assert _f_data(ctx_b, 1, path)[:2] == ((0, 4), 1)
-    assert _f_data(ctx_a, 1, path)[:2] == ((0, 2), 1)
+    assert _h_data(ctx_a, 1, path)[:2] == ((0, 2), 1)
+    assert _h_data(ctx_b, 1, path)[:2] == ((0, 4), 1)
+    assert _h_data(ctx_a, 1, path)[:2] == ((0, 2), 1)
     assert set(path._f_memo) == {(ctx_a, 1), (ctx_b, 1)} and not twin._f_memo
-    assert _f_data(ctx_b, 1, path) is _f_data(ctx_b, 1, path)
+    assert _h_data(ctx_b, 1, path) is _h_data(ctx_b, 1, path)
     assert apply_f(ctx_a, 1, path) == reference_apply(ctx_a, 1, twin, "f")
     assert apply_f(ctx_b, 1, path) == reference_apply(ctx_b, 1, twin, "f")
     assert apply_f(ctx_a, 1, path) != apply_f(ctx_b, 1, path)
     # the memo is no part of the path's value
     assert path == twin and hash(path) == hash(twin) and repr(path) == repr(twin)
     assert len({path, twin}) == 1
-    hs, den, *_ = _f_data(ctx_a, 1, path)
+    hs, den, *_ = _h_data(ctx_a, 1, path)
     assert type(hs) is tuple and type(den) is int
     with pytest.raises(TypeError):
         hs[0] = 1
@@ -574,7 +606,7 @@ def bent_paths(draw):
 
 
 def test_apply_e_reads_the_int_e_data(monkeypatch):
-    # _e_data holds h_profile's e-arguments in units of 1/T, and apply_e
+    # the h-record holds h_profile's e-arguments in units of 1/T, and apply_e
     # takes its zone from it without a call of h_profile
     cases = []
     for fx in FIXTURES + (TWO_IMAGINARY,):
@@ -582,7 +614,8 @@ def test_apply_e_reads_the_int_e_data(monkeypatch):
         for node in enumerate_crystal(ctx, lam, 4).nodes:
             for i in ctx.matrix.indices:
                 path = node.element.render()
-                prof, (e_plus, e_minus, e_defined) = h_profile(ctx, i, path), _e_data(ctx, i, path)
+                prof, record = h_profile(ctx, i, path), _h_data(ctx, i, path)
+                *_, e_plus, e_minus, e_defined = record
                 times = [None if t is None else F(t, path._nums[-1]) for t in (e_plus, e_minus)]
                 assert times == [prof.e_plus, prof.e_minus] and e_defined == prof.e_defined
                 cases.append((ctx, i, node.element, reference_apply(ctx, i, path, "e")))
@@ -601,6 +634,11 @@ def test_operators_on_the_integer_grid_match_the_fraction_references(data):
         for cur in (path, apply_f(ctx, i, path)):
             if cur is None:
                 continue
+            # the h-record holds ctx.pairing at each breakpoint over its least
+            # common denominator
+            hs, den = _h_data(ctx, i, cur)[:2]
+            assert [F(h, den) for h in hs] == [ctx.pairing(i, v) for v in cur._values]
+            assert math.gcd(den, *hs) == 1
             prof, want = h_profile(ctx, i, cur), reference_h_profile(ctx, i, cur)
             assert prof == want and list(map(type, vars(prof).values())) == list(
                 map(type, vars(want).values())), (cur, i)

@@ -16,6 +16,7 @@ from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_coroot_signs,
 from glspaths.gls import enumerate_crystal, gls_e
 from glspaths.torbit import dist
 from glspaths.rootdata import UnknownBase, WeightContext, add_root, exact, offset_vector, pair
+from matrices import A, B, C, D
 
 # two declared bases with fractional pairings over a rank-3 matrix with a
 # real, an imaginary and a zero diagonal entry; rho pairs as a_ii / 2
@@ -154,6 +155,43 @@ def test_parser_rejects_bad_matrix():
         parse_context_text("1\n3\n")
 
 
+@pytest.mark.parametrize("case,error,message", [
+    ("empty matrix", MatrixError, "empty matrix"),
+    ("Fraction entry", MatrixError, "entry (1,2) is not an integer"),
+    ("float entry", MatrixError, "entry (1,1) is not an integer"),
+    ("base of the wrong length", ValueError, "base 'lambda' has 1 pairings, expected 3"),
+])
+def test_matrix_and_base_input_checks(case, error, message):
+    build = {
+        "empty matrix": lambda: validate_matrix([]),
+        "Fraction entry": lambda: validate_matrix([[2, F(-1)], [-1, 2]]),
+        "float entry": lambda: validate_matrix([[2.0]]),
+        "base of the wrong length": lambda: WeightContext(
+            validate_matrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), {"lambda": [1]}),
+    }[case]
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("text,line,column,message", [
+    ("2 2\n2 -1\n-1 2\n", 1, 2, "expected a single rank on the first line"),
+    ("0\n", 1, 1, "rank must be positive, got 0"),
+    ("-1\n", 1, 1, "rank must be positive, got -1"),
+    ("1\nx\n", 2, 1, "invalid integer 'x'"),
+    ("2\n2 -1\n-1 1/2\n", 3, 2, "invalid integer '1/2'"),
+    ("1\n2\nbases:\nlambda 1 2\n", 4, 4, "expected a name and 1 rationals"),
+    ("1\n2\nbases:\nlambda\n", 4, 2, "expected a name and 1 rationals"),
+    ("1\n2\nbases:\nlambda 1\nlambda 2\n", 5, 1, "duplicate base name 'lambda'"),
+])
+def test_parser_input_checks(text, line, column, message):
+    with pytest.raises(MatrixFormatError) as err:
+        parse_context_text(text)
+    assert type(err.value) is MatrixFormatError
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
 def test_rho_is_a_reserved_base_name():
     with pytest.raises(ValueError):
         WeightContext(validate_matrix([[2]]), {"rho": [1]})
@@ -229,10 +267,8 @@ def test_orbit_table_images_are_the_reflections():
 
 # item 7's non-symmetrizable matrices: a_12 = -1 but a_21 = -2 in A; B has an infinite
 # Weyl group; D is all imaginary, with a zero diagonal entry
-NONSYMMETRIZABLE = (("nonsym_a", [[2, -1, -1], [-2, 2, -1], [-1, -1, -2]], [1, 1, 1]),
-                    ("nonsym_b", [[2, -2, -1], [-3, 2, -1], [-1, -2, -2]], [1, 1, 1]),
-                    ("nonsym_c", [[2, -1, -2], [-1, -1, -1], [-1, -1, -2]], [1, 1, 1]),
-                    ("nonsym_d", [[-1, -1, -2], [-2, -2, -1], [-1, -1, 0]], [1, 1, 1]))
+NONSYMMETRIZABLE = (("nonsym_a", A, [1, 1, 1]), ("nonsym_b", B, [1, 1, 1]),
+                    ("nonsym_c", C, [1, 1, 1]), ("nonsym_d", D, [1, 1, 1]))
 
 
 def _checked_table(ctx, lam, depth):

@@ -275,3 +275,24 @@ def test_crystal_graph_readers_take_no_context():
                 if {"graph", "ctx"} <= params:
                     found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_readme_quick_tour_runs_as_shown():
+    # the README's Python example, run one statement at a time: the value of
+    # each bare expression is what its comment shows
+    text = README.read_text(encoding="utf-8")
+    block = text.split("A quick tour:", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"),
+                               namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    lowered, equal = values
+    assert len(namespace["graph"]) == 6
+    assert str(lowered) == "GLSPath((lambda-2*a1, lambda; 0, 1/2, 1))"
+    assert equal is True

@@ -11,10 +11,26 @@ from glspaths import gls
 from glspaths.checks import (FIXTURES, TWO_IMAGINARY, check_dist_lemmas,
                              check_orbit_properties, fixture_context)
 from glspaths.rootdata import UnknownBase
+from matrices import A, B
 
 
 def ctx1():
     return context_with_base([[-1]], [2])
+
+
+@pytest.mark.parametrize("target,bound,words", [
+    ("lambda", 3, [()]),
+    ("r_1 lambda", 3, [(1,)]),
+    ("lambda - alpha_1", 3, []),
+    ("r_1 lambda", 0, []),
+])
+def test_minimal_words_edges(target, bound, words):
+    # lambda itself needs the empty word; a weight off the orbit, or one
+    # beyond the length bound, has no word
+    ctx, lam = ctx1()
+    mu = {"lambda": lam, "r_1 lambda": ctx.reflect(1, lam),
+          "lambda - alpha_1": lam - ctx.alpha(1)}[target]
+    assert minimal_words(ctx, lam, mu, bound) == words
 
 
 def ctx2():
@@ -162,8 +178,7 @@ def test_dist_lemmas_suite():
 
 
 # rank 3, a_12 a_23 a_31 != a_21 a_32 a_13; the second has an infinite Weyl group
-NON_SYMMETRIZABLE = ([[2, -1, -1], [-2, 2, -1], [-1, -1, -2]],
-                     [[2, -2, -1], [-3, 2, -1], [-1, -2, -2]])
+NON_SYMMETRIZABLE = (A, B)
 
 
 def test_root_tuples_do_not_depend_on_request_order():
